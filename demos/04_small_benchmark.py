@@ -9,7 +9,7 @@ aggregates printed and the full report emitted to disk.
 import os
 import tempfile
 
-from lexcf import ExperimentConfig, run_experiment, emit_report
+from lexcf import STRATEGIES, ExperimentConfig, run_experiment, emit_report
 from lexcf.bench import write_meta, write_records
 from lexcf.data import DatasetConfig, FeatureSchema
 from lexcf.ea import EAConfig
@@ -43,7 +43,7 @@ for variant in report.variants:
     cells = report.aggregates["validity"][variant]
     row = "  ".join(
         "%s %5.1f%%/%5.1f%%" % (s, 100 * cells[s]["micro"], 100 * cells[s]["macro"])
-        for s in report.strategies
+        for s in STRATEGIES
     )
     print("%-9s validity (micro/macro):  %s" % (variant, row))
 

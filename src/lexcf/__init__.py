@@ -91,13 +91,12 @@ from .selection import (
 from .bench import (
     ExperimentConfig,
     ExperimentReport,
-    compare_lex,
-    compare_pareto,
     emit_report,
     load_experiment_config,
     run_experiment,
     sample_points_of_interest,
     valid_fraction,
+    win_loss_tie,
 )
 
 __version__ = "0.1.0"

@@ -9,8 +9,8 @@ import csv
 import hashlib
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 import yaml
@@ -26,7 +26,7 @@ from .ea import STRATEGIES, STRATEGY_ORDERINGS, EAConfig, run_paired
 from .errors import ConfigError, InvariantViolation
 from .model import LearnerConfig, train_model, tune_random_search
 from .objectives import EvalContext
-from .selection import FIRST_BETTER, SECOND_BETTER, lex_compare, pareto_dominates
+from .selection import FIRST_BETTER, SECOND_BETTER, TIE, lex_compare, pareto_compare
 
 BASE = "base"
 RESILIENT = "resilient"
@@ -45,7 +45,6 @@ class ExperimentConfig:
     tune_trials: int = 0
     max_pois: int = 50
     variants: tuple = VARIANTS
-    strategies: tuple = STRATEGIES
     master_seed: int = 0
     output_dir: str = ""
     ea: EAConfig = None
@@ -61,16 +60,12 @@ class ExperimentConfig:
         bad = [v for v in self.variants if v not in VARIANTS]
         if bad:
             raise ConfigError("unknown validity variants: %s" % bad)
-        bad = [s for s in self.strategies if s not in STRATEGIES]
-        if bad:
-            raise ConfigError("unknown strategies: %s" % bad)
 
 
 @dataclass
 class ExperimentReport:
     dataset_id: str
     master_seed: int
-    strategies: tuple
     variants: tuple
     theta: float
     poi_count: int
@@ -109,38 +104,18 @@ def valid_fraction(solutions):
     return sum(1 for v in vectors if v[0] <= 0) / len(vectors)
 
 
-def compare_pareto(lex_solutions, par_solutions):
-    """Win-loss-tie over all cross pairs under Pareto dominance."""
+def win_loss_tie(lex_solutions, par_solutions, compare):
+    """Win-loss-tie of each lex solution against each Pareto solution, where
+    compare(a, b) returns FIRST_BETTER, TIE or SECOND_BETTER (pareto_compare,
+    or lex_compare with a fixed ordering and theta); None when either list
+    is empty."""
     if not lex_solutions or not par_solutions:
         return None
-    w = l = t = 0
+    counts = {FIRST_BETTER: 0, SECOND_BETTER: 0, TIE: 0}
     for a in lex_solutions:
         for b in par_solutions:
-            if pareto_dominates(a, b):
-                w += 1
-            elif pareto_dominates(b, a):
-                l += 1
-            else:
-                t += 1
-    return (w, l, t)
-
-
-def compare_lex(lex_solutions, par_solutions, ordering, theta):
-    """Win-loss-tie over all cross pairs under lexicographic comparison;
-    ties require all four objectives exactly equal."""
-    if not lex_solutions or not par_solutions:
-        return None
-    w = l = t = 0
-    for a in lex_solutions:
-        for b in par_solutions:
-            outcome = lex_compare(a, b, ordering, theta)
-            if outcome == FIRST_BETTER:
-                w += 1
-            elif outcome == SECOND_BETTER:
-                l += 1
-            else:
-                t += 1
-    return (w, l, t)
+            counts[compare(a, b)] += 1
+    return (counts[FIRST_BETTER], counts[SECOND_BETTER], counts[TIE])
 
 
 def _record(poi_index, variant, strategy, result):
@@ -239,8 +214,13 @@ def aggregate_records(records, strategies, variants, theta):
         for lex_strategy in LEX_STRATEGIES:
             if lex_strategy not in strategies or "par" not in strategies:
                 continue
-            totals_p = [0, 0, 0]
-            totals_l = [0, 0, 0]
+            comparisons = {
+                "wlt_pareto": pareto_compare,
+                "wlt_lex": partial(
+                    lex_compare, ordering=STRATEGY_ORDERINGS[lex_strategy], theta=theta
+                ),
+            }
+            totals = {key: [0, 0, 0] for key in comparisons}
             pairs = 0
             for poi in usable:
                 lex_sols = [
@@ -252,20 +232,13 @@ def aggregate_records(records, strategies, variants, theta):
                     for s in by_cell[(variant, "par")][poi]["solutions"]
                 ]
                 pairs += len(lex_sols) * len(par_sols)
-                wp = compare_pareto(lex_sols, par_sols)
-                wl = compare_lex(
-                    lex_sols, par_sols, STRATEGY_ORDERINGS[lex_strategy], theta
-                )
-                for j in range(3):
-                    totals_p[j] += wp[j]
-                    totals_l[j] += wl[j]
+                for key, compare in comparisons.items():
+                    wlt = win_loss_tie(lex_sols, par_sols, compare)
+                    for j in range(3):
+                        totals[key][j] += wlt[j]
             aggregates["pairs"][variant][lex_strategy] = pairs
-            aggregates["wlt_pareto"][variant][lex_strategy] = (
-                tuple(totals_p) if pairs else None
-            )
-            aggregates["wlt_lex"][variant][lex_strategy] = (
-                tuple(totals_l) if pairs else None
-            )
+            for key, counts in totals.items():
+                aggregates[key][variant][lex_strategy] = tuple(counts) if pairs else None
     return aggregates
 
 
@@ -285,23 +258,6 @@ def _build_model(cfg, train):
     return train_model(train, learner_cfg), learner_cfg
 
 
-def _poi_worker(cfg, model, train, stats, pois, dataset_id):
-    def run_one(index):
-        poi = pois[index]
-        seed = stable_seed(cfg.master_seed, dataset_id, index)
-        out = []
-        for variant in cfg.variants:
-            resilient = variant == RESILIENT
-            ctx = EvalContext(poi, model, train, stats, resilience=resilient)
-            base = replace(cfg.ea, resilience=resilient, seed=seed, debug=cfg.debug)
-            results = run_paired(ctx, base)
-            for strategy, result in zip(STRATEGIES, results):
-                out.append(_record(index, variant, strategy, result))
-        return out
-
-    return run_one
-
-
 def run_experiment(cfg):
     """Train the model, sample points of interest, run every strategy and
     variant on each, and fold the raw records into report aggregates."""
@@ -316,24 +272,24 @@ def run_experiment(cfg):
     rng = np.random.default_rng(stable_seed(cfg.master_seed, dataset_id, "poi-sample"))
     pois = sample_points_of_interest(model, test, cfg.max_pois, rng)
 
-    run_one = _poi_worker(cfg, model, train, stats, pois, dataset_id)
-    threads = int(os.environ.get("LEXCF_THREADS", "1") or "1")
-    if threads > 1 and len(pois) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(run_one, range(len(pois))))
-    else:
-        chunks = [run_one(i) for i in range(len(pois))]
-    records = [rec for chunk in chunks for rec in chunk]
+    records = []
+    for index, poi in enumerate(pois):
+        seed = stable_seed(cfg.master_seed, dataset_id, index)
+        for variant in cfg.variants:
+            resilient = variant == RESILIENT
+            ctx = EvalContext(poi, model, train, stats, resilience=resilient)
+            base = replace(cfg.ea, resilience=resilient, seed=seed, debug=cfg.debug)
+            for strategy, result in zip(STRATEGIES, run_paired(ctx, base)):
+                records.append(_record(index, variant, strategy, result))
 
     if cfg.output_dir:
         os.makedirs(cfg.output_dir, exist_ok=True)
         write_records(records, os.path.join(cfg.output_dir, "records.ndjson"))
 
-    aggregates = aggregate_records(records, cfg.strategies, cfg.variants, cfg.ea.theta)
+    aggregates = aggregate_records(records, STRATEGIES, cfg.variants, cfg.ea.theta)
     return ExperimentReport(
         dataset_id=dataset_id,
         master_seed=cfg.master_seed,
-        strategies=tuple(cfg.strategies),
         variants=tuple(cfg.variants),
         theta=cfg.ea.theta,
         poi_count=len(pois),
@@ -366,6 +322,15 @@ def read_records(path):
     return records
 
 
+def markdown_lines(header, rows):
+    """A markdown table, one string per line."""
+    lines = ["| " + " | ".join(header) + " |"]
+    lines.append("| " + " | ".join("---" for _ in header) + " |")
+    for row in rows:
+        lines.append("| " + " | ".join(str(c) for c in row) + " |")
+    return lines
+
+
 def _write_table(path_base, fmt, header, rows):
     if fmt == "csv":
         with open(path_base + ".csv", "w", newline="", encoding="utf-8") as handle:
@@ -373,12 +338,8 @@ def _write_table(path_base, fmt, header, rows):
             writer.writerow(header)
             writer.writerows(rows)
         return path_base + ".csv"
-    lines = ["| " + " | ".join(header) + " |"]
-    lines.append("| " + " | ".join("---" for _ in header) + " |")
-    for row in rows:
-        lines.append("| " + " | ".join(str(c) for c in row) + " |")
     with open(path_base + ".md", "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write("\n".join(markdown_lines(header, rows)) + "\n")
     return path_base + ".md"
 
 
@@ -391,14 +352,14 @@ def _validity_rows(report):
     agg = report.aggregates["validity"]
     for variant in report.variants:
         row = [variant]
-        for strategy in report.strategies:
+        for strategy in STRATEGIES:
             cell = agg[variant][strategy]
             if cell["returned"] == 0:
                 row.append("")
             else:
                 mean_count = cell["returned"] / cell["pois"]
                 row.append("%.2f (%s)" % (mean_count, _fmt_pct(cell["micro"])))
-        for strategy in report.strategies:
+        for strategy in STRATEGIES:
             row.append(_fmt_pct(agg[variant][strategy]["macro"]))
         rows.append(row)
     return rows
@@ -410,23 +371,24 @@ def _objective_rows(report):
     for variant in report.variants:
         for j, name in enumerate(OBJECTIVE_NAMES):
             row = [variant, name]
-            for strategy in report.strategies:
+            for strategy in STRATEGIES:
                 means = agg[variant][strategy]
                 row.append("" if means is None else "%.6f" % means[j])
             rows.append(row)
     return rows
 
 
-def _wlt_rows(report, key, lex_cols):
+def wlt_table(aggregates, variants, key):
+    """Header and rows of one win-loss-tie table (key "wlt_pareto" or
+    "wlt_lex"): a row per variant, a column per lex strategy."""
     rows = []
-    agg = report.aggregates[key]
-    for variant in report.variants:
+    for variant in variants:
         row = [variant]
-        for strategy in lex_cols:
-            wlt = agg[variant].get(strategy)
+        for strategy in LEX_STRATEGIES:
+            wlt = aggregates[key][variant].get(strategy)
             row.append("" if wlt is None else "%d; %d; %d" % tuple(wlt))
         rows.append(row)
-    return rows
+    return ["variant"] + list(LEX_STRATEGIES), rows
 
 
 def emit_report(report, fmt, out_dir):
@@ -435,22 +397,17 @@ def emit_report(report, fmt, out_dir):
         raise ConfigError("format must be csv or markdown, not %r" % fmt)
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    header = (
-        ["variant"]
-        + list(report.strategies)
-        + ["%s_macro" % s for s in report.strategies]
-    )
+    header = ["variant"] + list(STRATEGIES) + ["%s_macro" % s for s in STRATEGIES]
     rows = _validity_rows(report) if report.poi_count else []
     paths.append(_write_table(os.path.join(out_dir, "validity"), fmt, header, rows))
 
-    header = ["variant", "objective"] + list(report.strategies)
+    header = ["variant", "objective"] + list(STRATEGIES)
     rows = _objective_rows(report) if report.poi_count else []
     paths.append(_write_table(os.path.join(out_dir, "objectives"), fmt, header, rows))
 
-    lex_cols = [s for s in LEX_STRATEGIES if s in report.strategies]
     for key, stem in (("wlt_pareto", "pareto_wlt"), ("wlt_lex", "lex_wlt")):
-        rows = _wlt_rows(report, key, lex_cols) if report.poi_count else []
-        header = ["variant"] + list(lex_cols)
+        header, rows = wlt_table(report.aggregates, report.variants, key)
+        rows = rows if report.poi_count else []
         paths.append(_write_table(os.path.join(out_dir, stem), fmt, header, rows))
     return paths
 
@@ -460,7 +417,7 @@ def write_meta(report, out_dir):
     meta = {
         "dataset": report.dataset_id,
         "master_seed": report.master_seed,
-        "strategies": list(report.strategies),
+        "strategies": list(STRATEGIES),
         "variants": list(report.variants),
         "theta": report.theta,
         "poi_count": report.poi_count,
@@ -475,6 +432,14 @@ def write_meta(report, out_dir):
     return path
 
 
+def _reject_unknown_keys(raw, config_class, where):
+    """Config keys are the field names of the config class they fill."""
+    known = {f.name for f in fields(config_class)}
+    unknown = sorted(str(key) for key in raw if key not in known)
+    if unknown:
+        raise ConfigError("unknown key(s) in %s: %s" % (where, ", ".join(unknown)))
+
+
 def load_experiment_config(path):
     """Parse a YAML experiment config; the dataset reference is resolved
     relative to the config file."""
@@ -482,6 +447,7 @@ def load_experiment_config(path):
         raw = yaml.safe_load(handle)
     if not isinstance(raw, dict):
         raise ConfigError("experiment config %s is not a mapping" % path)
+    _reject_unknown_keys(raw, ExperimentConfig, "experiment config")
     if "dataset" not in raw:
         raise ConfigError("experiment config needs a dataset reference")
     ds_ref = raw["dataset"]
@@ -492,6 +458,7 @@ def load_experiment_config(path):
     ea_raw = raw.get("ea", {})
     if not isinstance(ea_raw, dict):
         raise ConfigError("ea section must be a mapping")
+    _reject_unknown_keys(ea_raw, EAConfig, "ea section")
     ea_cfg = EAConfig(**ea_raw)
 
     variants = []
@@ -511,7 +478,6 @@ def load_experiment_config(path):
         tune_trials=int(raw.get("tune_trials", 0)),
         max_pois=int(raw.get("max_pois", 50)),
         variants=tuple(dict.fromkeys(variants)),
-        strategies=tuple(raw.get("strategies", list(STRATEGIES))),
         master_seed=int(raw.get("master_seed", 0)),
         output_dir=raw.get("output_dir", ""),
         ea=ea_cfg,

@@ -11,12 +11,13 @@ import os
 import sys
 
 from .bench import (
-    LEX_STRATEGIES,
     aggregate_records,
     emit_report,
     load_experiment_config,
+    markdown_lines,
     read_records,
     run_experiment,
+    wlt_table,
     write_meta,
 )
 from .data import (
@@ -152,7 +153,7 @@ def _cmd_bench(args):
                 if cells[s]["micro"] is None
                 else "%.1f%% valid" % (100 * cells[s]["micro"]),
             )
-            for s in report.strategies
+            for s in STRATEGIES
         )
         print("  %s: %s" % (variant, summary))
     return 0
@@ -167,19 +168,10 @@ def _cmd_compare(args):
     records = read_records(records_path)
     with open(meta_path, encoding="utf-8") as handle:
         meta = json.load(handle)
-    aggregates = aggregate_records(
-        records, meta["strategies"], meta["variants"], meta["theta"]
-    )
+    aggregates = aggregate_records(records, STRATEGIES, meta["variants"], meta["theta"])
     key = "wlt_pareto" if args.mode == "pareto" else "wlt_lex"
-    lex_cols = [s for s in LEX_STRATEGIES if s in meta["strategies"]]
-    print("| variant | " + " | ".join(lex_cols) + " |")
-    print("|" + "---|" * (len(lex_cols) + 1))
-    for variant in meta["variants"]:
-        cells = []
-        for s in lex_cols:
-            wlt = aggregates[key][variant].get(s)
-            cells.append("" if wlt is None else "%d; %d; %d" % tuple(wlt))
-        print("| %s | %s |" % (variant, " | ".join(cells)))
+    header, rows = wlt_table(aggregates, meta["variants"], key)
+    print("\n".join(markdown_lines(header, rows)))
     return 0
 
 

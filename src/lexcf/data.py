@@ -146,6 +146,10 @@ def parse_value(raw, feature, row_index):
         raise ParseError(
             "row %d: cannot parse %r as numeric for %r" % (row_index, raw, feature.name)
         ) from None
+    if not math.isfinite(value):
+        raise ParseError(
+            "row %d: non-finite value %r for %r" % (row_index, raw, feature.name)
+        )
     if feature.kind == INTEGER:
         if value != int(value):
             raise ParseError(

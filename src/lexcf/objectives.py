@@ -288,10 +288,7 @@ def evaluate_population(rows, ctx):
             if key in plans:
                 start, count = spans[key]
                 report = _score_plan(plans[key], classes[start : start + count])
-            if ctx.resilience:
-                o1 = obj_validity_resilient(p_hat, report) if p_hat >= 0.5 else 0.5 - p_hat
-            else:
-                o1 = obj_validity(p_hat)
+            o1 = obj_validity_resilient(p_hat, report) if ctx.resilience else obj_validity(p_hat)
             vector = ObjectiveVector(
                 o1,
                 ctx.gower_to_poi(key),

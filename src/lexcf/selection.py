@@ -78,12 +78,19 @@ def _winnow(indices, vectors, ordering, theta):
     return survivors
 
 
-def _tournament_round(indices, vectors, ordering, theta, rng):
-    """One tournament round: winnow under theta, rewalk the survivors with
-    theta 0, and only then sample a victor among perfect ties."""
+def _lex_survivors(indices, vectors, ordering, theta):
+    """Winnow under theta, then rewalk the survivors with theta 0; more than
+    one survivor means a perfect tie."""
     survivors = _winnow(indices, vectors, ordering, theta)
     if len(survivors) > 1 and theta > 0:
         survivors = _winnow(survivors, vectors, ordering, 0.0)
+    return survivors
+
+
+def _tournament_round(indices, vectors, ordering, theta, rng):
+    """One tournament round: the lexicographic survivors, and only then a
+    random victor among perfect ties."""
+    survivors = _lex_survivors(indices, vectors, ordering, theta)
     if len(survivors) == 1:
         return survivors[0]
     return survivors[int(rng.integers(len(survivors)))]
@@ -133,16 +140,23 @@ def lex_best_index(population, ordering, theta):
     """Deterministic winner of a full-population tournament round (no random
     tie-break: perfect ties resolve to the smallest index)."""
     vectors = [_vector_of(c) for c in population]
-    survivors = _winnow(range(len(population)), vectors, ordering, theta)
-    if len(survivors) > 1 and theta > 0:
-        survivors = _winnow(survivors, vectors, ordering, 0.0)
-    return min(survivors)
+    return min(_lex_survivors(range(len(population)), vectors, ordering, theta))
 
 
 def pareto_dominates(a, b):
     """True when a is at least as good everywhere and strictly better somewhere."""
     va, vb = _vector_of(a), _vector_of(b)
     return all(x <= y for x, y in zip(va, vb)) and any(x < y for x, y in zip(va, vb))
+
+
+def pareto_compare(a, b):
+    """Pareto dominance as a three-way outcome, in lex_compare's terms: -1 /
+    0 / 1 for a dominates b / neither dominates / b dominates a."""
+    if pareto_dominates(a, b):
+        return FIRST_BETTER
+    if pareto_dominates(b, a):
+        return SECOND_BETTER
+    return TIE
 
 
 def _dominance_matrix(vectors):

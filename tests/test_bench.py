@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,8 +13,6 @@ from lexcf.bench import (
     ExperimentConfig,
     ExperimentReport,
     aggregate_records,
-    compare_lex,
-    compare_pareto,
     emit_report,
     load_experiment_config,
     read_records,
@@ -21,13 +20,19 @@ from lexcf.bench import (
     sample_points_of_interest,
     stable_seed,
     valid_fraction,
+    win_loss_tie,
     write_meta,
     write_records,
 )
 from lexcf.data import CONTINUOUS, DatasetConfig, FeatureSchema
 from lexcf.ea import EAConfig, STRATEGIES
 from lexcf.errors import ConfigError, InvariantViolation
-from lexcf.selection import DISTANCE_BEFORE_SPARSITY, SPARSITY_BEFORE_DISTANCE
+from lexcf.selection import (
+    DISTANCE_BEFORE_SPARSITY,
+    SPARSITY_BEFORE_DISTANCE,
+    lex_compare,
+    pareto_compare,
+)
 
 from conftest import ThresholdModel, make_dataset, numeric_schema
 
@@ -79,21 +84,23 @@ def test_compare_pareto_counts():
     lex = [(0.0, 0.1, 1, 0.1)]
     par = [(0.0, 0.2, 2, 0.2), (0.0, 0.05, 0, 0.05), (1.0, 0.0, 0, 0.0)]
     # dominates the first, dominated by the second, incomparable with third
-    assert compare_pareto(lex, par) == (1, 1, 1)
-    assert compare_pareto([], par) is None
-    assert compare_pareto(lex, []) is None
+    assert win_loss_tie(lex, par, pareto_compare) == (1, 1, 1)
+    assert win_loss_tie([], par, pareto_compare) is None
+    assert win_loss_tie(lex, [], pareto_compare) is None
 
 
 def test_compare_lex_counts():
     lex = [(0.0, 0.1, 1, 0.1)]
     par = [(0.0, 0.3, 0, 0.0), (0.0, 0.1, 1, 0.1), (0.0, 0.05, 0, 0.0)]
-    got = compare_lex(lex, par, DISTANCE_BEFORE_SPARSITY, 0.01)
+    distance_first = partial(lex_compare, ordering=DISTANCE_BEFORE_SPARSITY, theta=0.01)
+    got = win_loss_tie(lex, par, distance_first)
     # wins on distance vs first, exact tie vs second, loses vs third
     assert got == (1, 1, 1)
-    got2 = compare_lex(lex, par, SPARSITY_BEFORE_DISTANCE, 0.01)
+    sparsity_first = partial(lex_compare, ordering=SPARSITY_BEFORE_DISTANCE, theta=0.01)
+    got2 = win_loss_tie(lex, par, sparsity_first)
     # under sparsity-first the first and third both win on o3
     assert got2 == (0, 2, 1)
-    assert compare_lex([], par, DISTANCE_BEFORE_SPARSITY, 0.01) is None
+    assert win_loss_tie([], par, distance_first) is None
 
 
 def _rec(poi, variant, strategy, gens, sols):
@@ -183,8 +190,6 @@ def test_experiment_config_validation():
         ExperimentConfig(dataset=ds, max_pois=0)
     with pytest.raises(ConfigError):
         ExperimentConfig(dataset=ds, variants=("weird",))
-    with pytest.raises(ConfigError):
-        ExperimentConfig(dataset=ds, strategies=("par", "hillclimb"))
 
 
 def _experiment_config(tmp_path=None, **overrides):
@@ -247,7 +252,7 @@ def test_run_experiment_persists_records(small_report):
     assert os.path.exists(path)
     back = read_records(path)
     assert back == [json.loads(json.dumps(r)) for r in report.records]
-    rebuilt = aggregate_records(back, report.strategies, report.variants, report.theta)
+    rebuilt = aggregate_records(back, STRATEGIES, report.variants, report.theta)
     assert rebuilt == report.aggregates
 
 
@@ -256,13 +261,6 @@ def test_run_experiment_deterministic():
     b = run_experiment(_experiment_config())
     assert a.records == b.records
     assert a.aggregates == b.aggregates
-
-
-def test_run_experiment_threaded_matches_serial(monkeypatch):
-    serial = run_experiment(_experiment_config())
-    monkeypatch.setenv("LEXCF_THREADS", "3")
-    threaded = run_experiment(_experiment_config())
-    assert threaded.records == serial.records
 
 
 def test_emit_report_formats_agree(small_report, tmp_path):
@@ -296,7 +294,6 @@ def test_emit_report_empty_run(tmp_path):
     empty = ExperimentReport(
         dataset_id="none",
         master_seed=0,
-        strategies=STRATEGIES,
         variants=VARIANTS,
         theta=0.01,
         poi_count=0,
@@ -346,7 +343,6 @@ max_pois: 4
 master_seed: 9
 variants: [off, on, off]
 ea: {population_size: 6, max_generations: 3, theta: 0.02}
-strategies: [par, lex1, lex2]
 """
 
 
@@ -363,7 +359,6 @@ def test_load_experiment_config(tmp_path):
     assert cfg.variants == (BASE, RESILIENT)  # tokens mapped and deduplicated
     assert cfg.ea.population_size == 6
     assert cfg.ea.theta == 0.02
-    assert cfg.strategies == ("par", "lex1", "lex2")
 
 
 def test_load_experiment_config_errors(tmp_path):

@@ -238,6 +238,44 @@ def test_compare_detects_budget_mismatch(bench_out, tmp_path, capsys):
     assert "generation budgets differ" in capsys.readouterr().err
 
 
+CSV_DATASET_YAML = """
+name: csvdata
+csv: data.csv
+class_column: label
+positive_label: "1"
+features:
+  - {name: num0, kind: continuous}
+  - {name: count, kind: integer}
+"""
+
+CSV_ROWS = "num0,count,label\n0.5,1,0\n1.5,2,1\n2.5,3,0\n"
+
+
+@pytest.mark.parametrize(
+    "extra, middle_row, code, named",
+    [
+        ("strategies: [lex1]\n", "1.5,2,1", 2, "strategies"),
+        ("ea: {bogus: 1}\n", "1.5,2,1", 2, "bogus"),
+        ("", "1.5,nan,1", 3, "count"),
+        ("", "inf,2,1", 3, "num0"),
+    ],
+    ids=["top_level_key", "ea_key", "nan_integer", "inf_continuous"],
+)
+def test_bench_malformed_input_exits_with_one_line(
+    tmp_path, capsys, extra, middle_row, code, named
+):
+    csv_text = CSV_ROWS.replace("1.5,2,1", middle_row)
+    (tmp_path / "data.csv").write_text(csv_text, encoding="utf-8")
+    (tmp_path / "ds.yaml").write_text(CSV_DATASET_YAML, encoding="utf-8")
+    exp = tmp_path / "exp.yaml"
+    exp.write_text("dataset: ds.yaml\nmax_pois: 1\n" + extra, encoding="utf-8")
+    rc = main(["bench", "--config", str(exp), "--out", str(tmp_path / "out")])
+    assert rc == code
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert named in err
+
+
 def test_unknown_subcommand_exits_via_argparse():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

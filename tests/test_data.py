@@ -49,6 +49,13 @@ def test_parse_value_kinds():
         parse_value("z", catf, 4)
 
 
+@pytest.mark.parametrize("kind", [CONTINUOUS, INTEGER])
+@pytest.mark.parametrize("raw", ["nan", "inf"])
+def test_parse_value_rejects_non_finite(raw, kind):
+    with pytest.raises(ParseError, match="row 4: non-finite value .* for 'x'"):
+        parse_value(raw, FeatureSchema("x", kind), 4)
+
+
 def test_dataset_rejects_nonbinary_labels():
     schema = numeric_schema(1)
     with pytest.raises(DataError):
