@@ -13,13 +13,14 @@ from dataclasses import dataclass, fields, replace
 from functools import partial
 
 import numpy as np
-import yaml
 
 from .data import (
     NEGATIVE,
     compute_feature_stats,
+    config_int,
     load_configured_dataset,
     load_dataset_config,
+    read_yaml_mapping,
     split_dataset,
 )
 from .ea import STRATEGIES, STRATEGY_ORDERINGS, EAConfig, run_paired
@@ -443,10 +444,7 @@ def _reject_unknown_keys(raw, config_class, where):
 def load_experiment_config(path):
     """Parse a YAML experiment config; the dataset reference is resolved
     relative to the config file."""
-    with open(path, encoding="utf-8") as handle:
-        raw = yaml.safe_load(handle)
-    if not isinstance(raw, dict):
-        raise ConfigError("experiment config %s is not a mapping" % path)
+    raw = read_yaml_mapping(path, "experiment config")
     _reject_unknown_keys(raw, ExperimentConfig, "experiment config")
     if "dataset" not in raw:
         raise ConfigError("experiment config needs a dataset reference")
@@ -475,10 +473,10 @@ def load_experiment_config(path):
         dataset=dataset,
         learner=raw.get("learner", "random_forest"),
         learner_params=raw.get("learner_params", {}) or {},
-        tune_trials=int(raw.get("tune_trials", 0)),
-        max_pois=int(raw.get("max_pois", 50)),
+        tune_trials=config_int(raw, "tune_trials", 0),
+        max_pois=config_int(raw, "max_pois", 50),
         variants=tuple(dict.fromkeys(variants)),
-        master_seed=int(raw.get("master_seed", 0)),
+        master_seed=config_int(raw, "master_seed", 0),
         output_dir=raw.get("output_dir", ""),
         ea=ea_cfg,
         debug=bool(raw.get("debug", False)),

@@ -357,12 +357,36 @@ def _resolve_non_actionable(spec):
     return tuple(spec)
 
 
+def read_yaml_mapping(path, what):
+    """Top-level mapping of a YAML config file; syntax errors become a
+    one-line ConfigError naming the file."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            raw = yaml.safe_load(handle)
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
+            if mark is not None:
+                problem = "line %d, column %d: %s" % (mark.line + 1, mark.column + 1, problem)
+            raise ConfigError("%s %s is not valid YAML: %s" % (what, path, problem)) from None
+    if not isinstance(raw, dict):
+        raise ConfigError("%s %s is not a mapping" % (what, path))
+    return raw
+
+
+def config_int(raw, key, default):
+    """raw[key] (or the default) as an int; a value int() rejects is a
+    ConfigError naming the key."""
+    value = raw.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError("%s must be an integer, got %r" % (key, value)) from None
+
+
 def load_dataset_config(path):
     """Parse a YAML dataset config into a DatasetConfig."""
-    with open(path, encoding="utf-8") as handle:
-        raw = yaml.safe_load(handle)
-    if not isinstance(raw, dict):
-        raise ConfigError("dataset config %s is not a mapping" % path)
+    raw = read_yaml_mapping(path, "dataset config")
     try:
         features = raw["features"]
         class_column = raw["class_column"]
@@ -395,7 +419,7 @@ def load_dataset_config(path):
         schema=tuple(schema),
         missing_tokens=tuple(raw.get("missing_tokens", DEFAULT_MISSING_TOKENS)),
         test_cap=raw.get("test_cap", 500),
-        split_seed=int(raw.get("split_seed", 0)),
+        split_seed=config_int(raw, "split_seed", 0),
         name=raw.get("name", os.path.splitext(os.path.basename(path))[0]),
         synthetic=raw.get("synthetic"),
     )

@@ -173,27 +173,19 @@ def train_logistic(train, cfg):
 
 
 class _Tree:
-    """One CART tree in flat arrays; leaves have feature index -1."""
+    """One CART tree in flat arrays; leaves have feature index -1.
+
+    Plain data: RandomForestModel checks the arrays and predicts from one
+    table of all its trees."""
 
     __slots__ = ("feature", "threshold", "left", "right", "value")
 
     def __init__(self, feature, threshold, left, right, value):
-        self.feature = np.asarray(feature, dtype=np.int64)
+        self.feature = np.asarray(feature)
         self.threshold = np.asarray(threshold, dtype=float)
-        self.left = np.asarray(left, dtype=np.int64)
-        self.right = np.asarray(right, dtype=np.int64)
-        self.value = np.asarray(value, dtype=np.int64)
-
-    def predict(self, X):
-        pos = np.zeros(X.shape[0], dtype=np.int64)
-        active = self.feature[pos] >= 0
-        while active.any():
-            idx = np.nonzero(active)[0]
-            nodes = pos[idx]
-            go_left = X[idx, self.feature[nodes]] <= self.threshold[nodes]
-            pos[idx] = np.where(go_left, self.left[nodes], self.right[nodes])
-            active[idx] = self.feature[pos[idx]] >= 0
-        return self.value[pos]
+        self.left = np.asarray(left)
+        self.right = np.asarray(right)
+        self.value = np.asarray(value)
 
 
 def _best_split(X, y, idx, feats, min_leaf):
@@ -268,8 +260,79 @@ def _grow_tree(X, y, rng, mtry, max_depth, min_leaf):
     return _Tree(feature, threshold, left, right, value)
 
 
+# Rows routed through the forest together. Large resilience-walk batches
+# go in chunks of this many rows, so the (rows, trees) position matrix
+# stays in cache and peak memory stays bounded.
+_CHUNK_ROWS = 256
+
+
+def _check_tree(k, tree, width):
+    """Reject node arrays that cannot describe a CART tree. Children must
+    come after their parent, as _grow_tree appends them; that also rules
+    out cycles."""
+    n = len(tree.feature)
+    ints = (tree.feature, tree.left, tree.right, tree.value)
+    if n == 0 or any(a.shape != (n,) for a in ints + (tree.threshold,)):
+        raise ModelFormatError("tree %d: node arrays must be non-empty and of equal length" % k)
+    if any(a.dtype.kind not in "iu" for a in ints):
+        raise ModelFormatError("tree %d: feature, child and value arrays must hold integers" % k)
+    if np.any((tree.feature < -1) | (tree.feature >= width)):
+        raise ModelFormatError("tree %d: split feature index outside [0, %d)" % (k, width))
+    parents = np.flatnonzero(tree.feature >= 0)
+    for child in (tree.left[parents], tree.right[parents]):
+        if np.any((child <= parents) | (child >= n)):
+            raise ModelFormatError(
+                "tree %d: child index out of range or not after its parent" % k
+            )
+    if np.any((tree.value != 0) & (tree.value != 1)):
+        raise ModelFormatError("tree %d: node values must be 0 or 1" % k)
+
+
+def _flatten_forest(trees, width):
+    """One node table for all trees: (feature, threshold, children, value,
+    roots, depth).
+
+    Node i of the table has its left child at children[2i] and its right
+    child at children[2i + 1]. A leaf's children are the leaf itself, so
+    `depth` routing steps from the roots put every row at its leaf in
+    every tree.
+    """
+    if not trees:
+        raise ModelFormatError("a forest needs at least one tree")
+    for k, tree in enumerate(trees):
+        _check_tree(k, tree, width)
+    sizes = [len(t.feature) for t in trees]
+    roots = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.int64)
+    feature = np.concatenate([t.feature for t in trees])
+    threshold = np.concatenate([t.threshold for t in trees])
+    value = np.concatenate([t.value for t in trees])
+    children = np.stack(
+        [
+            np.concatenate([t.left + r for t, r in zip(trees, roots)]),
+            np.concatenate([t.right + r for t, r in zip(trees, roots)]),
+        ],
+        axis=1,
+    )
+    is_leaf = feature < 0
+    leaves = np.flatnonzero(is_leaf)
+    children[leaves] = leaves[:, None]
+    feature[leaves] = 0  # any in-row column: a leaf's both children are itself
+    depth = 0
+    frontier = roots[~is_leaf[roots]]
+    while len(frontier):
+        frontier = np.unique(children[frontier])
+        frontier = frontier[~is_leaf[frontier]]
+        depth += 1
+    return feature, threshold, children.ravel(), value, roots, depth
+
+
 class RandomForestModel(Model):
-    """Bagged CART trees; probability is the fraction of positive votes."""
+    """Bagged CART trees; probability is the fraction of positive votes.
+
+    The trees are flattened once, at construction, into one node table;
+    prediction routes every row through all trees together, one
+    vectorized step per tree level.
+    """
 
     learner_name = "random_forest"
 
@@ -277,12 +340,27 @@ class RandomForestModel(Model):
         self.schema = tuple(schema)
         self.encoder = encoder
         self.trees = trees
+        (
+            self._feature,
+            self._threshold,
+            self._children,
+            self._value,
+            self._roots,
+            self._depth,
+        ) = _flatten_forest(trees, encoder.width)
 
     def predict_proba_batch(self, rows):
         X = self.encoder.transform(rows)
-        votes = np.zeros(X.shape[0], dtype=np.int64)
-        for tree in self.trees:
-            votes += tree.predict(X)
+        votes = np.empty(X.shape[0], dtype=np.int64)
+        for start in range(0, X.shape[0], _CHUNK_ROWS):
+            chunk = X[start : start + _CHUNK_ROWS]
+            cells = chunk.ravel()
+            row_start = (np.arange(chunk.shape[0]) * chunk.shape[1])[:, None]
+            pos = np.broadcast_to(self._roots, (chunk.shape[0], len(self._roots)))
+            for _ in range(self._depth):
+                go_right = ~(cells[row_start + self._feature[pos]] <= self._threshold[pos])
+                pos = self._children[2 * pos + go_right]
+            votes[start : start + chunk.shape[0]] = self._value[pos].sum(axis=1)
         return votes / len(self.trees)
 
     def to_params(self):
@@ -520,5 +598,5 @@ def load_model(path):
         raise ModelFormatError("unknown learner %r in %s" % (learner, path))
     try:
         return _LOADERS[learner].from_params(schema, params)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ModelFormatError) as exc:
         raise ModelFormatError("corrupt model file %s: %s" % (path, exc)) from None

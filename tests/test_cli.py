@@ -7,6 +7,7 @@ import pytest
 
 from lexcf.cli import main
 from lexcf.data import NEGATIVE, load_configured_dataset, load_dataset_config, split_dataset
+from lexcf.errors import ModelFormatError
 from lexcf.model import load_model
 
 DATASET_YAML = """
@@ -258,8 +259,25 @@ CSV_ROWS = "num0,count,label\n0.5,1,0\n1.5,2,1\n2.5,3,0\n"
         ("ea: {bogus: 1}\n", "1.5,2,1", 2, "bogus"),
         ("", "1.5,nan,1", 3, "count"),
         ("", "inf,2,1", 3, "num0"),
+        ("max_pois: x\n", "1.5,2,1", 2, "max_pois"),
+        ("tune_trials: x\n", "1.5,2,1", 2, "tune_trials"),
+        ("master_seed: [1]\n", "1.5,2,1", 2, "master_seed"),
+        ("ea: {population_size: a}\n", "1.5,2,1", 2, "population_size"),
+        ("ea: {theta: low}\n", "1.5,2,1", 2, "theta"),
+        ("variants: [base\n", "1.5,2,1", 2, "exp.yaml"),
     ],
-    ids=["top_level_key", "ea_key", "nan_integer", "inf_continuous"],
+    ids=[
+        "top_level_key",
+        "ea_key",
+        "nan_integer",
+        "inf_continuous",
+        "max_pois_text",
+        "tune_trials_text",
+        "master_seed_list",
+        "ea_population_text",
+        "ea_theta_text",
+        "yaml_syntax",
+    ],
 )
 def test_bench_malformed_input_exits_with_one_line(
     tmp_path, capsys, extra, middle_row, code, named
@@ -274,6 +292,46 @@ def test_bench_malformed_input_exits_with_one_line(
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert named in err
+
+
+def _first_node(tree, internal):
+    return next(i for i, f in enumerate(tree["feature"]) if (f >= 0) == internal)
+
+
+def _set(tree, key, internal, value):
+    tree[key][_first_node(tree, internal)] = value
+
+
+# each corrupts tree 0 of a saved forest, given the encoder width
+FOREST_CORRUPTIONS = {
+    "ragged_arrays": lambda tree, width: tree["threshold"].pop(),
+    "child_out_of_range": lambda tree, width: _set(tree, "left", True, len(tree["feature"])),
+    "child_not_after_parent": lambda tree, width: _set(
+        tree, "right", True, _first_node(tree, True)
+    ),
+    "feature_at_width": lambda tree, width: _set(tree, "feature", True, width),
+    "leaf_value_2": lambda tree, width: _set(tree, "value", False, 2),
+    "leaf_value_half": lambda tree, width: _set(tree, "value", False, 0.5),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(FOREST_CORRUPTIONS))
+def test_corrupt_forest_file_exits_with_one_line(workspace, tmp_path, capsys, corruption):
+    payload = json.loads(open(workspace["model"], encoding="utf-8").read())
+    width = load_model(workspace["model"]).encoder.width
+    FOREST_CORRUPTIONS[corruption](payload["params"]["trees"][0], width)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ModelFormatError):
+        load_model(str(path))
+    rc = main(
+        ["explain", "--model", str(path), "--data", workspace["data"],
+         "--poi", str(workspace["poi_index"])]
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "corrupt model file" in err and "tree 0" in err
 
 
 def test_unknown_subcommand_exits_via_argparse():

@@ -307,6 +307,22 @@ def test_dataset_config_unknown_non_actionable_name(tmp_path):
         load_dataset_config(str(cfg_path))
 
 
+@pytest.mark.parametrize(
+    "old, new, named",
+    [
+        ("non_actionable: [age]", "non_actionable: [age", "bad.yaml"),
+        ("split_seed: 4", "split_seed: four", "split_seed"),
+    ],
+    ids=["yaml_syntax", "split_seed_text"],
+)
+def test_dataset_config_malformed_values_name_the_problem(tmp_path, old, new, named):
+    cfg_path = tmp_path / "bad.yaml"
+    cfg_path.write_text(DATASET_YAML.replace(old, new), encoding="utf-8")
+    with pytest.raises(ConfigError, match=named) as info:
+        load_dataset_config(str(cfg_path))
+    assert "\n" not in str(info.value)
+
+
 SYNTH_YAML = """
 name: synth
 class_column: label

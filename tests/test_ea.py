@@ -60,7 +60,12 @@ def test_ea_config_validation():
         EAConfig(strategy="random_walk")
     with pytest.raises(ConfigError):
         EAConfig(theta=-0.1)
+    for wrong in ({"population_size": "a"}, {"k": True}, {"theta": "low"}, {"resilience": 1}):
+        with pytest.raises(ConfigError, match=next(iter(wrong))):
+            EAConfig(**wrong)
     assert EAConfig().strategy == LEX_DISTANCE_FIRST
+    # numpy scalars are numbers too
+    assert EAConfig(seed=np.int64(3), theta=np.float64(0.5)).seed == 3
 
 
 def test_mutable_indices_skip_degenerate_features():

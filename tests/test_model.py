@@ -6,14 +6,18 @@ import pytest
 from lexcf.data import (
     CATEGORICAL,
     CONTINUOUS,
+    INTEGER,
     FeatureSchema,
     generate_synthetic,
     split_dataset,
 )
 from lexcf.errors import ConfigError, ModelFormatError, TrainingError
 from lexcf.model import (
+    _CHUNK_ROWS,
     FixedLinearModel,
     LearnerConfig,
+    RandomForestModel,
+    _Tree,
     kfold_indices,
     load_model,
     sample_search_space,
@@ -140,6 +144,116 @@ def test_random_forest_respects_max_depth():
     for tree in model.trees:
         # a depth-1 tree has at most 3 nodes: root plus two leaves
         assert len(tree.feature) <= 3
+
+
+def _per_tree_proba(model, rows):
+    """Oracle for the flattened forest: the per-tree, per-level traversal
+    it replaced, kept here only as a reference."""
+    X = model.encoder.transform(rows)
+    votes = np.zeros(X.shape[0], dtype=np.int64)
+    for tree in model.trees:
+        pos = np.zeros(X.shape[0], dtype=np.int64)
+        active = tree.feature[pos] >= 0
+        while active.any():
+            idx = np.nonzero(active)[0]
+            nodes = pos[idx]
+            go_left = X[idx, tree.feature[nodes]] <= tree.threshold[nodes]
+            pos[idx] = np.where(go_left, tree.left[nodes], tree.right[nodes])
+            active[idx] = tree.feature[pos[idx]] >= 0
+        votes += tree.value[pos]
+    return votes / len(model.trees)
+
+
+def _query_rows(schema, train, n, seed):
+    """Training rows first, then random rows that also leave the training
+    range, so every branch is exercised."""
+    rng = np.random.default_rng(seed)
+    rows = [inst.values for inst in train.instances][:n]
+    while len(rows) < n:
+        row = []
+        for feat in schema:
+            if feat.kind == CATEGORICAL:
+                row.append(feat.categories[int(rng.integers(len(feat.categories)))])
+            elif feat.kind == INTEGER:
+                row.append(float(rng.integers(-2, 13)))
+            else:
+                row.append(float(rng.uniform(-2.0, 12.0)))
+        rows.append(tuple(row))
+    return rows
+
+
+FLAT_BATCH_SIZES = (0, 1, 20, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2000)
+
+
+def _assert_matches_per_tree_oracle(model, train, seed):
+    rows = _query_rows(model.schema, train, max(FLAT_BATCH_SIZES), seed)
+    for size in FLAT_BATCH_SIZES:
+        batch = rows[:size]
+        got = model.predict_proba_batch(batch)
+        assert got.shape == (size,)
+        assert np.array_equal(got, _per_tree_proba(model, batch)), size
+
+
+@pytest.mark.parametrize(
+    "columns, params",
+    [
+        ({"n_continuous": 4}, {"ntree": 25}),
+        ({"n_continuous": 2, "n_integer": 1, "n_categorical": 2}, {"ntree": 15}),
+        ({"n_continuous": 4}, {"ntree": 12, "max_depth": 1}),
+    ],
+    ids=["continuous", "categorical_onehot", "max_depth_1"],
+)
+def test_flat_forest_matches_per_tree_oracle(columns, params):
+    ds = generate_synthetic(160, seed=6, **columns)
+    model = train_random_forest(ds, LearnerConfig("random_forest", params, seed=3))
+    _assert_matches_per_tree_oracle(model, ds, seed=1)
+
+
+def test_flat_forest_matches_oracle_with_single_leaf_trees():
+    # one positive in 20 rows: about a third of bootstraps miss it and
+    # grow a single-leaf tree of depth 0
+    rng = np.random.default_rng(4)
+    rows = [list(rng.uniform(0.0, 10.0, size=3)) for _ in range(20)]
+    ds = make_dataset(numeric_schema(3), rows, [1] + [0] * 19)
+    model = train_random_forest(ds, LearnerConfig("random_forest", {"ntree": 10}, seed=0))
+    assert any(len(tree.feature) == 1 for tree in model.trees)
+    assert any(len(tree.feature) > 1 for tree in model.trees)
+    _assert_matches_per_tree_oracle(model, ds, seed=2)
+    # a forest of leaves alone routes no step at all
+    leaves = RandomForestModel(
+        model.schema, model.encoder, [_Tree([-1], [0.0], [-1], [-1], [v]) for v in (1, 0, 1)]
+    )
+    _assert_matches_per_tree_oracle(leaves, ds, seed=3)
+    assert np.array_equal(leaves.predict_proba_batch([ds.instances[0].values]), [2 / 3])
+
+
+def test_flat_forest_matches_oracle_on_threshold_ties():
+    # training data spans exactly [0, 1], so the encoder is the identity
+    # and query values can sit exactly on split thresholds
+    rng = np.random.default_rng(8)
+    rows = rng.uniform(0.0, 1.0, size=(120, 3))
+    rows[0], rows[1] = 0.0, 1.0
+    labels = (rows.sum(axis=1) > 1.5).astype(int)
+    ds = make_dataset(numeric_schema(3), rows.tolist(), labels)
+    model = train_random_forest(ds, LearnerConfig("random_forest", {"ntree": 10}, seed=2))
+    thresholds = [
+        np.concatenate([t.threshold[t.feature == j] for t in model.trees]) for j in range(3)
+    ]
+    queries = [
+        tuple(float(rng.choice(thresholds[j])) for j in range(3)) for _ in range(600)
+    ]
+    assert np.array_equal(model.predict_proba_batch(queries), _per_tree_proba(model, queries))
+
+
+def test_flat_forest_matches_oracle_after_save_load(tmp_path):
+    ds = generate_synthetic(160, seed=7, n_continuous=3, n_categorical=1)
+    model = train_random_forest(ds, LearnerConfig("random_forest", {"ntree": 20}, seed=5))
+    path = tmp_path / "forest.json"
+    save_model(model, str(path))
+    loaded = load_model(str(path))
+    _assert_matches_per_tree_oracle(loaded, ds, seed=4)
+    rows = _query_rows(model.schema, ds, 2000, seed=4)
+    assert np.array_equal(loaded.predict_proba_batch(rows), model.predict_proba_batch(rows))
 
 
 def test_random_forest_mtry_bounds():
