@@ -459,6 +459,10 @@ def load_experiment_config(path):
     _reject_unknown_keys(ea_raw, EAConfig, "ea section")
     ea_cfg = EAConfig(**ea_raw)
 
+    learner_params = raw.get("learner_params") or {}
+    if not isinstance(learner_params, dict):
+        raise ConfigError("learner_params must be a mapping, got %r" % (learner_params,))
+
     variants = []
     for v in raw.get("variants", ["base", "resilient"]):
         token = str(v).lower()
@@ -472,7 +476,7 @@ def load_experiment_config(path):
     return ExperimentConfig(
         dataset=dataset,
         learner=raw.get("learner", "random_forest"),
-        learner_params=raw.get("learner_params", {}) or {},
+        learner_params=learner_params,
         tune_trials=config_int(raw, "tune_trials", 0),
         max_pois=config_int(raw, "max_pois", 50),
         variants=tuple(dict.fromkeys(variants)),

@@ -26,11 +26,12 @@ from .data import (
     compute_feature_stats,
     load_configured_dataset,
     load_dataset_config,
+    parse_value,
     schema_fingerprint,
     split_dataset,
 )
 from .ea import STRATEGIES, EAConfig, run_ea
-from .errors import ConfigError, DataError, InvariantViolation, ParseError
+from .errors import ConfigError, DataError, InvariantViolation
 from .model import LearnerConfig, load_model, save_model, train_model, tune_random_search
 from .objectives import EvalContext
 
@@ -75,15 +76,7 @@ def _parse_poi(spec, test, schema):
         raw = [raw[f.name] for f in schema]
     if not isinstance(raw, list) or len(raw) != len(schema):
         raise ConfigError("inline poi must list all %d feature values" % len(schema))
-    values = []
-    for v, feat in zip(raw, schema):
-        if feat.kind == CATEGORICAL:
-            if v not in feat.categories:
-                raise ParseError("%r is not a category of %r" % (v, feat.name))
-            values.append(v)
-        else:
-            values.append(float(v))
-    return tuple(values)
+    return tuple(parse_value(v, feat, "inline poi") for v, feat in zip(raw, schema))
 
 
 def _cmd_explain(args):

@@ -66,10 +66,6 @@ class FeatureSchema:
             raise SchemaError("numeric feature %r must not declare categories" % self.name)
         object.__setattr__(self, "categories", tuple(self.categories))
 
-    @property
-    def is_numeric(self):
-        return self.kind in (CONTINUOUS, INTEGER)
-
 
 @dataclass(frozen=True)
 class Instance:
@@ -121,40 +117,31 @@ class Dataset:
     def __iter__(self):
         return iter(self.instances)
 
-    def feature_index(self, name):
-        for i, f in enumerate(self.schema):
-            if f.name == name:
-                return i
-        raise SchemaError("no feature named %r" % name)
-
     def labels(self):
         return np.array([inst.label for inst in self.instances])
 
 
-def parse_value(raw, feature, row_index):
-    """Parse one CSV cell for its declared feature kind."""
+def parse_value(raw, feature, where):
+    """Parse one raw value (a CSV cell or an inline JSON value) for its
+    declared feature kind; where labels it in error messages."""
     if feature.kind == CATEGORICAL:
         if raw not in feature.categories:
             raise ParseError(
-                "row %d: value %r not among declared categories of %r"
-                % (row_index, raw, feature.name)
+                "%s: value %r not among declared categories of %r" % (where, raw, feature.name)
             )
         return raw
     try:
         value = float(raw)
-    except ValueError:
+    except (TypeError, ValueError):
         raise ParseError(
-            "row %d: cannot parse %r as numeric for %r" % (row_index, raw, feature.name)
+            "%s: cannot parse %r as numeric for %r" % (where, raw, feature.name)
         ) from None
     if not math.isfinite(value):
-        raise ParseError(
-            "row %d: non-finite value %r for %r" % (row_index, raw, feature.name)
-        )
+        raise ParseError("%s: non-finite value %r for %r" % (where, raw, feature.name))
     if feature.kind == INTEGER:
         if value != int(value):
             raise ParseError(
-                "row %d: non-integral value %r for integer feature %r"
-                % (row_index, raw, feature.name)
+                "%s: non-integral value %r for integer feature %r" % (where, raw, feature.name)
             )
         value = float(int(value))
     return value
@@ -206,9 +193,9 @@ def load_dataset(
             cells = [c.strip() for c in row]
             if any(c in missing for c in cells):
                 continue
+            where = "row %d" % row_index
             values = tuple(
-                parse_value(cells[col], feat, row_index)
-                for col, feat in zip(feature_cols, schema)
+                parse_value(cells[col], feat, where) for col, feat in zip(feature_cols, schema)
             )
             token = cells[class_col]
             class_tokens.add(token)
@@ -326,6 +313,10 @@ def schema_fingerprint(schema):
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+# generator settings of a dataset config's synthetic block
+_SYNTHETIC_DEFAULTS = {"n": 300, "seed": 0, "continuous": 8, "integer": 0, "categorical": 0}
+
+
 @dataclass
 class DatasetConfig:
     """Parsed dataset config file: schema plus ingestion and split settings."""
@@ -339,6 +330,16 @@ class DatasetConfig:
     split_seed: int = 0
     name: str = "dataset"
     synthetic: dict | None = field(default=None)
+
+    def __post_init__(self):
+        # the synthetic block becomes every generator setting as an int
+        if self.synthetic is not None:
+            if not isinstance(self.synthetic, dict):
+                raise ConfigError("synthetic must be a mapping, got %r" % (self.synthetic,))
+            self.synthetic = {
+                key: config_int(self.synthetic, key, default)
+                for key, default in _SYNTHETIC_DEFAULTS.items()
+            }
 
 
 def _resolve_non_actionable(spec):
@@ -374,14 +375,15 @@ def read_yaml_mapping(path, what):
     return raw
 
 
-def config_int(raw, key, default):
-    """raw[key] (or the default) as an int; a value int() rejects is a
-    ConfigError naming the key."""
+def config_int(raw, key, default=None, convert=int):
+    """raw[key] (or the default) as an int, or through convert; a value the
+    converter rejects is a ConfigError naming the key."""
     value = raw.get(key, default)
     try:
-        return int(value)
+        return convert(value)
     except (TypeError, ValueError):
-        raise ConfigError("%s must be an integer, got %r" % (key, value)) from None
+        kind = "an integer" if convert is int else "a number"
+        raise ConfigError("%s must be %s, got %r" % (key, kind, value)) from None
 
 
 def load_dataset_config(path):
@@ -394,8 +396,12 @@ def load_dataset_config(path):
     except KeyError as exc:
         raise ConfigError("dataset config missing key: %s" % exc) from None
     non_actionable = set(_resolve_non_actionable(raw.get("non_actionable")))
+    if not isinstance(features, list):
+        raise ConfigError("features must be a list of feature mappings, got %r" % (features,))
     schema = []
     for entry in features:
+        if not isinstance(entry, dict) or "name" not in entry or "kind" not in entry:
+            raise ConfigError("each feature needs a name and a kind, got %r" % (entry,))
         name = entry["name"]
         schema.append(
             FeatureSchema(
@@ -434,11 +440,11 @@ def load_configured_dataset(cfg):
     if cfg.synthetic is not None:
         syn = cfg.synthetic
         ds = generate_synthetic(
-            n=int(syn.get("n", 300)),
-            seed=int(syn.get("seed", 0)),
-            n_continuous=int(syn.get("continuous", 8)),
-            n_integer=int(syn.get("integer", 0)),
-            n_categorical=int(syn.get("categorical", 0)),
+            n=syn["n"],
+            seed=syn["seed"],
+            n_continuous=syn["continuous"],
+            n_integer=syn["integer"],
+            n_categorical=syn["categorical"],
         )
         if [(f.name, f.kind) for f in ds.schema] != [(f.name, f.kind) for f in cfg.schema]:
             raise ConfigError("declared schema does not match synthetic layout")

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import CATEGORICAL, FeatureSchema, schema_fingerprint
+from .data import CATEGORICAL, FeatureSchema, config_int, schema_fingerprint
 from .errors import ConfigError, ModelFormatError, TrainingError
 
 MODEL_FORMAT = "lexcf-model"
@@ -127,6 +127,11 @@ class LogisticModel(Model):
         self.encoder = encoder
         self.weights = np.asarray(weights, dtype=float)
         self.bias = float(bias)
+        if self.weights.shape != (encoder.width,):
+            raise ModelFormatError(
+                "logistic weights have shape %s, the encoder width is %d"
+                % (self.weights.shape, encoder.width)
+            )
 
     def predict_proba_batch(self, rows):
         X = self.encoder.transform(rows)
@@ -154,9 +159,9 @@ def train_logistic(train, cfg):
     _check_binary(train)
     defaults = {"learning_rate": 0.1, "epochs": 500, "l2": 0.0}
     params = {**defaults, **cfg.params}
-    lr = float(params["learning_rate"])
-    epochs = int(params["epochs"])
-    l2 = float(params["l2"])
+    lr = config_int(params, "learning_rate", convert=float)
+    epochs = config_int(params, "epochs")
+    l2 = config_int(params, "l2", convert=float)
     if lr <= 0 or epochs < 1 or l2 < 0:
         raise ConfigError("bad logistic hyperparameters: %r" % params)
     encoder = _Encoder.fit(train)
@@ -393,7 +398,7 @@ def train_random_forest(train, cfg):
     d_raw = len(train.schema)
     defaults = {"ntree": 100, "mtry": None, "max_depth": None, "min_leaf": 1}
     params = {**defaults, **cfg.params}
-    ntree = int(params["ntree"])
+    ntree = config_int(params, "ntree")
     if ntree < 1:
         raise ConfigError("ntree must be >= 1")
     encoder = _Encoder.fit(train)
@@ -403,13 +408,14 @@ def train_random_forest(train, cfg):
     mtry = params["mtry"]
     if mtry is None:
         mtry = max(1, int(np.sqrt(d)))
-    mtry = int(mtry)
+    else:
+        mtry = config_int(params, "mtry")
     if mtry < 1 or mtry > max(d_raw, d):
         raise ConfigError("mtry %d outside [1, %d]" % (mtry, max(d_raw, d)))
     max_depth = params["max_depth"]
     if max_depth is not None:
-        max_depth = int(max_depth)
-    min_leaf = max(1, int(params["min_leaf"]))
+        max_depth = config_int(params, "max_depth")
+    min_leaf = max(1, config_int(params, "min_leaf"))
     n = len(y)
     trees = []
     for t in range(ntree):

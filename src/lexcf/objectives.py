@@ -77,8 +77,8 @@ def obj_sparsity(x, x_pt, schema):
 def obj_plausibility(x, train, schema, stats):
     if len(train) == 0:
         raise ConfigError("plausibility needs a non-empty training set")
-    scan = TrainGowerScan(schema, stats, train)
-    return scan.min_mean_dist(_values_of(x))
+    scan = TrainGowerScan(schema, stats, [inst.values for inst in train])
+    return scan.min_mean_dist([_values_of(x)])[0]
 
 
 def obj_validity(p_hat):
@@ -138,51 +138,45 @@ def _walk_plan(x_cf_values, x_pt_values, schema, stats):
             continue
         bound = hi if x > x_pt_values[i] else lo
         step, steps_max = resilience_step(x, x_pt_values[i], bound, feat.kind == INTEGER)
-        values = []
-        for s in range(1, steps_max + 1):
-            v = x + s * step
-            v = min(v, hi) if step > 0 else max(v, lo)
-            values.append(v)
-        plan.append(_FeatureWalk(i, step, steps_max, tuple(values)))
+        clamp, limit = (min, hi) if step > 0 else (max, lo)
+        values = tuple(clamp(x + s * step, limit) for s in range(1, steps_max + 1))
+        plan.append(_FeatureWalk(i, step, steps_max, values))
     return plan
 
 
-def _walk_rows(x_cf_values, plan):
-    rows = []
-    for walk in plan:
-        if walk.values is None:
-            continue
-        for v in walk.values:
-            row = list(x_cf_values)
-            row[walk.index] = v
-            rows.append(tuple(row))
-    return rows
-
-
-def _score_plan(plan, classes):
-    """Turn predicted classes for the walk rows back into per-feature scores."""
+def _score_plan(plan, classes, offset):
+    """Per-feature scores from the predicted classes of the plan's walk
+    rows, which start at offset: a walk keeps the steps before its first
+    step out of the positive class, and a walk of no steps scores 1."""
     features = []
-    offset = 0
     for walk in plan:
-        if walk.values is None:
-            features.append(FeatureResilience(walk.index, walk.step, 0, 0, 1.0))
-            continue
-        successful = 0
-        for s in range(walk.steps_max):
-            if classes[offset + s] != POSITIVE:
-                break
-            successful += 1
+        kept = 0
+        while kept < walk.steps_max and classes[offset + kept] == POSITIVE:
+            kept += 1
+        score = kept / walk.steps_max if walk.steps_max else 1.0
         offset += walk.steps_max
-        features.append(
-            FeatureResilience(
-                walk.index,
-                walk.step,
-                walk.steps_max,
-                successful,
-                successful / walk.steps_max,
-            )
-        )
+        features.append(FeatureResilience(walk.index, walk.step, walk.steps_max, kept, score))
     return ResilienceReport(tuple(features))
+
+
+def _walk_reports(keys, x_pt, model, schema, stats):
+    """Resilience reports of valid candidates: every key's walks are
+    planned, all walk rows are classified in one batch, and each plan is
+    scored against its share of the classes."""
+    plans = [_walk_plan(key, x_pt, schema, stats) for key in keys]
+    rows = [
+        key[: walk.index] + (v,) + key[walk.index + 1 :]
+        for key, plan in zip(keys, plans)
+        for walk in plan
+        for v in walk.values or ()
+    ]
+    classes = model.predict_class_batch(rows) if rows else np.empty(0, dtype=int)
+    reports = []
+    offset = 0
+    for plan in plans:
+        reports.append(_score_plan(plan, classes, offset))
+        offset += sum(walk.steps_max for walk in plan)
+    return reports
 
 
 def resilience_scores(x_cf, x_pt, model, schema, stats):
@@ -193,44 +187,62 @@ def resilience_scores(x_cf, x_pt, model, schema, stats):
     counterfactuals have resilience; calling this on an invalid candidate
     is a contract violation.
     """
-    x_cf_values = _values_of(x_cf)
-    x_pt_values = _values_of(x_pt)
+    x_cf_values = tuple(_values_of(x_cf))
     if model.predict_class(x_cf_values) != POSITIVE:
         raise InvariantViolation("resilience is defined only for valid counterfactuals")
-    plan = _walk_plan(x_cf_values, x_pt_values, schema, stats)
-    rows = _walk_rows(x_cf_values, plan)
-    classes = model.predict_class_batch(rows) if rows else np.empty(0, dtype=int)
-    return _score_plan(plan, classes)
+    return _walk_reports([x_cf_values], _values_of(x_pt), model, schema, stats)[0]
+
+
+# cells per (candidates x reference rows) matrix in one chunk of the kernel
+_CHUNK_CELLS = 1 << 15
+
+
+def _min_mean_gower(scan, batch):
+    """Mean Gower distance of each candidate in batch to its nearest
+    reference row of scan.
+
+    Per-feature distances are added in schema order with gower_dist's
+    arithmetic, so each value equals the scalar oracle bit for bit.
+    """
+    out = np.empty(len(batch))
+    step = max(1, _CHUNK_CELLS // scan.n)
+    for start in range(0, len(batch), step):
+        chunk = batch[start : start + step]
+        total = np.zeros((len(chunk), scan.n))
+        diff = np.empty_like(total)
+        for i, span, col in scan.columns:
+            if span is None:
+                total += np.array([row[i] for row in chunk], dtype=object)[:, None] != col
+            else:
+                cand = np.array([row[i] for row in chunk], dtype=float)
+                np.subtract(col, cand[:, None], out=diff)
+                np.abs(diff, out=diff)
+                diff /= span
+                np.minimum(diff, 1.0, out=diff)
+                total += diff
+        total.min(axis=1, out=out[start : start + len(chunk)])
+    out /= scan.p
+    return out.tolist()
 
 
 class TrainGowerScan:
-    """Vectorized exhaustive nearest-neighbor Gower scan over a training set.
+    """Exhaustive nearest-neighbor Gower scan over fixed reference rows
+    (value tuples). Numeric features with a degenerate training range add
+    nothing and are left out."""
 
-    Distances accumulate feature by feature in schema order with the same
-    arithmetic as gower_dist, so the scan agrees bit for bit with a plain
-    per-row loop.
-    """
-
-    def __init__(self, schema, stats, train):
-        self.schema = schema
+    def __init__(self, schema, stats, rows):
         self.p = len(schema)
+        self.n = len(rows)
         self.columns = []
         for i, feat in enumerate(schema):
-            raw = [inst.values[i] for inst in train.instances]
+            raw = [row[i] for row in rows]
             if feat.kind == CATEGORICAL:
                 self.columns.append((i, None, np.array(raw, dtype=object)))
-            else:
+            elif stats[i].range > 0:
                 self.columns.append((i, stats[i].range, np.array(raw, dtype=float)))
-        self.n = len(train)
 
-    def min_mean_dist(self, values):
-        total = np.zeros(self.n)
-        for i, span, col in self.columns:
-            if span is None:
-                total = total + (col != values[i])
-            elif span > 0:
-                total = total + np.minimum(np.abs(col - values[i]) / span, 1.0)
-        return float(total.min() / self.p)
+    def min_mean_dist(self, batch):
+        return _min_mean_gower(self, batch)
 
 
 class EvalContext:
@@ -248,53 +260,37 @@ class EvalContext:
         self.stats = stats
         self.schema = train.schema
         self.resilience = resilience
-        self.scan = TrainGowerScan(self.schema, stats, train)
+        self.scan = TrainGowerScan(self.schema, stats, [inst.values for inst in train])
+        self.poi_scan = TrainGowerScan(self.schema, stats, [self.x_pt])
         self.cache = {}
 
-    def gower_to_poi(self, values):
-        return obj_distance(values, self.x_pt, self.schema, self.stats)
+    def gower_to_poi(self, batch):
+        return _min_mean_gower(self.poi_scan, batch)
 
 
 def evaluate_population(rows, ctx):
-    """Objective vectors for a batch of candidates, model calls batched.
+    """Objective vectors for a batch of candidates.
 
-    Uncached candidates are classified in one batch; resilience walks for
-    all valid candidates are merged into a second batch.
+    Uncached candidates are evaluated together: one probability batch, one
+    Gower kernel call each to the POI and to the training set, and, under
+    resilience, one class batch for the walks of every valid candidate.
     """
     keys = [tuple(_values_of(r)) for r in rows]
-    fresh = []
-    seen = set()
-    for key in keys:
-        if key not in ctx.cache and key not in seen:
-            fresh.append(key)
-            seen.add(key)
+    fresh = [key for key in dict.fromkeys(keys) if key not in ctx.cache]
     if fresh:
-        probs = ctx.model.predict_proba_batch(fresh)
-        plans = {}
-        merged = []
-        spans = {}
+        probs = [float(p) for p in ctx.model.predict_proba_batch(fresh)]
+        to_poi = ctx.gower_to_poi(fresh)
+        to_train = ctx.scan.min_mean_dist(fresh)
+        reports = dict.fromkeys(fresh)
         if ctx.resilience:
-            for key, p_hat in zip(fresh, probs):
-                if p_hat >= 0.5:
-                    plan = _walk_plan(key, ctx.x_pt, ctx.schema, ctx.stats)
-                    walk_rows = _walk_rows(key, plan)
-                    spans[key] = (len(merged), len(walk_rows))
-                    merged.extend(walk_rows)
-                    plans[key] = plan
-        classes = ctx.model.predict_class_batch(merged) if merged else None
-        for key, p_hat in zip(fresh, probs):
-            p_hat = float(p_hat)
-            report = None
-            if key in plans:
-                start, count = spans[key]
-                report = _score_plan(plans[key], classes[start : start + count])
-            o1 = obj_validity_resilient(p_hat, report) if ctx.resilience else obj_validity(p_hat)
-            vector = ObjectiveVector(
-                o1,
-                ctx.gower_to_poi(key),
-                obj_sparsity(key, ctx.x_pt, ctx.schema),
-                ctx.scan.min_mean_dist(key),
+            valid = [key for key, p_hat in zip(fresh, probs) if p_hat >= 0.5]
+            reports.update(
+                zip(valid, _walk_reports(valid, ctx.x_pt, ctx.model, ctx.schema, ctx.stats))
             )
+        for key, p_hat, o2, o4 in zip(fresh, probs, to_poi, to_train):
+            report = reports[key]
+            o1 = obj_validity_resilient(p_hat, report) if ctx.resilience else obj_validity(p_hat)
+            vector = ObjectiveVector(o1, o2, obj_sparsity(key, ctx.x_pt, ctx.schema), o4)
             ctx.cache[key] = (vector, report)
     return [ctx.cache[key][0] for key in keys]
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 from functools import partial
@@ -24,7 +25,7 @@ from lexcf.bench import (
     write_meta,
     write_records,
 )
-from lexcf.data import CONTINUOUS, DatasetConfig, FeatureSchema
+from lexcf.data import CATEGORICAL, CONTINUOUS, INTEGER, DatasetConfig, FeatureSchema
 from lexcf.ea import EAConfig, STRATEGIES
 from lexcf.errors import ConfigError, InvariantViolation
 from lexcf.selection import (
@@ -261,6 +262,43 @@ def test_run_experiment_deterministic():
     b = run_experiment(_experiment_config())
     assert a.records == b.records
     assert a.aggregates == b.aggregates
+
+
+# sha256 of the golden run's records, one canonical JSON line each; a
+# deliberate change to the search's draw order updates it with a note
+GOLDEN_RECORDS_SHA256 = "1f2a4816cf19455aace99f74cc9e5f3d99fd30275a761d9ca57d006049440d5b"
+
+
+def test_run_experiment_golden_records():
+    schema = (
+        FeatureSchema("num0", CONTINUOUS),
+        FeatureSchema("num1", CONTINUOUS),
+        FeatureSchema("int0", INTEGER),
+        FeatureSchema("cat0", CATEGORICAL, categories=("a", "b", "c")),
+    )
+    ds_cfg = DatasetConfig(
+        csv_path="",
+        class_column="label",
+        positive_label="1",
+        schema=schema,
+        test_cap=1.0 / 3.0,
+        split_seed=1,
+        name="golden",
+        synthetic={"n": 90, "seed": 11, "continuous": 2, "integer": 1, "categorical": 1},
+    )
+    cfg = ExperimentConfig(
+        dataset=ds_cfg,
+        learner="random_forest",
+        learner_params={"ntree": 12, "max_depth": 6},
+        max_pois=3,
+        variants=VARIANTS,
+        master_seed=17,
+        ea=EAConfig(population_size=6, max_generations=3, seed=0),
+    )
+    report = run_experiment(cfg)
+    assert report.poi_count == 3
+    blob = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in report.records)
+    assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == GOLDEN_RECORDS_SHA256
 
 
 def test_emit_report_formats_agree(small_report, tmp_path):

@@ -172,6 +172,19 @@ def test_explain_poi_bad_json(workspace, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "poi", ['["abc", 1, 2]', "[[1], 1, 2]", "[NaN, 1, 2]"], ids=["text", "list", "nan"]
+)
+def test_explain_poi_bad_value_exits_with_one_line(workspace, capsys, poi):
+    rc = main(
+        ["explain", "--model", workspace["model"], "--data", workspace["data"], "--poi", poi]
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "inline poi" in err and "'num0'" in err
+
+
 def test_explain_poi_wrong_width(workspace, capsys):
     rc = main(
         ["explain", "--model", workspace["model"], "--data", workspace["data"],
@@ -247,9 +260,11 @@ positive_label: "1"
 features:
   - {name: num0, kind: continuous}
   - {name: count, kind: integer}
+test_cap: 2
 """
 
-CSV_ROWS = "num0,count,label\n0.5,1,0\n1.5,2,1\n2.5,3,0\n"
+# enough rows to split and train, so malformed learner params are reached
+CSV_ROWS = "num0,count,label\n0.5,1,0\n1.5,2,1\n2.5,3,0\n3.5,4,1\n4.5,5,0\n5.5,6,1\n"
 
 
 @pytest.mark.parametrize(
@@ -265,6 +280,9 @@ CSV_ROWS = "num0,count,label\n0.5,1,0\n1.5,2,1\n2.5,3,0\n"
         ("ea: {population_size: a}\n", "1.5,2,1", 2, "population_size"),
         ("ea: {theta: low}\n", "1.5,2,1", 2, "theta"),
         ("variants: [base\n", "1.5,2,1", 2, "exp.yaml"),
+        ("learner_params: [1]\n", "1.5,2,1", 2, "learner_params"),
+        ("learner_params: {ntree: x}\n", "1.5,2,1", 2, "ntree"),
+        ("learner: logistic\nlearner_params: {epochs: many}\n", "1.5,2,1", 2, "epochs"),
     ],
     ids=[
         "top_level_key",
@@ -277,6 +295,9 @@ CSV_ROWS = "num0,count,label\n0.5,1,0\n1.5,2,1\n2.5,3,0\n"
         "ea_population_text",
         "ea_theta_text",
         "yaml_syntax",
+        "learner_params_list",
+        "ntree_text",
+        "epochs_text",
     ],
 )
 def test_bench_malformed_input_exits_with_one_line(
@@ -332,6 +353,26 @@ def test_corrupt_forest_file_exits_with_one_line(workspace, tmp_path, capsys, co
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert "corrupt model file" in err and "tree 0" in err
+
+
+def test_logistic_file_with_wrong_weight_count_exits_with_one_line(workspace, tmp_path, capsys):
+    good = str(tmp_path / "logistic.json")
+    rc = main(["train", "--data", workspace["data"], "--learner", "logistic", "--out", good])
+    assert rc == 0
+    payload = json.loads(open(good, encoding="utf-8").read())
+    payload["params"]["weights"].pop()
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ModelFormatError):
+        load_model(str(path))
+    rc = main(
+        ["explain", "--model", str(path), "--data", workspace["data"],
+         "--poi", str(workspace["poi_index"])]
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "corrupt model file" in err and "weights" in err
 
 
 def test_unknown_subcommand_exits_via_argparse():

@@ -38,22 +38,22 @@ def test_parse_value_kinds():
     cont = FeatureSchema("c", CONTINUOUS)
     intf = FeatureSchema("i", INTEGER)
     catf = FeatureSchema("k", CATEGORICAL, categories=("a", "b"))
-    assert parse_value("2.5", cont, 0) == 2.5
-    assert parse_value("3", intf, 0) == 3.0
-    assert parse_value("a", catf, 0) == "a"
+    assert parse_value("2.5", cont, "row 0") == 2.5
+    assert parse_value("3", intf, "row 0") == 3.0
+    assert parse_value("a", catf, "row 0") == "a"
     with pytest.raises(ParseError):
-        parse_value("2.5", intf, 4)
+        parse_value("2.5", intf, "row 4")
     with pytest.raises(ParseError):
-        parse_value("oops", cont, 4)
+        parse_value("oops", cont, "row 4")
     with pytest.raises(ParseError):
-        parse_value("z", catf, 4)
+        parse_value("z", catf, "row 4")
 
 
 @pytest.mark.parametrize("kind", [CONTINUOUS, INTEGER])
 @pytest.mark.parametrize("raw", ["nan", "inf"])
 def test_parse_value_rejects_non_finite(raw, kind):
     with pytest.raises(ParseError, match="row 4: non-finite value .* for 'x'"):
-        parse_value(raw, FeatureSchema("x", kind), 4)
+        parse_value(raw, FeatureSchema("x", kind), "row 4")
 
 
 def test_dataset_rejects_nonbinary_labels():
@@ -257,6 +257,9 @@ split_seed: 4
 """
 
 
+FEATURES_YAML = DATASET_YAML[DATASET_YAML.index("features:") : DATASET_YAML.index("test_cap")]
+
+
 def test_load_dataset_config(tmp_path):
     cfg_path = tmp_path / "toy.yaml"
     cfg_path.write_text(DATASET_YAML, encoding="utf-8")
@@ -312,8 +315,21 @@ def test_dataset_config_unknown_non_actionable_name(tmp_path):
     [
         ("non_actionable: [age]", "non_actionable: [age", "bad.yaml"),
         ("split_seed: 4", "split_seed: four", "split_seed"),
+        ("split_seed: 4", "split_seed: 4\nsynthetic: {n: x}", "n must be an integer"),
+        ("split_seed: 4", "split_seed: 4\nsynthetic: 5", "synthetic"),
+        (FEATURES_YAML, "features: 5\n", "features"),
+        ("- {name: income, kind: continuous}", "- income", "income"),
+        ("- {name: income, kind: continuous}", "- {name: income}", "kind"),
     ],
-    ids=["yaml_syntax", "split_seed_text"],
+    ids=[
+        "yaml_syntax",
+        "split_seed_text",
+        "synthetic_n_text",
+        "synthetic_scalar",
+        "features_scalar",
+        "feature_name_only",
+        "feature_without_kind",
+    ],
 )
 def test_dataset_config_malformed_values_name_the_problem(tmp_path, old, new, named):
     cfg_path = tmp_path / "bad.yaml"

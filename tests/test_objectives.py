@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from lexcf.data import CATEGORICAL, CONTINUOUS, INTEGER, FeatureSchema, FeatureStats
 from lexcf.errors import ConfigError, InvariantViolation
+from lexcf.model import FixedLinearModel
 from lexcf.objectives import (
     EvalContext,
     FeatureResilience,
@@ -25,6 +26,7 @@ from lexcf.objectives import (
     resilience_scores,
     resilience_step,
 )
+from lexcf import objectives
 from lexcf.objectives import _walk_plan
 
 from conftest import (
@@ -146,7 +148,8 @@ def test_scan_skips_degenerate_span(rng):
     stats = make_stats([(0.0, 0.0), (0, 5), ("a", "b", "c")])
     train = _random_mixed_dataset(rng, 20)
     probe = (99.0, 2.0, "b")
-    got = TrainGowerScan(MIXED_SCHEMA, stats, train).min_mean_dist(probe)
+    rows = [inst.values for inst in train]
+    got = TrainGowerScan(MIXED_SCHEMA, stats, rows).min_mean_dist([probe])[0]
     assert got == _plausibility_oracle(probe, train, MIXED_SCHEMA, stats)
 
 
@@ -341,6 +344,58 @@ def test_evaluate_population_batches_resilience_walks(rng):
         vec, report = ctx.cache[cand]
         assert report is not None
         assert vec.o1 == -report.mean
+
+
+@pytest.mark.parametrize("chunk_cells", [None, 100], ids=["one_chunk", "two_rows_a_chunk"])
+def test_evaluate_population_batch_equals_scalar_oracles(rng, monkeypatch, chunk_cells):
+    if chunk_cells is not None:
+        monkeypatch.setattr(objectives, "_CHUNK_CELLS", chunk_cells)
+    # valid while x + n >= 8; the zero-range feature z adds nothing
+    schema = (
+        FeatureSchema("x", CONTINUOUS),
+        FeatureSchema("n", INTEGER),
+        FeatureSchema("z", CONTINUOUS),
+        FeatureSchema("k", CATEGORICAL, categories=("a", "b", "c")),
+    )
+    stats = make_stats([(0.0, 10.0), (0, 5), (3.0, 3.0), ("a", "b", "c")])
+    rows = [
+        [rng.uniform(0, 10), float(rng.integers(0, 6)), 3.0, ("a", "b", "c")[rng.integers(3)]]
+        for _ in range(40)
+    ]
+    train = make_dataset(schema, rows, [0] * 40)
+    model = FixedLinearModel(schema, {"x": 1.0, "n": 1.0}, intercept=-8.0)
+    x_pt = (2.0, 4.0, 3.0, "a")
+    batch = [
+        x_pt,
+        (6.0, 3.0, 3.0, "b"),  # valid; the walk down n flips after one step
+        (8.5, 2.0, 3.0, "a"),
+        (4.5, 5.0, 3.0, "c"),  # n already at its bound
+        (7.0, 0.0, 3.0, "a"),  # invalid
+        (6.0, 3.0, 3.0, "b"),
+        (6.5, 3.0, 5.0, "a"),  # changes the zero-range feature
+        (2.0, 4.0, 3.0, "b"),  # invalid, categorical change only
+        x_pt,
+    ]
+    batch += [tuple(r) for r in rows[:8]]
+    for resilience in (False, True):
+        ctx = EvalContext(x_pt, model, train, stats, resilience=resilience)
+        out = evaluate_population(batch, ctx)
+        assert len(out) == len(batch)
+        for cand, vec in zip(batch, out):
+            p_hat = model.predict_proba(cand)
+            if resilience and p_hat >= 0.5:
+                report = resilience_scores(cand, x_pt, model, schema, stats)
+                assert ctx.cache[cand][1] == report
+                assert vec.o1 == obj_validity_resilient(p_hat, report)
+            else:
+                assert ctx.cache[cand][1] is None
+                assert vec.o1 == obj_validity(p_hat)
+            assert vec.o2 == obj_distance(cand, x_pt, schema, stats)
+            assert vec.o3 == obj_sparsity(cand, x_pt, schema)
+            assert vec.o4 == obj_plausibility(cand, train, schema, stats)
+            assert vec.o4 == _plausibility_oracle(cand, train, schema, stats)
+        assert {vec.o1 <= 0 for vec in out} == {True, False}
+    assert -1.0 < out[1].o1 < 0.0  # a partial walk score took part
 
 
 def test_base_objective_without_resilience_has_no_report(rng):
