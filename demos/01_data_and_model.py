@@ -37,7 +37,7 @@ for feat, st in list(zip(train.schema, stats))[:3]:
 
 # train the two built-in learners with fixed hyperparameters
 for learner, params in (
-    ("logistic", {"lr": 0.1, "epochs": 300}),
+    ("logistic", {"learning_rate": 0.1, "epochs": 300}),
     ("random_forest", {"ntree": 40, "mtry": 3}),
 ):
     model = train_model(train, LearnerConfig(learner, params, seed=7))

@@ -459,8 +459,8 @@ def load_experiment_config(path):
     _reject_unknown_keys(ea_raw, EAConfig, "ea section")
     ea_cfg = EAConfig(**ea_raw)
 
-    learner_params = raw.get("learner_params") or {}
-    if not isinstance(learner_params, dict):
+    learner_params = raw.get("learner_params")
+    if learner_params is not None and not isinstance(learner_params, dict):
         raise ConfigError("learner_params must be a mapping, got %r" % (learner_params,))
 
     variants = []

@@ -130,6 +130,8 @@ def parse_value(raw, feature, where):
                 "%s: value %r not among declared categories of %r" % (where, raw, feature.name)
             )
         return raw
+    if isinstance(raw, bool):
+        raise ParseError("%s: boolean %r is not numeric for %r" % (where, raw, feature.name))
     try:
         value = float(raw)
     except (TypeError, ValueError):

@@ -64,6 +64,17 @@ class _Encoder:
         # columns: per feature either ("num", lo, hi) or ("cat", categories)
         self.columns = columns
         self.width = sum(1 if c[0] == "num" else len(c[1]) for c in columns)
+        # per categorical column: {category: code} and a table whose row for
+        # a code is that category's one-hot block; the last row, which the
+        # code -1 of an unknown token selects, is all zeros
+        self._onehot = {
+            j: (
+                {cat: k for k, cat in enumerate(c[1])},
+                np.array([[a == b for b in c[1]] for a in c[1]] + [[False] * len(c[1])], float),
+            )
+            for j, c in enumerate(columns)
+            if c[0] == "cat"
+        }
 
     @classmethod
     def fit(cls, train):
@@ -87,9 +98,9 @@ class _Encoder:
                     out[:, col] = (vals - lo) / (hi - lo)
                 col += 1
             else:
-                tokens = [row[j] for row in rows]
-                for k, cat in enumerate(spec[1]):
-                    out[:, col + k] = [1.0 if t == cat else 0.0 for t in tokens]
+                codes, table = self._onehot[j]
+                idx = [codes.get(row[j], -1) for row in rows]
+                out[:, col : col + len(spec[1])] = table.take(idx, axis=0)
                 col += len(spec[1])
         return out
 
@@ -154,11 +165,22 @@ class LogisticModel(Model):
         )
 
 
+def _with_defaults(cfg, defaults):
+    """The learner's hyperparameters: cfg.params over the defaults. A key
+    that has no default is not a hyperparameter of the learner."""
+    unknown = sorted(str(key) for key in cfg.params if key not in defaults)
+    if unknown:
+        raise ConfigError(
+            "unknown %s learner param(s): %s (have: %s)"
+            % (cfg.learner, ", ".join(unknown), ", ".join(sorted(defaults)))
+        )
+    return {**defaults, **cfg.params}
+
+
 def train_logistic(train, cfg):
     """Deterministic full-batch gradient descent; L2 on weights, not bias."""
     _check_binary(train)
-    defaults = {"learning_rate": 0.1, "epochs": 500, "l2": 0.0}
-    params = {**defaults, **cfg.params}
+    params = _with_defaults(cfg, {"learning_rate": 0.1, "epochs": 500, "l2": 0.0})
     lr = config_int(params, "learning_rate", convert=float)
     epochs = config_int(params, "epochs")
     l2 = config_int(params, "l2", convert=float)
@@ -396,8 +418,9 @@ def train_random_forest(train, cfg):
     """CART with Gini splits, bootstrap samples, per-node feature subsets."""
     _check_binary(train)
     d_raw = len(train.schema)
-    defaults = {"ntree": 100, "mtry": None, "max_depth": None, "min_leaf": 1}
-    params = {**defaults, **cfg.params}
+    params = _with_defaults(
+        cfg, {"ntree": 100, "mtry": None, "max_depth": None, "min_leaf": 1}
+    )
     ntree = config_int(params, "ntree")
     if ntree < 1:
         raise ConfigError("ntree must be >= 1")

@@ -203,26 +203,47 @@ def _min_mean_gower(scan, batch):
 
     Per-feature distances are added in schema order with gower_dist's
     arithmetic, so each value equals the scalar oracle bit for bit.
+    Categorical values are compared as the scan's integer codes; a value
+    the scan has no code for maps to -1 and mismatches every row.
     """
+    cands = [
+        np.array([c.codes.get(row[c.index], -1) for row in batch], dtype=np.int64)
+        if c.codes is not None
+        else np.array([row[c.index] for row in batch], dtype=float)
+        for c in scan.columns
+    ]
     out = np.empty(len(batch))
     step = max(1, _CHUNK_CELLS // scan.n)
     for start in range(0, len(batch), step):
-        chunk = batch[start : start + step]
-        total = np.zeros((len(chunk), scan.n))
+        stop = min(start + step, len(batch))
+        total = np.zeros((stop - start, scan.n))
         diff = np.empty_like(total)
-        for i, span, col in scan.columns:
-            if span is None:
-                total += np.array([row[i] for row in chunk], dtype=object)[:, None] != col
+        for c, cand in zip(scan.columns, cands):
+            cand = cand[start:stop, None]
+            if c.codes is not None:
+                total += cand != c.values
             else:
-                cand = np.array([row[i] for row in chunk], dtype=float)
-                np.subtract(col, cand[:, None], out=diff)
+                np.subtract(c.values, cand, out=diff)
                 np.abs(diff, out=diff)
-                diff /= span
+                diff /= c.span
                 np.minimum(diff, 1.0, out=diff)
                 total += diff
-        total.min(axis=1, out=out[start : start + len(chunk)])
+        total.min(axis=1, out=out[start:stop])
     out /= scan.p
     return out.tolist()
+
+
+class _ScanColumn(NamedTuple):
+    """One feature of a TrainGowerScan. A categorical column holds int64
+    codes from codes, one {value: code} dict built from the training
+    categories and then the reference rows' own values, so a reference
+    value outside the training categories still matches itself. A
+    numeric column holds floats and the span it is normalized by."""
+
+    index: int
+    values: np.ndarray
+    codes: dict | None = None
+    span: float | None = None
 
 
 class TrainGowerScan:
@@ -234,12 +255,15 @@ class TrainGowerScan:
         self.p = len(schema)
         self.n = len(rows)
         self.columns = []
-        for i, feat in enumerate(schema):
-            raw = [row[i] for row in rows]
+        for i, (feat, raw) in enumerate(zip(schema, zip(*rows))):
             if feat.kind == CATEGORICAL:
-                self.columns.append((i, None, np.array(raw, dtype=object)))
+                values = dict.fromkeys((*stats[i].categories, *raw))
+                codes = {value: code for code, value in enumerate(values)}
+                col = np.fromiter(map(codes.__getitem__, raw), dtype=np.int64, count=self.n)
+                self.columns.append(_ScanColumn(i, col, codes=codes))
             elif stats[i].range > 0:
-                self.columns.append((i, stats[i].range, np.array(raw, dtype=float)))
+                col = np.array(raw, dtype=float)
+                self.columns.append(_ScanColumn(i, col, span=stats[i].range))
 
     def min_mean_dist(self, batch):
         return _min_mean_gower(self, batch)

@@ -173,7 +173,9 @@ def test_explain_poi_bad_json(workspace, capsys):
 
 
 @pytest.mark.parametrize(
-    "poi", ['["abc", 1, 2]', "[[1], 1, 2]", "[NaN, 1, 2]"], ids=["text", "list", "nan"]
+    "poi",
+    ['["abc", 1, 2]', "[[1], 1, 2]", "[NaN, 1, 2]", "[true, false, 0]"],
+    ids=["text", "list", "nan", "bool"],
 )
 def test_explain_poi_bad_value_exits_with_one_line(workspace, capsys, poi):
     rc = main(
@@ -283,6 +285,9 @@ CSV_ROWS = "num0,count,label\n0.5,1,0\n1.5,2,1\n2.5,3,0\n3.5,4,1\n4.5,5,0\n5.5,6
         ("learner_params: [1]\n", "1.5,2,1", 2, "learner_params"),
         ("learner_params: {ntree: x}\n", "1.5,2,1", 2, "ntree"),
         ("learner: logistic\nlearner_params: {epochs: many}\n", "1.5,2,1", 2, "epochs"),
+        ("learner_params: {ntree: 3, bogus: 1}\n", "1.5,2,1", 2, "bogus"),
+        ("learner: logistic\nlearner_params: {lr: 0.1}\n", "1.5,2,1", 2, "lr"),
+        ("learner_params: false\n", "1.5,2,1", 2, "learner_params"),
     ],
     ids=[
         "top_level_key",
@@ -298,6 +303,9 @@ CSV_ROWS = "num0,count,label\n0.5,1,0\n1.5,2,1\n2.5,3,0\n3.5,4,1\n4.5,5,0\n5.5,6
         "learner_params_list",
         "ntree_text",
         "epochs_text",
+        "forest_unknown_param",
+        "logistic_unknown_param",
+        "learner_params_false",
     ],
 )
 def test_bench_malformed_input_exits_with_one_line(

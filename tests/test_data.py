@@ -56,6 +56,14 @@ def test_parse_value_rejects_non_finite(raw, kind):
         parse_value(raw, FeatureSchema("x", kind), "row 4")
 
 
+@pytest.mark.parametrize("kind", [CONTINUOUS, INTEGER])
+@pytest.mark.parametrize("raw", [True, False])
+def test_parse_value_rejects_booleans(raw, kind):
+    # a JSON boolean in an inline POI is not a number
+    with pytest.raises(ParseError, match="inline poi: boolean .* for 'x'"):
+        parse_value(raw, FeatureSchema("x", kind), "inline poi")
+
+
 def test_dataset_rejects_nonbinary_labels():
     schema = numeric_schema(1)
     with pytest.raises(DataError):

@@ -14,10 +14,12 @@ from lexcf.data import (
 from lexcf.errors import ConfigError, ModelFormatError, TrainingError
 from lexcf.model import (
     _CHUNK_ROWS,
+    _Encoder,
     FixedLinearModel,
     LearnerConfig,
     RandomForestModel,
     _Tree,
+    default_search_space,
     kfold_indices,
     load_model,
     sample_search_space,
@@ -164,6 +166,43 @@ def _per_tree_proba(model, rows):
     return votes / len(model.trees)
 
 
+def _per_cell_transform(encoder, rows):
+    """Oracle for the encoder: one-hot blocks filled cell by cell, as
+    before categories were indexed by code, kept here only as a reference."""
+    out = np.zeros((len(rows), encoder.width))
+    col = 0
+    for j, spec in enumerate(encoder.columns):
+        if spec[0] == "num":
+            lo, hi = spec[1], spec[2]
+            vals = np.array([row[j] for row in rows], dtype=float)
+            if hi > lo:
+                out[:, col] = (vals - lo) / (hi - lo)
+            col += 1
+        else:
+            tokens = [row[j] for row in rows]
+            for k, cat in enumerate(spec[1]):
+                out[:, col + k] = [1.0 if t == cat else 0.0 for t in tokens]
+            col += len(spec[1])
+    return out
+
+
+def test_encoder_transform_matches_per_cell_oracle():
+    ds = generate_synthetic(120, seed=5, n_continuous=2, n_integer=1, n_categorical=3)
+    encoder = _Encoder.fit(ds)
+    rows = _query_rows(ds.schema, ds, 200, seed=2)
+    cat = next(j for j, feat in enumerate(ds.schema) if feat.kind == CATEGORICAL)
+    unknown = rows[0][:cat] + ("never-declared",) + rows[0][cat + 1 :]
+    for batch in ([], rows[:1], rows, rows[:5] + [unknown]):
+        got = encoder.transform(batch)
+        assert got.shape == (len(batch), encoder.width)
+        assert np.array_equal(got, _per_cell_transform(encoder, batch))
+    # a token the encoder does not know encodes to an all-zero block
+    spans = [1 if spec[0] == "num" else len(spec[1]) for spec in encoder.columns]
+    start = sum(spans[:cat])
+    assert not encoder.transform([unknown])[0, start : start + spans[cat]].any()
+    assert encoder.transform([rows[0]])[0, start : start + spans[cat]].sum() == 1.0
+
+
 def _query_rows(schema, train, n, seed):
     """Training rows first, then random rows that also leave the training
     range, so every branch is exercised."""
@@ -282,6 +321,17 @@ def test_train_model_dispatch():
     assert model.learner_name == "logistic"
     with pytest.raises(ConfigError):
         train_model(ds, LearnerConfig("gradient_boost"))
+
+
+@pytest.mark.parametrize("learner", ["logistic", "random_forest"])
+def test_learner_params_accept_tuned_keys_and_reject_others(learner):
+    ds = _separable_dataset()
+    space = default_search_space(learner, ds)
+    [cfg] = sample_search_space(learner, space, 1, seed=0)
+    assert set(cfg.params) == set(space)
+    assert train_model(ds, cfg).learner_name == learner
+    with pytest.raises(ConfigError, match="bogus"):
+        train_model(ds, LearnerConfig(learner, {**cfg.params, "bogus": 1}))
 
 
 def test_kfold_indices_partition():

@@ -398,6 +398,51 @@ def test_evaluate_population_batch_equals_scalar_oracles(rng, monkeypatch, chunk
     assert -1.0 < out[1].o1 < 0.0  # a partial walk score took part
 
 
+@pytest.mark.parametrize("two_rows_a_chunk", [False, True], ids=["one_chunk", "two_rows_a_chunk"])
+def test_unseen_categories_match_scalar_oracles(rng, monkeypatch, two_rows_a_chunk):
+    # the schema declares d and e; the training split and its stats hold
+    # neither, the POI carries d, and no scan has seen e
+    schema = (
+        FeatureSchema("x", CONTINUOUS),
+        FeatureSchema("k", CATEGORICAL, categories=("a", "b", "c", "d", "e")),
+        FeatureSchema("n", INTEGER),
+    )
+    stats = make_stats([(0.0, 10.0), ("a", "b", "c"), (0, 5)])
+    rows = [
+        [rng.uniform(0, 10), ("a", "b", "c")[rng.integers(3)], float(rng.integers(0, 6))]
+        for _ in range(30)
+    ]
+    train = make_dataset(schema, rows, [0] * 30)
+    if two_rows_a_chunk:
+        monkeypatch.setattr(objectives, "_CHUNK_CELLS", 2 * len(train))
+    model = FixedLinearModel(schema, {"x": 1.0, "n": 1.0}, intercept=-6.0)
+    x_pt = (2.0, "d", 1.0)
+    batch = [
+        x_pt,
+        (7.0, "d", 1.0),  # holds the POI's unseen category
+        (2.0, "e", 1.0),  # holds a value neither scan has seen
+        (7.0, "e", 4.0),
+        tuple(rows[0]),
+        (2.0, "a", 1.0),
+        (13.0, "d", 1.0),  # beyond the training range
+        (-1.0, "e", 5.0),
+    ]
+    ctx = EvalContext(x_pt, model, train, stats)
+    assert ctx.gower_to_poi([x_pt]) == [0.0]
+    out = evaluate_population(batch, ctx)
+    for cand, vec in zip(batch, out):
+        assert vec.o2 == obj_distance(cand, x_pt, schema, stats)
+        assert vec.o2 == sum(gower_dist(schema, stats, cand[i], x_pt[i], i) for i in range(3)) / 3
+        assert vec.o4 == obj_plausibility(cand, train, schema, stats)
+        assert vec.o4 == _plausibility_oracle(cand, train, schema, stats)
+    assert out[0].o2 == 0.0 and out[1].o2 == 0.5 / 3
+    assert out[2].o2 == 1.0 / 3
+    assert out[6].o2 == 1.0 / 3
+    assert out[4].o4 == 0.0
+    # an unseen category mismatches every training row
+    assert min(out[i].o4 for i in (0, 1, 2, 3, 6, 7)) >= 1.0 / 3
+
+
 def test_base_objective_without_resilience_has_no_report(rng):
     ctx, _ = _context(rng, resilience=False, p=0.8)
     vec, report = evaluate_with_report((6.0, 1.0, "b"), ctx)
