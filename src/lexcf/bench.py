@@ -25,7 +25,7 @@ from .data import (
 )
 from .ea import STRATEGIES, STRATEGY_ORDERINGS, EAConfig, run_paired
 from .errors import ConfigError, InvariantViolation
-from .model import LearnerConfig, train_model, tune_random_search
+from .model import LearnerConfig, learner_params, train_model, tune_random_search
 from .objectives import EvalContext
 from .selection import FIRST_BETTER, SECOND_BETTER, TIE, lex_compare, pareto_compare
 
@@ -245,6 +245,8 @@ def aggregate_records(records, strategies, variants, theta):
 
 def _build_model(cfg, train):
     params = dict(cfg.learner_params)
+    # reject params the learner does not know before any tuning trial runs
+    learner_params(LearnerConfig(cfg.learner, params))
     if cfg.tune_trials > 0:
         tuned = tune_random_search(
             cfg.learner,

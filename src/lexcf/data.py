@@ -405,12 +405,20 @@ def load_dataset_config(path):
         if not isinstance(entry, dict) or "name" not in entry or "kind" not in entry:
             raise ConfigError("each feature needs a name and a kind, got %r" % (entry,))
         name = entry["name"]
+        categories = entry.get("categories", [])
+        if not isinstance(categories, list) or any(
+            isinstance(c, (list, dict)) for c in categories
+        ):
+            raise ConfigError(
+                "categories of feature %r must be a list of scalar values, got %r"
+                % (name, categories)
+            )
         schema.append(
             FeatureSchema(
                 name=name,
                 kind=entry["kind"],
                 actionable=entry.get("actionable", name not in non_actionable),
-                categories=tuple(entry.get("categories", ())),
+                categories=tuple(categories),
             )
         )
     declared = {f.name for f in schema}

@@ -21,6 +21,7 @@ from .selection import (
     LexParams,
     crowded_tournament_select,
     final_select_lex,
+    first_front_size,
     lex_survival_select,
     lex_tournament_select,
     nondominated_sort,
@@ -96,6 +97,10 @@ class EAConfig:
 
 
 class GenerationTrace(NamedTuple):
+    """One generation of a run: the best validity (o1) in the population,
+    its mean distance (o2), and front_size, the number of members that no
+    other member Pareto-dominates. Computing it draws no random numbers."""
+
     generation: int
     best_o1: float
     mean_o2: float
@@ -274,17 +279,22 @@ def run_ea(ctx, cfg, forced_generations=None):
         for cand in population:
             check_candidate(cand.values, ctx.x_pt, ctx.schema, ctx.stats)
 
-    def snapshot(generation):
+    def snapshot(generation, fronts):
+        """The trace entry of the current population. Pareto runs pass the
+        fronts they sort anyway; lex runs count front 0 alone."""
         best_o1 = min(c.objectives[0] for c in population)
         mean_o2 = float(np.mean([c.objectives[1] for c in population]))
-        front = nondominated_sort(population)[0]
-        return GenerationTrace(generation, best_o1, mean_o2, len(front))
+        size = len(fronts[0]) if fronts else first_front_size(population)
+        return GenerationTrace(generation, best_o1, mean_o2, size)
 
-    trace = [snapshot(0)]
+    # Pareto runs sort each population into fronts once; its trace entry,
+    # the next parent tournament and the returned front all read them
+    fronts = nondominated_sort(population) if cfg.strategy == PARETO else None
+    trace = [snapshot(0, fronts)]
     generations = 0
     for gen in range(1, budget + 1):
         if cfg.strategy == PARETO:
-            parents = crowded_tournament_select(population, cfg.population_size, rng)
+            parents = crowded_tournament_select(population, cfg.population_size, rng, fronts)
         else:
             params = LexParams(cfg.population_size, cfg.k, cfg.theta, ordering)
             parents = lex_tournament_select(params, population, rng)
@@ -307,10 +317,11 @@ def run_ea(ctx, cfg, forced_generations=None):
         pool = _dedup_pad(population + offspring, cfg.population_size)
         if cfg.strategy == PARETO:
             population = nsga2_select(pool, cfg.population_size)
+            fronts = nondominated_sort(population)
         else:
             population = lex_survival_select(pool, cfg.population_size, ordering, cfg.theta)
         generations = gen
-        trace.append(snapshot(gen))
+        trace.append(snapshot(gen, fronts))
 
         if forced_generations is None and len(trace) > cfg.convergence_window:
             window = trace[-(cfg.convergence_window + 1) :]
@@ -320,7 +331,7 @@ def run_ea(ctx, cfg, forced_generations=None):
                 break
 
     if cfg.strategy == PARETO:
-        solutions = tuple(population[i] for i in nondominated_sort(population)[0])
+        solutions = tuple(population[i] for i in fronts[0])
     else:
         solutions = (final_select_lex(population, ordering, cfg.theta, rng),)
     return EAResult(

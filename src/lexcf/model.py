@@ -165,9 +165,22 @@ class LogisticModel(Model):
         )
 
 
-def _with_defaults(cfg, defaults):
-    """The learner's hyperparameters: cfg.params over the defaults. A key
-    that has no default is not a hyperparameter of the learner."""
+# Each learner's hyperparameters and their defaults; tune_random_search
+# draws only these keys.
+_DEFAULTS = {
+    "logistic": {"learning_rate": 0.1, "epochs": 500, "l2": 0.0},
+    "random_forest": {"ntree": 100, "mtry": None, "max_depth": None, "min_leaf": 1},
+}
+
+
+def learner_params(cfg):
+    """The learner's hyperparameters: cfg.params over its defaults. An
+    unknown learner, or a key that has no default, is a ConfigError."""
+    if cfg.learner not in _DEFAULTS:
+        raise ConfigError(
+            "unknown learner %r (have: %s)" % (cfg.learner, ", ".join(sorted(_DEFAULTS)))
+        )
+    defaults = _DEFAULTS[cfg.learner]
     unknown = sorted(str(key) for key in cfg.params if key not in defaults)
     if unknown:
         raise ConfigError(
@@ -180,7 +193,7 @@ def _with_defaults(cfg, defaults):
 def train_logistic(train, cfg):
     """Deterministic full-batch gradient descent; L2 on weights, not bias."""
     _check_binary(train)
-    params = _with_defaults(cfg, {"learning_rate": 0.1, "epochs": 500, "l2": 0.0})
+    params = learner_params(cfg)
     lr = config_int(params, "learning_rate", convert=float)
     epochs = config_int(params, "epochs")
     l2 = config_int(params, "l2", convert=float)
@@ -418,9 +431,7 @@ def train_random_forest(train, cfg):
     """CART with Gini splits, bootstrap samples, per-node feature subsets."""
     _check_binary(train)
     d_raw = len(train.schema)
-    params = _with_defaults(
-        cfg, {"ntree": 100, "mtry": None, "max_depth": None, "min_leaf": 1}
-    )
+    params = learner_params(cfg)
     ntree = config_int(params, "ntree")
     if ntree < 1:
         raise ConfigError("ntree must be >= 1")

@@ -8,8 +8,13 @@ nondominated sorting, crowding distance, and the elitist survival fill.
 All objectives are minimized. An objective ordering is a permutation of
 the objective indices (0..3); validity-first orderings differ in whether
 distance or sparsity is compared next.
+
+Every routine that looks at a whole population or pool works on one
+(n x 4) float array of its objectives: the dominance matrix, crowding
+distances and the lexicographic winnow are array operations over it.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,45 +67,73 @@ def lex_compare(a, b, ordering, theta):
     return TIE
 
 
-def _winnow(indices, vectors, ordering, theta):
-    """One pass over the objectives, retaining the best participant plus all
-    within theta at each stage; stops early once a single survivor remains."""
-    survivors = list(indices)
-    for j in ordering:
-        survivors.sort(key=lambda idx: vectors[idx][j])
-        best = vectors[survivors[0]][j]
-        m = 1
-        while m < len(survivors) and abs(vectors[survivors[m]][j] - best) <= theta:
-            m += 1
-        survivors = survivors[:m]
-        if len(survivors) == 1:
+def _objective_matrix(items):
+    """The items' objective vectors as the rows of one (n x 4) float array."""
+    values = itertools.chain.from_iterable(map(_vector_of, items))
+    return np.fromiter(values, dtype=float, count=4 * len(items)).reshape(-1, 4)
+
+
+def _priority_columns(V, ordering):
+    """The columns of an objective array in priority order, as the rows of
+    one contiguous (4 x n) array."""
+    return V.T[list(ordering)]
+
+
+def _winnow(cols, idx, theta):
+    """One pass over the objective columns in priority order, keeping the
+    participants (indices into the columns) within theta of the best at
+    each stage; stops early once a single survivor remains.
+
+    A value v is kept when fl(v - best) <= theta. That difference is never
+    negative and never decreases as v grows, so the kept set is the prefix
+    a stable sort by the objective would keep. idx keeps its order, so the
+    survivors of a perfect tie stay in participant order, as they would
+    through stable sorts.
+    """
+    for col in cols:
+        c = col[idx]
+        idx = idx[c - c.min() <= theta]
+        if idx.size == 1:
             break
-    return survivors
+    return idx
 
 
-def _lex_survivors(indices, vectors, ordering, theta):
+def _lex_survivors(cols, idx, theta):
     """Winnow under theta, then rewalk the survivors with theta 0; more than
     one survivor means a perfect tie."""
-    survivors = _winnow(indices, vectors, ordering, theta)
-    if len(survivors) > 1 and theta > 0:
-        survivors = _winnow(survivors, vectors, ordering, 0.0)
-    return survivors
+    idx = _winnow(cols, idx, theta)
+    if idx.size > 1 and theta > 0:
+        idx = _winnow(cols, idx, 0.0)
+    return idx
 
 
-def _tournament_round(indices, vectors, ordering, theta, rng):
+def _tournament_round(cols, idx, theta, rng):
     """One tournament round: the lexicographic survivors, and only then a
     random victor among perfect ties."""
-    survivors = _lex_survivors(indices, vectors, ordering, theta)
-    if len(survivors) == 1:
-        return survivors[0]
-    return survivors[int(rng.integers(len(survivors)))]
+    survivors = _lex_survivors(cols, idx, theta)
+    if survivors.size == 1:
+        return int(survivors[0])
+    return int(survivors[int(rng.integers(survivors.size))])
+
+
+def _lex_best(cols, theta):
+    """Deterministic winner of a tournament round over every participant:
+    the lexicographic survivors, perfect ties resolved to the smallest
+    index."""
+    return int(_lex_survivors(cols, np.arange(cols.shape[1]), theta)[0])
 
 
 def lex_tournament_select(params, population, rng=None):
-    """Run params.n tournament rounds of size params.k over the population.
+    """Run params.n tournament rounds of size params.k over the population
+    and return the list of victors; victors across rounds may repeat.
 
-    Participants are sampled without replacement within a round; victors
-    across rounds may repeat. Returns the list of victors.
+    Each round draws its entrants with one rng.choice(n, size=k,
+    replace=False), keeps the entrants that survive a theta pass over the
+    objectives in priority order and then an exact pass, and only on a
+    perfect tie draws one rng.integers(ties) to pick among the tied
+    entrants in draw order. Two entrants are decided by lex_compare; larger
+    rounds winnow the population's objective array. Both make exactly
+    these draws, in this order.
     """
     if params.k > len(population):
         raise ConfigError(
@@ -108,12 +141,22 @@ def lex_tournament_select(params, population, rng=None):
         )
     if rng is None:
         rng = np.random.default_rng(params.seed)
-    vectors = [_vector_of(c) for c in population]
+    n, ordering, theta = len(population), params.ordering, params.theta
     victors = []
+    if params.k == 2:
+        for _ in range(params.n):
+            a, b = rng.choice(n, size=2, replace=False).tolist()
+            outcome = lex_compare(population[a], population[b], ordering, theta)
+            if outcome == TIE:
+                winner = (a, b)[int(rng.integers(2))]
+            else:
+                winner = a if outcome == FIRST_BETTER else b
+            victors.append(population[winner])
+        return victors
+    cols = _priority_columns(_objective_matrix(population), ordering)
     for _ in range(params.n):
-        entrants = rng.choice(len(population), size=params.k, replace=False)
-        winner = _tournament_round(entrants.tolist(), vectors, params.ordering, params.theta, rng)
-        victors.append(population[winner])
+        entrants = rng.choice(n, size=params.k, replace=False)
+        victors.append(population[_tournament_round(cols, entrants, theta, rng)])
     return victors
 
 
@@ -131,16 +174,14 @@ def final_select_lex(last_population, ordering, theta, rng=None):
         if key not in seen:
             seen.add(key)
             distinct.append(cand)
-    vectors = [_vector_of(c) for c in distinct]
-    winner = _tournament_round(list(range(len(distinct))), vectors, ordering, theta, rng)
-    return distinct[winner]
+    cols = _priority_columns(_objective_matrix(distinct), ordering)
+    return distinct[_tournament_round(cols, np.arange(len(distinct)), theta, rng)]
 
 
 def lex_best_index(population, ordering, theta):
     """Deterministic winner of a full-population tournament round (no random
     tie-break: perfect ties resolve to the smallest index)."""
-    vectors = [_vector_of(c) for c in population]
-    return min(_lex_survivors(range(len(population)), vectors, ordering, theta))
+    return _lex_best(_priority_columns(_objective_matrix(population), ordering), theta)
 
 
 def pareto_dominates(a, b):
@@ -159,41 +200,50 @@ def pareto_compare(a, b):
     return TIE
 
 
-def _dominance_matrix(vectors):
-    V = np.array(vectors, dtype=float)
-    le = (V[:, None, :] <= V[None, :, :]).all(axis=2)
-    lt = (V[:, None, :] < V[None, :, :]).any(axis=2)
-    return le & lt
+def _dominance_matrix(V):
+    """dom[i, j]: row i of V Pareto-dominates row j.
+
+    le[i, j] holds when row i is no worse than row j on every objective,
+    built with one 2-D comparison per objective. Then i dominates j exactly
+    when le[i, j] holds and le[j, i] does not, because two rows that are
+    each no worse than the other are equal.
+    """
+    le = V[:, 0, None] <= V[:, 0]
+    for j in range(1, V.shape[1]):
+        le &= V[:, j, None] <= V[:, j]
+    return le & ~le.T
+
+
+def _peel(dom):
+    """Yield the fronts of a dominance matrix in rank order, each an index
+    list in index order; a caller that stops early skips the later fronts."""
+    counts = dom.sum(axis=0)
+    current = (counts == 0).nonzero()[0]
+    while current.size:
+        yield current.tolist()
+        counts -= dom[current].sum(axis=0)
+        counts[current] = -1
+        current = (counts == 0).nonzero()[0]
 
 
 def nondominated_sort(population):
     """Partition into fronts: index lists, front 0 dominated by nobody, each
     later front nondominated once earlier fronts are removed."""
-    if not population:
-        return []
-    vectors = [_vector_of(c) for c in population]
-    dom = _dominance_matrix(vectors)
-    counts = dom.sum(axis=0).astype(np.int64)
-    fronts = []
-    current = np.nonzero(counts == 0)[0]
-    while current.size:
-        fronts.append(current.tolist())
-        counts = counts - dom[current].sum(axis=0)
-        counts[current] = -1
-        current = np.nonzero(counts == 0)[0]
-    return fronts
+    return list(_peel(_dominance_matrix(_objective_matrix(population))))
 
 
-def crowding_distance(front):
-    """Diversity score per front member; boundary candidates are infinite,
-    interior ones accumulate normalized gaps between their sorted neighbors.
-    Objectives constant across the front contribute nothing."""
-    n = len(front)
-    if n == 0:
-        return []
+def first_front_size(population):
+    """How many members no other member dominates: the size of front 0,
+    counted without peeling the later fronts."""
+    dom = _dominance_matrix(_objective_matrix(population))
+    return int(np.count_nonzero(~dom.any(axis=0)))
+
+
+def _crowding(V):
+    """Crowding distance of each row of V, a front's objective array."""
+    n = len(V)
     if n <= 2:
-        return [float("inf")] * n
-    V = np.array([_vector_of(c) for c in front], dtype=float)
+        return np.full(n, np.inf)
     dist = np.zeros(n)
     for j in range(V.shape[1]):
         col = V[:, j]
@@ -205,7 +255,14 @@ def crowding_distance(front):
         dist[order[-1]] = np.inf
         gaps = (col[order[2:]] - col[order[:-2]]) / (hi - lo)
         dist[order[1:-1]] += gaps
-    return dist.tolist()
+    return dist
+
+
+def crowding_distance(front):
+    """Diversity score per front member; boundary candidates are infinite,
+    interior ones accumulate normalized gaps between their sorted neighbors.
+    Objectives constant across the front contribute nothing."""
+    return _crowding(_objective_matrix(front)).tolist()
 
 
 def nsga2_select(pool, target_size):
@@ -213,36 +270,39 @@ def nsga2_select(pool, target_size):
     descending crowding distance (index ascending on exact ties)."""
     if target_size > len(pool):
         raise ConfigError("target size %d exceeds pool %d" % (target_size, len(pool)))
+    V = _objective_matrix(pool)
     chosen = []
-    for front in nondominated_sort(pool):
+    for front in _peel(_dominance_matrix(V)):
         if len(chosen) + len(front) <= target_size:
             chosen.extend(front)
             if len(chosen) == target_size:
                 break
             continue
-        cd = crowding_distance([pool[i] for i in front])
+        cd = _crowding(V[front]).tolist()
         ranked = sorted(range(len(front)), key=lambda t: (-cd[t], front[t]))
         chosen.extend(front[t] for t in ranked[: target_size - len(chosen)])
         break
     return [pool[i] for i in chosen]
 
 
-def crowded_tournament_select(population, n, rng):
+def crowded_tournament_select(population, n, rng, fronts=None):
     """NSGA-II parent selection: binary tournaments decided by front rank,
-    then crowding distance, then the smaller index."""
+    then crowding distance, then the smaller index. fronts, when given, is
+    nondominated_sort(population), already computed."""
     if len(population) < 2:
         raise ConfigError("need at least two candidates for binary tournaments")
-    fronts = nondominated_sort(population)
+    V = _objective_matrix(population)
+    if fronts is None:
+        fronts = _peel(_dominance_matrix(V))
     rank = [0] * len(population)
     crowd = [0.0] * len(population)
     for r, front in enumerate(fronts):
-        cd = crowding_distance([population[i] for i in front])
-        for i, c in zip(front, cd):
+        for i, c in zip(front, _crowding(V[front]).tolist()):
             rank[i] = r
             crowd[i] = c
     victors = []
     for _ in range(n):
-        i, j = (int(t) for t in rng.choice(len(population), size=2, replace=False))
+        i, j = rng.choice(len(population), size=2, replace=False).tolist()
         if rank[i] != rank[j]:
             winner = i if rank[i] < rank[j] else j
         elif crowd[i] != crowd[j]:
@@ -254,19 +314,27 @@ def crowded_tournament_select(population, n, rng):
 
 
 def lex_survival_select(pool, target_size, ordering, theta):
-    """Survival for the lexicographic path: the deterministic tournament
-    winner is kept unconditionally, then theta-tied top groups are extracted
-    in turn, each ordered by descending whole-pool crowding distance."""
+    """Survival for the lexicographic path; it draws no random numbers.
+
+    The deterministic tournament winner over the whole pool (a theta pass,
+    an exact pass if more than one survives, then the smallest index) is
+    kept first. Then theta-tied top groups are peeled off the remaining
+    members in turn, each by one theta pass of the same winnow over the
+    pool's objective array, and each group is ranked by descending
+    whole-pool crowding distance, index ascending on ties, until
+    target_size members are kept.
+    """
     if target_size > len(pool):
         raise ConfigError("target size %d exceeds pool %d" % (target_size, len(pool)))
-    vectors = [_vector_of(c) for c in pool]
-    cd = crowding_distance(pool)
-    best = lex_best_index(pool, ordering, theta)
+    V = _objective_matrix(pool)
+    cd = _crowding(V).tolist()
+    cols = _priority_columns(V, ordering)
+    best = _lex_best(cols, theta)
     ranked = [best]
-    remaining = [i for i in range(len(pool)) if i != best]
-    while remaining and len(ranked) < target_size:
-        group = _winnow(remaining, vectors, ordering, theta)
-        members = set(group)
-        ranked.extend(sorted(group, key=lambda i: (-cd[i], i)))
-        remaining = [i for i in remaining if i not in members]
+    alive = np.ones(len(pool), dtype=bool)
+    alive[best] = False
+    while len(ranked) < target_size:
+        group = _winnow(cols, alive.nonzero()[0], theta)
+        alive[group] = False
+        ranked.extend(sorted(group.tolist(), key=lambda i: (-cd[i], i)))
     return [pool[i] for i in ranked[:target_size]]

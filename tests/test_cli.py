@@ -5,6 +5,7 @@ import subprocess
 
 import pytest
 
+from lexcf import bench
 from lexcf.cli import main
 from lexcf.data import NEGATIVE, load_configured_dataset, load_dataset_config, split_dataset
 from lexcf.errors import ModelFormatError
@@ -288,6 +289,7 @@ CSV_ROWS = "num0,count,label\n0.5,1,0\n1.5,2,1\n2.5,3,0\n3.5,4,1\n4.5,5,0\n5.5,6
         ("learner_params: {ntree: 3, bogus: 1}\n", "1.5,2,1", 2, "bogus"),
         ("learner: logistic\nlearner_params: {lr: 0.1}\n", "1.5,2,1", 2, "lr"),
         ("learner_params: false\n", "1.5,2,1", 2, "learner_params"),
+        ("tune_trials: 3\nlearner_params: {bogus: 1}\n", "1.5,2,1", 2, "bogus"),
     ],
     ids=[
         "top_level_key",
@@ -306,11 +308,15 @@ CSV_ROWS = "num0,count,label\n0.5,1,0\n1.5,2,1\n2.5,3,0\n3.5,4,1\n4.5,5,0\n5.5,6
         "forest_unknown_param",
         "logistic_unknown_param",
         "learner_params_false",
+        "unknown_param_before_tuning",
     ],
 )
 def test_bench_malformed_input_exits_with_one_line(
-    tmp_path, capsys, extra, middle_row, code, named
+    tmp_path, capsys, monkeypatch, extra, middle_row, code, named
 ):
+    # malformed input is rejected before any tuning trial runs
+    tuned = []
+    monkeypatch.setattr(bench, "tune_random_search", lambda *a, **k: tuned.append(a))
     csv_text = CSV_ROWS.replace("1.5,2,1", middle_row)
     (tmp_path / "data.csv").write_text(csv_text, encoding="utf-8")
     (tmp_path / "ds.yaml").write_text(CSV_DATASET_YAML, encoding="utf-8")
@@ -321,6 +327,7 @@ def test_bench_malformed_input_exits_with_one_line(
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert named in err
+    assert tuned == []
 
 
 def _first_node(tree, internal):

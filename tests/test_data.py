@@ -328,6 +328,9 @@ def test_dataset_config_unknown_non_actionable_name(tmp_path):
         (FEATURES_YAML, "features: 5\n", "features"),
         ("- {name: income, kind: continuous}", "- income", "income"),
         ("- {name: income, kind: continuous}", "- {name: income}", "kind"),
+        ("categories: [clerk, coder]", "categories: [clerk, [coder]]", "job"),
+        ("categories: [clerk, coder]", "categories: [clerk, {coder: 1}]", "job"),
+        ("categories: [clerk, coder]", "categories: clerk", "job"),
     ],
     ids=[
         "yaml_syntax",
@@ -337,6 +340,9 @@ def test_dataset_config_unknown_non_actionable_name(tmp_path):
         "features_scalar",
         "feature_name_only",
         "feature_without_kind",
+        "category_list",
+        "category_mapping",
+        "categories_scalar",
     ],
 )
 def test_dataset_config_malformed_values_name_the_problem(tmp_path, old, new, named):

@@ -17,6 +17,7 @@ from lexcf.selection import (
     crowded_tournament_select,
     crowding_distance,
     final_select_lex,
+    first_front_size,
     lex_best_index,
     lex_compare,
     lex_survival_select,
@@ -388,3 +389,134 @@ def test_orderings_are_permutations():
         assert sorted(ordering) == [0, 1, 2, 3]
     assert DISTANCE_BEFORE_SPARSITY.index(1) < DISTANCE_BEFORE_SPARSITY.index(2)
     assert SPARSITY_BEFORE_DISTANCE.index(2) < SPARSITY_BEFORE_DISTANCE.index(1)
+
+
+# Sort-based references for the array kernels: lexicographic winnowing by
+# stable sorts of Python lists, and dominance from a 3-D broadcast. The
+# kernels must return exactly what these return and make the same random
+# draws in the same order.
+
+
+def _oracle_winnow(indices, vectors, ordering, theta):
+    survivors = list(indices)
+    for j in ordering:
+        survivors.sort(key=lambda idx: vectors[idx][j])
+        best = vectors[survivors[0]][j]
+        m = 1
+        while m < len(survivors) and abs(vectors[survivors[m]][j] - best) <= theta:
+            m += 1
+        survivors = survivors[:m]
+        if len(survivors) == 1:
+            break
+    return survivors
+
+
+def _oracle_lex_survivors(indices, vectors, ordering, theta):
+    survivors = _oracle_winnow(indices, vectors, ordering, theta)
+    if len(survivors) > 1 and theta > 0:
+        survivors = _oracle_winnow(survivors, vectors, ordering, 0.0)
+    return survivors
+
+
+def _oracle_round(indices, vectors, ordering, theta, rng):
+    survivors = _oracle_lex_survivors(indices, vectors, ordering, theta)
+    if len(survivors) == 1:
+        return survivors[0]
+    return survivors[int(rng.integers(len(survivors)))]
+
+
+def _oracle_tournament(params, population, rng):
+    vectors = [c.objectives for c in population]
+    victors = []
+    for _ in range(params.n):
+        entrants = rng.choice(len(population), size=params.k, replace=False)
+        winner = _oracle_round(entrants.tolist(), vectors, params.ordering, params.theta, rng)
+        victors.append(population[winner])
+    return victors
+
+
+def _oracle_survival(pool, target_size, ordering, theta):
+    vectors = [c.objectives for c in pool]
+    cd = crowding_distance(pool)
+    best = min(_oracle_lex_survivors(range(len(pool)), vectors, ordering, theta))
+    ranked = [best]
+    remaining = [i for i in range(len(pool)) if i != best]
+    while remaining and len(ranked) < target_size:
+        group = _oracle_winnow(remaining, vectors, ordering, theta)
+        members = set(group)
+        ranked.extend(sorted(group, key=lambda i: (-cd[i], i)))
+        remaining = [i for i in remaining if i not in members]
+    return [pool[i] for i in ranked[:target_size]]
+
+
+def _oracle_sort(population):
+    V = np.array([c.objectives for c in population], dtype=float)
+    le = (V[:, None, :] <= V[None, :, :]).all(axis=2)
+    lt = (V[:, None, :] < V[None, :, :]).any(axis=2)
+    dom = le & lt
+    counts = dom.sum(axis=0).astype(np.int64)
+    fronts = []
+    current = np.nonzero(counts == 0)[0]
+    while current.size:
+        fronts.append(current.tolist())
+        counts = counts - dom[current].sum(axis=0)
+        counts[current] = -1
+        current = np.nonzero(counts == 0)[0]
+    return fronts
+
+
+# Value sets with theta-near gaps: 0.01 - 0.0 is exactly theta, 0.07 - 0.06
+# and -0.49 - -0.5 round to just above it, 0.11 - 0.1 and 0.12 - 0.11 to
+# just below. Negative o1 values are what resilient validity produces.
+_NEAR_TIES = st.tuples(
+    st.sampled_from([-0.5, -0.49, 0.0, 0.01, 0.06, 0.07, 0.0700001, 0.3]),
+    st.sampled_from([0.1, 0.11, 0.12, 0.5]),
+    st.integers(0, 3),
+    st.sampled_from([-0.0, 0.0, 0.005, 0.015, 0.2]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_array_kernels_match_sort_oracles(data):
+    # a few distinct vectors drawn many times, so exact duplicates abound
+    distinct = data.draw(st.lists(_NEAR_TIES, min_size=1, max_size=12))
+    vectors = data.draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=40))
+    pool = [Cand((i,), v) for i, v in enumerate(vectors)]
+    n = len(pool)
+    theta = data.draw(st.sampled_from([0.0, 0.01]))
+    ordering = data.draw(st.sampled_from([DISTANCE_BEFORE_SPARSITY, SPARSITY_BEFORE_DISTANCE]))
+    seed = data.draw(st.integers(0, 2**16))
+
+    fronts = _oracle_sort(pool)
+    assert nondominated_sort(pool) == fronts
+    assert first_front_size(pool) == len(fronts[0])
+
+    best = min(_oracle_lex_survivors(range(n), [c.objectives for c in pool], ordering, theta))
+    assert lex_best_index(pool, ordering, theta) == best
+    target = data.draw(st.integers(1, n))
+    assert lex_survival_select(pool, target, ordering, theta) == _oracle_survival(
+        pool, target, ordering, theta
+    )
+
+    for k in (2, 3):
+        if k > n:
+            continue
+        params = LexParams(n=25, k=k, theta=theta, ordering=ordering)
+        rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert lex_tournament_select(params, pool, rng_new) == _oracle_tournament(
+            params, pool, rng_old
+        )
+        assert rng_new.random() == rng_old.random()
+
+    rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = final_select_lex(pool, ordering, theta, rng_new)
+    vecs = [c.objectives for c in pool]
+    assert got == pool[_oracle_round(list(range(n)), vecs, ordering, theta, rng_old)]
+    assert rng_new.random() == rng_old.random()
+
+    if n >= 2:
+        rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+        given_fronts = crowded_tournament_select(pool, 25, rng_new, fronts)
+        assert given_fronts == crowded_tournament_select(pool, 25, rng_old)
+        assert rng_new.random() == rng_old.random()
