@@ -35,8 +35,8 @@ print("POI prediction:", model.predict_class(poi.values))
 ctx = EvalContext(poi, model, train, stats)
 cfg = EAConfig(population_size=20, max_generations=50, seed=11)
 
-# run_paired executes the Pareto strategy first, then forces its executed
-# generation count onto both lexicographic runs so comparisons are fair
+# run_paired runs all three strategies for max_generations generations
+# each, so comparisons between them are fair
 par, lex1, lex2 = run_paired(ctx, cfg)
 print("\ngenerations executed:", par.generations_executed)
 

@@ -21,6 +21,7 @@ from .data import (
     load_configured_dataset,
     load_dataset_config,
     read_yaml_mapping,
+    reject_unknown_keys,
     split_dataset,
 )
 from .ea import STRATEGIES, STRATEGY_ORDERINGS, EAConfig, run_paired
@@ -49,7 +50,6 @@ class ExperimentConfig:
     master_seed: int = 0
     output_dir: str = ""
     ea: EAConfig = None
-    debug: bool = False
 
     def __post_init__(self):
         if self.max_pois < 1:
@@ -281,7 +281,7 @@ def run_experiment(cfg):
         for variant in cfg.variants:
             resilient = variant == RESILIENT
             ctx = EvalContext(poi, model, train, stats, resilience=resilient)
-            base = replace(cfg.ea, resilience=resilient, seed=seed, debug=cfg.debug)
+            base = replace(cfg.ea, resilience=resilient, seed=seed)
             for strategy, result in zip(STRATEGIES, run_paired(ctx, base)):
                 records.append(_record(index, variant, strategy, result))
 
@@ -435,19 +435,11 @@ def write_meta(report, out_dir):
     return path
 
 
-def _reject_unknown_keys(raw, config_class, where):
-    """Config keys are the field names of the config class they fill."""
-    known = {f.name for f in fields(config_class)}
-    unknown = sorted(str(key) for key in raw if key not in known)
-    if unknown:
-        raise ConfigError("unknown key(s) in %s: %s" % (where, ", ".join(unknown)))
-
-
 def load_experiment_config(path):
     """Parse a YAML experiment config; the dataset reference is resolved
     relative to the config file."""
     raw = read_yaml_mapping(path, "experiment config")
-    _reject_unknown_keys(raw, ExperimentConfig, "experiment config")
+    reject_unknown_keys(raw, {f.name for f in fields(ExperimentConfig)}, "experiment config")
     if "dataset" not in raw:
         raise ConfigError("experiment config needs a dataset reference")
     ds_ref = raw["dataset"]
@@ -458,7 +450,7 @@ def load_experiment_config(path):
     ea_raw = raw.get("ea", {})
     if not isinstance(ea_raw, dict):
         raise ConfigError("ea section must be a mapping")
-    _reject_unknown_keys(ea_raw, EAConfig, "ea section")
+    reject_unknown_keys(ea_raw, {f.name for f in fields(EAConfig)}, "ea section")
     ea_cfg = EAConfig(**ea_raw)
 
     learner_params = raw.get("learner_params")
@@ -485,5 +477,4 @@ def load_experiment_config(path):
         master_seed=config_int(raw, "master_seed", 0),
         output_dir=raw.get("output_dir", ""),
         ea=ea_cfg,
-        debug=bool(raw.get("debug", False)),
     )

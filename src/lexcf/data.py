@@ -10,6 +10,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -315,6 +316,12 @@ def schema_fingerprint(schema):
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+# the keys a dataset config file may hold
+_DATASET_CONFIG_KEYS = (
+    "name", "csv", "class_column", "positive_label", "features",
+    "non_actionable", "missing_tokens", "test_cap", "split_seed", "synthetic",
+)
+
 # generator settings of a dataset config's synthetic block
 _SYNTHETIC_DEFAULTS = {"n": 300, "seed": 0, "continuous": 8, "integer": 0, "categorical": 0}
 
@@ -377,6 +384,21 @@ def read_yaml_mapping(path, what):
     return raw
 
 
+def reject_unknown_keys(raw, known, where):
+    """A one-line ConfigError naming every key of raw that is not in known."""
+    unknown = sorted(str(key) for key in raw if key not in known)
+    if unknown:
+        raise ConfigError("unknown key(s) in %s: %s" % (where, ", ".join(unknown)))
+
+
+def _scalar_list(value, what):
+    """A YAML list of scalar values as a tuple; anything else is a
+    ConfigError naming what."""
+    if not isinstance(value, list) or any(isinstance(v, (list, dict)) for v in value):
+        raise ConfigError("%s must be a list of scalar values, got %r" % (what, value))
+    return tuple(value)
+
+
 def config_int(raw, key, default=None, convert=int):
     """raw[key] (or the default) as an int, or through convert; a value the
     converter rejects is a ConfigError naming the key."""
@@ -391,6 +413,7 @@ def config_int(raw, key, default=None, convert=int):
 def load_dataset_config(path):
     """Parse a YAML dataset config into a DatasetConfig."""
     raw = read_yaml_mapping(path, "dataset config")
+    reject_unknown_keys(raw, _DATASET_CONFIG_KEYS, "dataset config")
     try:
         features = raw["features"]
         class_column = raw["class_column"]
@@ -405,26 +428,27 @@ def load_dataset_config(path):
         if not isinstance(entry, dict) or "name" not in entry or "kind" not in entry:
             raise ConfigError("each feature needs a name and a kind, got %r" % (entry,))
         name = entry["name"]
-        categories = entry.get("categories", [])
-        if not isinstance(categories, list) or any(
-            isinstance(c, (list, dict)) for c in categories
-        ):
-            raise ConfigError(
-                "categories of feature %r must be a list of scalar values, got %r"
-                % (name, categories)
-            )
+        categories = _scalar_list(
+            entry.get("categories", []), "categories of feature %r" % (name,)
+        )
         schema.append(
             FeatureSchema(
                 name=name,
                 kind=entry["kind"],
                 actionable=entry.get("actionable", name not in non_actionable),
-                categories=tuple(categories),
+                categories=categories,
             )
         )
     declared = {f.name for f in schema}
     unknown = non_actionable - declared
     if unknown:
         raise ConfigError("non_actionable names not in schema: %s" % sorted(unknown))
+    missing_tokens = _scalar_list(
+        raw.get("missing_tokens", list(DEFAULT_MISSING_TOKENS)), "missing_tokens"
+    )
+    test_cap = raw.get("test_cap", 500)
+    if not isinstance(test_cap, numbers.Real) or isinstance(test_cap, bool):
+        raise ConfigError("test_cap must be a number, got %r" % (test_cap,))
     csv_path = raw.get("csv", "")
     if csv_path and not os.path.isabs(csv_path):
         csv_path = os.path.join(os.path.dirname(os.path.abspath(path)), csv_path)
@@ -433,8 +457,8 @@ def load_dataset_config(path):
         class_column=class_column,
         positive_label=positive_label,
         schema=tuple(schema),
-        missing_tokens=tuple(raw.get("missing_tokens", DEFAULT_MISSING_TOKENS)),
-        test_cap=raw.get("test_cap", 500),
+        missing_tokens=missing_tokens,
+        test_cap=test_cap,
         split_seed=config_int(raw, "split_seed", 0),
         name=raw.get("name", os.path.splitext(os.path.basename(path))[0]),
         synthetic=raw.get("synthetic"),

@@ -70,8 +70,6 @@ class EAConfig:
     k: int = 2
     resilience: bool = False
     seed: int = 0
-    convergence_window: int = 10
-    convergence_tol: float = 1e-6
     debug: bool = False
 
     def __post_init__(self):
@@ -92,8 +90,8 @@ class EAConfig:
                 raise ConfigError("%s must lie in [0, 1]" % name)
         if self.strategy not in STRATEGIES:
             raise ConfigError("strategy must be one of %s" % (STRATEGIES,))
-        if self.theta < 0 or self.k < 1 or self.convergence_window < 1:
-            raise ConfigError("need theta >= 0, k >= 1, convergence_window >= 1")
+        if self.theta < 0 or self.k < 1:
+            raise ConfigError("need theta >= 0, k >= 1")
 
 
 class GenerationTrace(NamedTuple):
@@ -257,19 +255,13 @@ def _evaluate_candidates(values_list, generation, ctx):
     return [Candidate(v, vec, generation) for v, vec in zip(values_list, vectors)]
 
 
-def run_ea(ctx, cfg, forced_generations=None):
-    """One full evolutionary run.
-
-    Terminates at the generation budget or once the best validity and the
-    population's mean distance both stall for convergence_window
-    consecutive generations. When forced_generations is given, exactly
-    that many generations run and the convergence test is skipped.
-    """
+def run_ea(ctx, cfg):
+    """One full evolutionary run of exactly cfg.max_generations
+    generations."""
     if bool(cfg.resilience) != bool(ctx.resilience):
         raise ConfigError("config and evaluation context disagree on resilience")
     rng = np.random.default_rng(cfg.seed)
     ordering = STRATEGY_ORDERINGS.get(cfg.strategy)
-    budget = cfg.max_generations if forced_generations is None else forced_generations
 
     population = _evaluate_candidates(
         init_population(ctx.x_pt, ctx.schema, ctx.stats, cfg, rng), 0, ctx
@@ -291,8 +283,7 @@ def run_ea(ctx, cfg, forced_generations=None):
     # the next parent tournament and the returned front all read them
     fronts = nondominated_sort(population) if cfg.strategy == PARETO else None
     trace = [snapshot(0, fronts)]
-    generations = 0
-    for gen in range(1, budget + 1):
+    for gen in range(1, cfg.max_generations + 1):
         if cfg.strategy == PARETO:
             parents = crowded_tournament_select(population, cfg.population_size, rng, fronts)
         else:
@@ -320,15 +311,7 @@ def run_ea(ctx, cfg, forced_generations=None):
             fronts = nondominated_sort(population)
         else:
             population = lex_survival_select(pool, cfg.population_size, ordering, cfg.theta)
-        generations = gen
         trace.append(snapshot(gen, fronts))
-
-        if forced_generations is None and len(trace) > cfg.convergence_window:
-            window = trace[-(cfg.convergence_window + 1) :]
-            o1_span = max(t.best_o1 for t in window) - min(t.best_o1 for t in window)
-            o2_span = max(t.mean_o2 for t in window) - min(t.mean_o2 for t in window)
-            if o1_span < cfg.convergence_tol and o2_span < cfg.convergence_tol:
-                break
 
     if cfg.strategy == PARETO:
         solutions = tuple(population[i] for i in fronts[0])
@@ -336,7 +319,7 @@ def run_ea(ctx, cfg, forced_generations=None):
         solutions = (final_select_lex(population, ordering, cfg.theta, rng),)
     return EAResult(
         solutions=solutions,
-        generations_executed=generations,
+        generations_executed=cfg.max_generations,
         population=tuple(population),
         trace=tuple(trace),
         genealogy=tuple(genealogy) if genealogy is not None else None,
@@ -348,22 +331,11 @@ def _child_seed(seed, index):
 
 
 def run_paired(ctx, base_cfg):
-    """Run all three strategies on one point of interest.
-
-    The Pareto run goes first; however many generations it actually
-    executed becomes the exact budget of both lexicographic runs, so all
-    three spend the same computational budget.
-    """
-    par = run_ea(ctx, replace(base_cfg, strategy=PARETO, seed=_child_seed(base_cfg.seed, 0)))
-    budget = par.generations_executed
-    lex1 = run_ea(
-        ctx,
-        replace(base_cfg, strategy=LEX_DISTANCE_FIRST, seed=_child_seed(base_cfg.seed, 1)),
-        forced_generations=budget,
+    """Run all three strategies on one point of interest, in STRATEGIES
+    order, each with its own child seed. Every run executes
+    base_cfg.max_generations generations, so all three spend the same
+    computational budget."""
+    return tuple(
+        run_ea(ctx, replace(base_cfg, strategy=strategy, seed=_child_seed(base_cfg.seed, i)))
+        for i, strategy in enumerate(STRATEGIES)
     )
-    lex2 = run_ea(
-        ctx,
-        replace(base_cfg, strategy=LEX_SPARSITY_FIRST, seed=_child_seed(base_cfg.seed, 2)),
-        forced_generations=budget,
-    )
-    return par, lex1, lex2

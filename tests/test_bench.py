@@ -7,6 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from lexcf import bench
 from lexcf.bench import (
     BASE,
     RESILIENT,
@@ -425,3 +426,22 @@ def test_loaded_config_runs_end_to_end(tmp_path):
     report = run_experiment(cfg)
     assert report.poi_count <= 2
     assert report.dataset_id == "cfgsynth"
+
+
+def test_ea_debug_key_reaches_every_run(tmp_path, monkeypatch):
+    (tmp_path / "ds.yaml").write_text(DATASET_YAML, encoding="utf-8")
+    exp = EXPERIMENT_YAML.replace("max_pois: 4", "max_pois: 1").replace(
+        "theta: 0.02}", "theta: 0.02, debug: true}"
+    )
+    path = tmp_path / "exp.yaml"
+    path.write_text(exp, encoding="utf-8")
+    seen = []
+    real_run_paired = bench.run_paired
+
+    def spy(ctx, cfg):
+        seen.append(cfg.debug)
+        return real_run_paired(ctx, cfg)
+
+    monkeypatch.setattr(bench, "run_paired", spy)
+    run_experiment(load_experiment_config(str(path)))
+    assert seen and all(debug is True for debug in seen)

@@ -290,6 +290,9 @@ CSV_ROWS = "num0,count,label\n0.5,1,0\n1.5,2,1\n2.5,3,0\n3.5,4,1\n4.5,5,0\n5.5,6
         ("learner: logistic\nlearner_params: {lr: 0.1}\n", "1.5,2,1", 2, "lr"),
         ("learner_params: false\n", "1.5,2,1", 2, "learner_params"),
         ("tune_trials: 3\nlearner_params: {bogus: 1}\n", "1.5,2,1", 2, "bogus"),
+        ("ea: {convergence_window: 10}\n", "1.5,2,1", 2, "convergence_window"),
+        ("ea: {convergence_tol: 0.001}\n", "1.5,2,1", 2, "convergence_tol"),
+        ("debug: true\n", "1.5,2,1", 2, "debug"),
     ],
     ids=[
         "top_level_key",
@@ -309,6 +312,9 @@ CSV_ROWS = "num0,count,label\n0.5,1,0\n1.5,2,1\n2.5,3,0\n3.5,4,1\n4.5,5,0\n5.5,6
         "logistic_unknown_param",
         "learner_params_false",
         "unknown_param_before_tuning",
+        "ea_convergence_window",
+        "ea_convergence_tol",
+        "top_level_debug",
     ],
 )
 def test_bench_malformed_input_exits_with_one_line(

@@ -331,6 +331,12 @@ def test_dataset_config_unknown_non_actionable_name(tmp_path):
         ("categories: [clerk, coder]", "categories: [clerk, [coder]]", "job"),
         ("categories: [clerk, coder]", "categories: [clerk, {coder: 1}]", "job"),
         ("categories: [clerk, coder]", "categories: clerk", "job"),
+        ("test_cap: 2", "test_cap: x", "test_cap"),
+        ("test_cap: 2", "test_cap: true", "test_cap"),
+        ("split_seed: 4", "split_seed: 4\nmissing_tokens: 5", "missing_tokens"),
+        ("split_seed: 4", "split_seed: 4\nmissing_tokens: NA", "missing_tokens"),
+        ("split_seed: 4", "split_seed: 4\nmissing_tokens: [NA, [x]]", "missing_tokens"),
+        ("test_cap: 2", "test_caps: 2", "test_caps"),
     ],
     ids=[
         "yaml_syntax",
@@ -343,6 +349,12 @@ def test_dataset_config_unknown_non_actionable_name(tmp_path):
         "category_list",
         "category_mapping",
         "categories_scalar",
+        "test_cap_text",
+        "test_cap_bool",
+        "missing_tokens_int",
+        "missing_tokens_scalar",
+        "missing_tokens_nested",
+        "unknown_key",
     ],
 )
 def test_dataset_config_malformed_values_name_the_problem(tmp_path, old, new, named):

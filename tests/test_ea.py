@@ -214,8 +214,8 @@ def test_run_ea_result_shape(rng):
     ctx = _context(rng)
     cfg = EAConfig(population_size=12, max_generations=8, seed=3)
     result = run_ea(ctx, cfg)
-    assert 1 <= result.generations_executed <= 8
-    assert len(result.trace) == result.generations_executed + 1
+    assert result.generations_executed == 8
+    assert len(result.trace) == 9
     assert len(result.population) == 12
     assert isinstance(result.trace[0], GenerationTrace)
     assert result.genealogy is None
@@ -255,28 +255,6 @@ def test_run_ea_deterministic_per_seed(rng):
     assert rc.trace != ra.trace
 
 
-def test_run_ea_converges_when_population_is_static(rng):
-    ctx = _context(rng)
-    cfg = EAConfig(
-        crossover_prob=0.0, mutation_prob=0.0, reset_prob=0.0,
-        max_generations=50, convergence_window=10, seed=2,
-    )
-    result = run_ea(ctx, cfg)
-    # nothing changes after initialization, so the stall window is exactly hit
-    assert result.generations_executed == 10
-
-
-def test_run_ea_forced_generations_disable_convergence(rng):
-    ctx = _context(rng)
-    cfg = EAConfig(
-        crossover_prob=0.0, mutation_prob=0.0, reset_prob=0.0,
-        max_generations=50, convergence_window=10, seed=2,
-    )
-    result = run_ea(ctx, cfg, forced_generations=17)
-    assert result.generations_executed == 17
-    assert len(result.trace) == 18
-
-
 def test_run_ea_trace_reflects_population(rng):
     ctx = _context(rng)
     result = run_ea(ctx, EAConfig(population_size=10, max_generations=5, seed=1))
@@ -291,7 +269,7 @@ def test_run_ea_trace_reflects_population(rng):
 def test_run_ea_debug_genealogy(rng):
     ctx = _context(rng)
     cfg = EAConfig(population_size=10, max_generations=4, seed=6, debug=True)
-    result = run_ea(ctx, cfg, forced_generations=4)
+    result = run_ea(ctx, cfg)
     assert result.genealogy is not None
     # initial population plus one batch of offspring per generation
     assert len(result.genealogy) == 10 * (4 + 1)
@@ -318,7 +296,7 @@ def test_child_seeds_are_distinct_and_stable():
 def test_run_paired_shares_generation_budget(rng):
     ctx = _context(rng)
     par, lex1, lex2 = run_paired(ctx, EAConfig(population_size=10, max_generations=12, seed=4))
-    assert par.generations_executed == lex1.generations_executed == lex2.generations_executed
+    assert par.generations_executed == lex1.generations_executed == lex2.generations_executed == 12
     assert len(lex1.solutions) == 1 and len(lex2.solutions) == 1
     assert par.solutions  # front zero is never empty
 
