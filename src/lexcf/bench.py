@@ -9,19 +9,21 @@ import csv
 import hashlib
 import json
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
 from .data import (
     NEGATIVE,
+    DatasetConfig,
+    check_fields,
+    check_type,
     compute_feature_stats,
-    config_int,
+    config_from,
     load_configured_dataset,
     load_dataset_config,
     read_yaml_mapping,
-    reject_unknown_keys,
     split_dataset,
 )
 from .ea import STRATEGIES, STRATEGY_ORDERINGS, EAConfig, run_paired
@@ -38,29 +40,39 @@ OBJECTIVE_NAMES = ("o1_validity", "o2_distance", "o3_sparsity", "o4_plausibility
 
 LEX_STRATEGIES = ("lex1", "lex2")
 
+# the names a config may give each validity variant
+_VARIANT_NAMES = {
+    **dict.fromkeys(("base", "without", "off", "false"), BASE),
+    **dict.fromkeys(("resilient", "with", "on", "true"), RESILIENT),
+}
+
 
 @dataclass
 class ExperimentConfig:
-    dataset: object  # DatasetConfig
+    dataset: DatasetConfig
     learner: str = "random_forest"
-    learner_params: dict = None
+    learner_params: dict | None = None
     tune_trials: int = 0
     max_pois: int = 50
-    variants: tuple = VARIANTS
+    variants: list | tuple = VARIANTS
     master_seed: int = 0
     output_dir: str = ""
-    ea: EAConfig = None
+    ea: EAConfig | None = None
 
     def __post_init__(self):
+        if isinstance(self.ea, dict):
+            self.ea = config_from(EAConfig, self.ea, "ea section")
+        check_fields(self)
         if self.max_pois < 1:
             raise ConfigError("max_pois must be >= 1")
         if self.learner_params is None:
             self.learner_params = {}
         if self.ea is None:
             self.ea = EAConfig()
-        bad = [v for v in self.variants if v not in VARIANTS]
+        bad = [v for v in self.variants if str(v).lower() not in _VARIANT_NAMES]
         if bad:
             raise ConfigError("unknown validity variants: %s" % bad)
+        self.variants = tuple(dict.fromkeys(_VARIANT_NAMES[str(v).lower()] for v in self.variants))
 
 
 @dataclass
@@ -439,42 +451,8 @@ def load_experiment_config(path):
     """Parse a YAML experiment config; the dataset reference is resolved
     relative to the config file."""
     raw = read_yaml_mapping(path, "experiment config")
-    reject_unknown_keys(raw, {f.name for f in fields(ExperimentConfig)}, "experiment config")
     if "dataset" not in raw:
         raise ConfigError("experiment config needs a dataset reference")
-    ds_ref = raw["dataset"]
-    if not os.path.isabs(ds_ref):
-        ds_ref = os.path.join(os.path.dirname(os.path.abspath(path)), ds_ref)
-    dataset = load_dataset_config(ds_ref)
-
-    ea_raw = raw.get("ea", {})
-    if not isinstance(ea_raw, dict):
-        raise ConfigError("ea section must be a mapping")
-    reject_unknown_keys(ea_raw, {f.name for f in fields(EAConfig)}, "ea section")
-    ea_cfg = EAConfig(**ea_raw)
-
-    learner_params = raw.get("learner_params")
-    if learner_params is not None and not isinstance(learner_params, dict):
-        raise ConfigError("learner_params must be a mapping, got %r" % (learner_params,))
-
-    variants = []
-    for v in raw.get("variants", ["base", "resilient"]):
-        token = str(v).lower()
-        if token in ("base", "without", "off", "false"):
-            variants.append(BASE)
-        elif token in ("resilient", "with", "on", "true"):
-            variants.append(RESILIENT)
-        else:
-            raise ConfigError("unknown validity variant %r" % v)
-
-    return ExperimentConfig(
-        dataset=dataset,
-        learner=raw.get("learner", "random_forest"),
-        learner_params=learner_params,
-        tune_trials=config_int(raw, "tune_trials", 0),
-        max_pois=config_int(raw, "max_pois", 50),
-        variants=tuple(dict.fromkeys(variants)),
-        master_seed=config_int(raw, "master_seed", 0),
-        output_dir=raw.get("output_dir", ""),
-        ea=ea_cfg,
-    )
+    ds_ref = check_type("dataset", raw["dataset"], str)
+    dataset = load_dataset_config(os.path.join(os.path.dirname(os.path.abspath(path)), ds_ref))
+    return config_from(ExperimentConfig, {**raw, "dataset": dataset}, "experiment config")

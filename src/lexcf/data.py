@@ -12,7 +12,8 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, fields
 
 import numpy as np
 import yaml
@@ -322,8 +323,57 @@ _DATASET_CONFIG_KEYS = (
     "non_actionable", "missing_tokens", "test_cap", "split_seed", "synthetic",
 )
 
-# generator settings of a dataset config's synthetic block
-_SYNTHETIC_DEFAULTS = {"n": 300, "seed": 0, "continuous": 8, "integer": 0, "categorical": 0}
+# what each annotation accepts, and how an error names it; any other
+# annotation is a config dataclass, which a config file writes as a mapping
+_TYPE_RULES = {
+    int: (numbers.Integral, "an integer"),
+    float: (numbers.Real, "a number"),
+    bool: ((bool, np.bool_), "a boolean"),
+    str: (str, "a string"),
+    list: (list, "a list"),
+    tuple: (tuple, "a tuple"),
+    dict: (dict, "a mapping"),
+}
+
+
+def check_type(name, value, annotation):
+    """value, if the annotation accepts it; otherwise a ConfigError naming
+    name. int and float refuse booleans, and X | None also takes None."""
+    kinds = typing.get_args(annotation) or (annotation,)
+    for kind in kinds:
+        accepted = _TYPE_RULES.get(kind, (kind,))[0]
+        if isinstance(value, accepted) and (kind is bool or not isinstance(value, bool)):
+            return value
+    what = _TYPE_RULES.get(kinds[0], (None, "a mapping"))[1]
+    raise ConfigError("%s must be %s, got %r" % (name, what, value))
+
+
+def check_fields(obj):
+    """Check every field of a config dataclass against its annotation."""
+    for f in fields(obj):
+        check_type(f.name, getattr(obj, f.name), f.type)
+
+
+def config_from(cls, raw, where):
+    """The config dataclass cls built from a YAML mapping; a non-mapping or
+    a key that is not a field of cls is a ConfigError naming where."""
+    if not isinstance(raw, dict):
+        raise ConfigError("%s must be a mapping, got %r" % (where, raw))
+    reject_unknown_keys(raw, {f.name for f in fields(cls)}, where)
+    return cls(**raw)
+
+
+@dataclass(frozen=True)
+class SyntheticConfig:
+    """Generator settings of a dataset config's synthetic block."""
+
+    n: int = 300
+    seed: int = 0
+    continuous: int = 8
+    integer: int = 0
+    categorical: int = 0
+
+    __post_init__ = check_fields
 
 
 @dataclass
@@ -338,17 +388,12 @@ class DatasetConfig:
     test_cap: float = 500
     split_seed: int = 0
     name: str = "dataset"
-    synthetic: dict | None = field(default=None)
+    synthetic: SyntheticConfig | None = None
 
     def __post_init__(self):
-        # the synthetic block becomes every generator setting as an int
-        if self.synthetic is not None:
-            if not isinstance(self.synthetic, dict):
-                raise ConfigError("synthetic must be a mapping, got %r" % (self.synthetic,))
-            self.synthetic = {
-                key: config_int(self.synthetic, key, default)
-                for key, default in _SYNTHETIC_DEFAULTS.items()
-            }
+        if isinstance(self.synthetic, dict):
+            self.synthetic = config_from(SyntheticConfig, self.synthetic, "synthetic")
+        check_fields(self)
 
 
 def _resolve_non_actionable(spec):
@@ -399,17 +444,6 @@ def _scalar_list(value, what):
     return tuple(value)
 
 
-def config_int(raw, key, default=None, convert=int):
-    """raw[key] (or the default) as an int, or through convert; a value the
-    converter rejects is a ConfigError naming the key."""
-    value = raw.get(key, default)
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        kind = "an integer" if convert is int else "a number"
-        raise ConfigError("%s must be %s, got %r" % (key, kind, value)) from None
-
-
 def load_dataset_config(path):
     """Parse a YAML dataset config into a DatasetConfig."""
     raw = read_yaml_mapping(path, "dataset config")
@@ -443,26 +477,23 @@ def load_dataset_config(path):
     unknown = non_actionable - declared
     if unknown:
         raise ConfigError("non_actionable names not in schema: %s" % sorted(unknown))
-    missing_tokens = _scalar_list(
-        raw.get("missing_tokens", list(DEFAULT_MISSING_TOKENS)), "missing_tokens"
-    )
-    test_cap = raw.get("test_cap", 500)
-    if not isinstance(test_cap, numbers.Real) or isinstance(test_cap, bool):
-        raise ConfigError("test_cap must be a number, got %r" % (test_cap,))
-    csv_path = raw.get("csv", "")
-    if csv_path and not os.path.isabs(csv_path):
-        csv_path = os.path.join(os.path.dirname(os.path.abspath(path)), csv_path)
-    return DatasetConfig(
-        csv_path=csv_path,
+    cfg = DatasetConfig(
+        csv_path=raw.get("csv", ""),
         class_column=class_column,
         positive_label=positive_label,
         schema=tuple(schema),
-        missing_tokens=missing_tokens,
-        test_cap=test_cap,
-        split_seed=config_int(raw, "split_seed", 0),
+        missing_tokens=_scalar_list(
+            raw.get("missing_tokens", list(DEFAULT_MISSING_TOKENS)), "missing_tokens"
+        ),
+        test_cap=raw.get("test_cap", 500),
+        split_seed=raw.get("split_seed", 0),
         name=raw.get("name", os.path.splitext(os.path.basename(path))[0]),
         synthetic=raw.get("synthetic"),
     )
+    # the csv path is relative to the config file (join keeps an absolute one)
+    if cfg.csv_path:
+        cfg.csv_path = os.path.join(os.path.dirname(os.path.abspath(path)), cfg.csv_path)
+    return cfg
 
 
 def load_configured_dataset(cfg):
@@ -473,13 +504,7 @@ def load_configured_dataset(cfg):
     """
     if cfg.synthetic is not None:
         syn = cfg.synthetic
-        ds = generate_synthetic(
-            n=syn["n"],
-            seed=syn["seed"],
-            n_continuous=syn["continuous"],
-            n_integer=syn["integer"],
-            n_categorical=syn["categorical"],
-        )
+        ds = generate_synthetic(syn.n, syn.seed, syn.continuous, syn.integer, syn.categorical)
         if [(f.name, f.kind) for f in ds.schema] != [(f.name, f.kind) for f in cfg.schema]:
             raise ConfigError("declared schema does not match synthetic layout")
         return Dataset(cfg.schema, ds.instances, role="train")

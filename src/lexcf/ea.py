@@ -6,13 +6,12 @@ the training bounds. The two strategies differ only in parent selection,
 survival, and what the run returns.
 """
 
-import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .data import CATEGORICAL, INTEGER
+from .data import CATEGORICAL, INTEGER, check_fields
 from .errors import ConfigError, InvariantViolation
 from .objectives import evaluate_population
 from .selection import (
@@ -49,15 +48,6 @@ class Candidate:
     generation: int
 
 
-# Values each EAConfig field accepts, by the type of its default.
-_FIELD_TYPES = {
-    int: numbers.Integral,
-    float: numbers.Real,
-    bool: (bool, np.bool_),
-    str: str,
-}
-
-
 @dataclass(frozen=True)
 class EAConfig:
     population_size: int = 20
@@ -73,13 +63,7 @@ class EAConfig:
     debug: bool = False
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            kind = type(f.default)
-            if not isinstance(value, _FIELD_TYPES[kind]) or (
-                kind is not bool and isinstance(value, bool)
-            ):
-                raise ConfigError("%s must be of type %s, got %r" % (f.name, kind.__name__, value))
+        check_fields(self)
         if self.population_size < 2:
             raise ConfigError("population_size must be >= 2")
         if self.max_generations < 1:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import CATEGORICAL, FeatureSchema, config_int, schema_fingerprint
+from .data import CATEGORICAL, FeatureSchema, check_fields, config_from, schema_fingerprint
 from .errors import ConfigError, ModelFormatError, TrainingError
 
 MODEL_FORMAT = "lexcf-model"
@@ -165,47 +165,57 @@ class LogisticModel(Model):
         )
 
 
-# Each learner's hyperparameters and their defaults; tune_random_search
-# draws only these keys.
-_DEFAULTS = {
-    "logistic": {"learning_rate": 0.1, "epochs": 500, "l2": 0.0},
-    "random_forest": {"ntree": 100, "mtry": None, "max_depth": None, "min_leaf": 1},
-}
+@dataclass(frozen=True)
+class LogisticParams:
+    """Logistic regression hyperparameters and their defaults."""
+
+    learning_rate: float = 0.1
+    epochs: int = 500
+    l2: float = 0.0
+
+    __post_init__ = check_fields
+
+
+@dataclass(frozen=True)
+class ForestParams:
+    """Random forest hyperparameters; mtry None means sqrt of the encoded
+    width, max_depth None means unlimited."""
+
+    ntree: int = 100
+    mtry: int | None = None
+    max_depth: int | None = None
+    min_leaf: int = 1
+
+    __post_init__ = check_fields
+
+
+_PARAMS = {"logistic": LogisticParams, "random_forest": ForestParams}
 
 
 def learner_params(cfg):
-    """The learner's hyperparameters: cfg.params over its defaults. An
-    unknown learner, or a key that has no default, is a ConfigError."""
-    if cfg.learner not in _DEFAULTS:
+    """cfg.params as the learner's hyperparameter dataclass. An unknown
+    learner, an unknown key or a wrongly typed value is a ConfigError."""
+    if cfg.learner not in _PARAMS:
         raise ConfigError(
-            "unknown learner %r (have: %s)" % (cfg.learner, ", ".join(sorted(_DEFAULTS)))
+            "unknown learner %r (have: %s)" % (cfg.learner, ", ".join(sorted(_PARAMS)))
         )
-    defaults = _DEFAULTS[cfg.learner]
-    unknown = sorted(str(key) for key in cfg.params if key not in defaults)
-    if unknown:
-        raise ConfigError(
-            "unknown %s learner param(s): %s (have: %s)"
-            % (cfg.learner, ", ".join(unknown), ", ".join(sorted(defaults)))
-        )
-    return {**defaults, **cfg.params}
+    return config_from(_PARAMS[cfg.learner], cfg.params, "%s learner params" % cfg.learner)
 
 
 def train_logistic(train, cfg):
     """Deterministic full-batch gradient descent; L2 on weights, not bias."""
     _check_binary(train)
-    params = learner_params(cfg)
-    lr = config_int(params, "learning_rate", convert=float)
-    epochs = config_int(params, "epochs")
-    l2 = config_int(params, "l2", convert=float)
-    if lr <= 0 or epochs < 1 or l2 < 0:
-        raise ConfigError("bad logistic hyperparameters: %r" % params)
+    p = learner_params(cfg)
+    lr, l2 = float(p.learning_rate), float(p.l2)
+    if lr <= 0 or p.epochs < 1 or l2 < 0:
+        raise ConfigError("bad logistic hyperparameters: %r" % (p,))
     encoder = _Encoder.fit(train)
     X = encoder.transform([inst.values for inst in train.instances])
     y = train.labels().astype(float)
     n = len(y)
     w = np.zeros(X.shape[1])
     b = 0.0
-    for _ in range(epochs):
+    for _ in range(p.epochs):
         err = _sigmoid(X @ w + b) - y
         w -= lr * (X.T @ err / n + l2 * w)
         b -= lr * float(err.mean())
@@ -431,31 +441,23 @@ def train_random_forest(train, cfg):
     """CART with Gini splits, bootstrap samples, per-node feature subsets."""
     _check_binary(train)
     d_raw = len(train.schema)
-    params = learner_params(cfg)
-    ntree = config_int(params, "ntree")
-    if ntree < 1:
+    p = learner_params(cfg)
+    if p.ntree < 1:
         raise ConfigError("ntree must be >= 1")
     encoder = _Encoder.fit(train)
     X = encoder.transform([inst.values for inst in train.instances])
     y = train.labels()
     d = X.shape[1]
-    mtry = params["mtry"]
-    if mtry is None:
-        mtry = max(1, int(np.sqrt(d)))
-    else:
-        mtry = config_int(params, "mtry")
+    mtry = max(1, int(np.sqrt(d))) if p.mtry is None else p.mtry
     if mtry < 1 or mtry > max(d_raw, d):
         raise ConfigError("mtry %d outside [1, %d]" % (mtry, max(d_raw, d)))
-    max_depth = params["max_depth"]
-    if max_depth is not None:
-        max_depth = config_int(params, "max_depth")
-    min_leaf = max(1, config_int(params, "min_leaf"))
+    min_leaf = max(1, p.min_leaf)
     n = len(y)
     trees = []
-    for t in range(ntree):
+    for t in range(p.ntree):
         rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), t]))
         sample = rng.integers(0, n, size=n)
-        trees.append(_grow_tree(X[sample], y[sample], rng, mtry, max_depth, min_leaf))
+        trees.append(_grow_tree(X[sample], y[sample], rng, mtry, p.max_depth, min_leaf))
     return RandomForestModel(train.schema, encoder, trees)
 
 
