@@ -409,7 +409,7 @@ def _resolve_non_actionable(spec):
                 )
             return PRESET_NON_ACTIONABLE[key]
         raise ConfigError("non_actionable must be a list or 'preset:<name>'")
-    return tuple(spec)
+    return _scalar_list(spec, "non_actionable")
 
 
 def read_yaml_mapping(path, what):
@@ -437,11 +437,17 @@ def reject_unknown_keys(raw, known, where):
 
 
 def _scalar_list(value, what):
-    """A YAML list of scalar values as a tuple; anything else is a
-    ConfigError naming what."""
+    """A YAML list of scalar values as a tuple of text, as CSV cells hold
+    it; anything else is a ConfigError naming what."""
     if not isinstance(value, list) or any(isinstance(v, (list, dict)) for v in value):
         raise ConfigError("%s must be a list of scalar values, got %r" % (what, value))
-    return tuple(value)
+    return tuple(str(v) for v in value)
+
+
+def _text(value):
+    """A YAML number or string as text, as a CSV cell holds it; any other
+    value passes unchanged, for the type check to refuse."""
+    return str(value) if isinstance(value, (str, numbers.Number)) else value
 
 
 def load_dataset_config(path):
@@ -450,8 +456,8 @@ def load_dataset_config(path):
     reject_unknown_keys(raw, _DATASET_CONFIG_KEYS, "dataset config")
     try:
         features = raw["features"]
-        class_column = raw["class_column"]
-        positive_label = str(raw["positive_label"])
+        class_column = _text(raw["class_column"])
+        positive_label = _text(raw["positive_label"])
     except KeyError as exc:
         raise ConfigError("dataset config missing key: %s" % exc) from None
     non_actionable = set(_resolve_non_actionable(raw.get("non_actionable")))
@@ -487,7 +493,7 @@ def load_dataset_config(path):
         ),
         test_cap=raw.get("test_cap", 500),
         split_seed=raw.get("split_seed", 0),
-        name=raw.get("name", os.path.splitext(os.path.basename(path))[0]),
+        name=_text(raw.get("name", os.path.splitext(os.path.basename(path))[0])),
         synthetic=raw.get("synthetic"),
     )
     # the csv path is relative to the config file (join keeps an absolute one)

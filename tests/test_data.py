@@ -288,6 +288,40 @@ def test_load_dataset_config(tmp_path):
     assert ds.instances[0].values == (30.0, 5.0, "clerk")
 
 
+@pytest.mark.parametrize(
+    "old, new, csv_text, values",
+    [
+        # a YAML number in missing_tokens matches the CSV cell's text
+        (
+            "split_seed: 4",
+            "split_seed: 4\nmissing_tokens: [-1]",
+            "age,income,job,outcome\n30,5.0,clerk,good\n-1,6.0,coder,bad\n",
+            [(30.0, 5.0, "clerk")],
+        ),
+        # so do YAML numbers among the declared categories
+        (
+            "categories: [clerk, coder]",
+            "categories: [1, 2]",
+            "age,income,job,outcome\n30,5.0,1,good\n40,6.0,2,bad\n",
+            [(30.0, 5.0, "1"), (40.0, 6.0, "2")],
+        ),
+    ],
+    ids=["numeric_missing_token", "numeric_categories"],
+)
+def test_dataset_config_numbers_are_read_as_text(tmp_path, old, new, csv_text, values):
+    cfg_path = tmp_path / "toy.yaml"
+    cfg_path.write_text(DATASET_YAML.replace(old, new), encoding="utf-8")
+    _write_csv(tmp_path / "toy.csv", csv_text)
+    ds = load_configured_dataset(load_dataset_config(str(cfg_path)))
+    assert [inst.values for inst in ds] == values
+
+
+def test_dataset_config_numeric_name_is_text(tmp_path):
+    cfg_path = tmp_path / "toy.yaml"
+    cfg_path.write_text(DATASET_YAML.replace("name: toy", "name: 2019"), encoding="utf-8")
+    assert load_dataset_config(str(cfg_path)).name == "2019"
+
+
 def test_dataset_config_preset(tmp_path):
     text = DATASET_YAML.replace("non_actionable: [age]", "non_actionable: preset:german_credit")
     text = text.replace("- {name: income, kind: continuous}", "- {name: sex, kind: categorical, categories: [f, m]}")
@@ -337,6 +371,13 @@ def test_dataset_config_unknown_non_actionable_name(tmp_path):
         ("split_seed: 4", "split_seed: 4\nmissing_tokens: NA", "missing_tokens"),
         ("split_seed: 4", "split_seed: 4\nmissing_tokens: [NA, [x]]", "missing_tokens"),
         ("test_cap: 2", "test_caps: 2", "test_caps"),
+        ("split_seed: 4", "split_seed: 4\nsynthetic: {rows: 50}", "rows"),
+        ("csv: toy.csv", "csv: 5", "csv"),
+        ("class_column: outcome", "class_column: [y]", "class_column"),
+        ("name: toy", "name: [1]", "name"),
+        ("non_actionable: [age]", "non_actionable: 5", "non_actionable"),
+        ("positive_label: good", "positive_label: [good]", "positive_label"),
+        ("split_seed: 4", "split_seed: 4.5", "split_seed must be an integer"),
     ],
     ids=[
         "yaml_syntax",
@@ -355,6 +396,13 @@ def test_dataset_config_unknown_non_actionable_name(tmp_path):
         "missing_tokens_scalar",
         "missing_tokens_nested",
         "unknown_key",
+        "synthetic_unknown_key",
+        "csv_int",
+        "class_column_list",
+        "name_list",
+        "non_actionable_int",
+        "positive_label_list",
+        "split_seed_float",
     ],
 )
 def test_dataset_config_malformed_values_name_the_problem(tmp_path, old, new, named):
