@@ -108,13 +108,23 @@ class _Encoder:
         return [list(c) for c in self.columns]
 
     @classmethod
-    def from_spec(cls, spec):
+    def from_spec(cls, spec, schema):
+        """The encoder a saved spec describes. It must hold one column per
+        schema feature, of the feature's kind: ["num", lo, hi], or ["cat",
+        categories] with the feature's own categories."""
+        if not isinstance(spec, list) or len(spec) != len(schema):
+            raise ModelFormatError("the encoder needs one column per schema feature")
         columns = []
-        for entry in spec:
-            if entry[0] == "num":
+        for entry, feat in zip(spec, schema):
+            numeric = isinstance(entry, list) and len(entry) == 3 and entry[0] == "num"
+            if feat.kind == CATEGORICAL and entry == ["cat", list(feat.categories)]:
+                columns.append(("cat", feat.categories))
+            elif feat.kind != CATEGORICAL and numeric:
                 columns.append(("num", float(entry[1]), float(entry[2])))
             else:
-                columns.append(("cat", tuple(entry[1])))
+                raise ModelFormatError(
+                    "encoder column %r does not fit %s feature %r" % (entry, feat.kind, feat.name)
+                )
         return cls(columns)
 
 
@@ -159,7 +169,7 @@ class LogisticModel(Model):
     def from_params(cls, schema, params):
         return cls(
             schema,
-            _Encoder.from_spec(params["encoder"]),
+            _Encoder.from_spec(params["encoder"], schema),
             params["weights"],
             params["bias"],
         )
@@ -434,7 +444,7 @@ class RandomForestModel(Model):
             _Tree(t["feature"], t["threshold"], t["left"], t["right"], t["value"])
             for t in params["trees"]
         ]
-        return cls(schema, _Encoder.from_spec(params["encoder"]), trees)
+        return cls(schema, _Encoder.from_spec(params["encoder"], schema), trees)
 
 
 def train_random_forest(train, cfg):

@@ -396,6 +396,43 @@ def test_logistic_file_with_wrong_weight_count_exits_with_one_line(workspace, tm
     assert "corrupt model file" in err and "weights" in err
 
 
+# each replaces the encoder of a saved model, whose features are all continuous
+ENCODER_CORRUPTIONS = {
+    "num_without_high": lambda enc: enc.__setitem__(0, ["num", 0]),
+    "num_without_bounds": lambda enc: enc.__setitem__(0, ["num"]),
+    "cat_for_continuous": lambda enc: enc.__setitem__(0, ["cat", ["a", "b"]]),
+    "column_missing": lambda enc: enc.pop(),
+    "column_extra": lambda enc: enc.append(["num", 0.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(ENCODER_CORRUPTIONS))
+@pytest.mark.parametrize("learner", ["random_forest", "logistic"])
+def test_model_file_with_wrong_encoder_exits_with_one_line(
+    workspace, tmp_path, capsys, learner, corruption
+):
+    good = workspace["model"]
+    if learner == "logistic":
+        good = str(tmp_path / "logistic.json")
+        rc = main(["train", "--data", workspace["data"], "--learner", learner, "--out", good])
+        assert rc == 0
+    payload = json.loads(open(good, encoding="utf-8").read())
+    ENCODER_CORRUPTIONS[corruption](payload["params"]["encoder"])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ModelFormatError):
+        load_model(str(path))
+    capsys.readouterr()
+    rc = main(
+        ["explain", "--model", str(path), "--data", workspace["data"],
+         "--poi", str(workspace["poi_index"])]
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "corrupt model file" in err
+
+
 def test_unknown_subcommand_exits_via_argparse():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

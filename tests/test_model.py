@@ -425,6 +425,28 @@ def test_load_model_rejects_corruption(tmp_path):
         load_model(str(path))
 
 
+@pytest.mark.parametrize(
+    "column",
+    [["cat", ["a", "b"]], ["cat", ["c", "b", "a"]], ["num", 0.0, 1.0]],
+    ids=["categories_missing_one", "categories_reordered", "num_for_categorical"],
+)
+def test_load_model_rejects_encoder_that_disagrees_with_schema(tmp_path, column):
+    ds = generate_synthetic(60, seed=1, n_continuous=2, n_categorical=1)
+    for model in (
+        train_logistic(ds, LearnerConfig("logistic", {"epochs": 10})),
+        train_random_forest(ds, LearnerConfig("random_forest", {"ntree": 3})),
+    ):
+        good = tmp_path / "good.json"
+        save_model(model, str(good))
+        payload = json.loads(good.read_text(encoding="utf-8"))
+        assert payload["params"]["encoder"][2] == ["cat", ["a", "b", "c"]]
+        payload["params"]["encoder"][2] = column
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ModelFormatError, match="corrupt model file"):
+            load_model(str(path))
+
+
 def test_split_then_train_end_to_end():
     ds = generate_synthetic(240, seed=12, n_continuous=5, n_categorical=1)
     train, test = split_dataset(ds, test_cap=60, seed=12)
