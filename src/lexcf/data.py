@@ -96,13 +96,12 @@ class FeatureStats:
 class Dataset:
     """An immutable collection of schema-valid instances."""
 
-    def __init__(self, schema, instances, role="train"):
+    def __init__(self, schema, instances):
         self.schema = tuple(schema)
         names = [f.name for f in self.schema]
         if len(set(names)) != len(names):
             raise SchemaError("duplicate feature names in schema")
         self.instances = tuple(instances)
-        self.role = role
         for inst in self.instances:
             if len(inst.values) != len(self.schema):
                 raise SchemaError(
@@ -157,7 +156,6 @@ def load_dataset(
     class_column,
     positive_label,
     missing_tokens=DEFAULT_MISSING_TOKENS,
-    role="train",
 ):
     """Read a CSV with a header row into a Dataset.
 
@@ -210,14 +208,14 @@ def load_dataset(
             "class column %r has %d distinct values; binary labels required"
             % (class_column, len(class_tokens))
         )
-    return Dataset(schema, instances, role=role)
+    return Dataset(schema, instances)
 
 
-def split_dataset(ds, test_cap=500, seed=0, fraction=1.0 / 3.0):
+def split_dataset(ds, test_cap=500, seed=0):
     """Split into (train, test) with a seeded unstratified shuffle.
 
-    An integer test_cap caps the test size at min(test_cap, floor(fraction *
-    n)); a float test_cap is itself used as the fraction. The cap rule keeps
+    An integer test_cap caps the test size at min(test_cap, n // 3); a
+    float test_cap is itself used as the fraction. The cap rule keeps
     a fixed 500-row test pool for large datasets while smaller ones fall
     back to a one-third split.
     """
@@ -234,16 +232,13 @@ def split_dataset(ds, test_cap=500, seed=0, fraction=1.0 / 3.0):
             raise ConfigError("test_cap must be positive")
         if cap >= n:
             raise ConfigError("test_cap %d >= dataset size %d" % (cap, n))
-        test_n = min(cap, int(math.floor(fraction * n)))
+        test_n = min(cap, n // 3)
     test_n = max(1, test_n)
     order = np.random.default_rng(seed).permutation(n)
     test_idx = set(order[:test_n].tolist())
     train = [ds.instances[i] for i in range(n) if i not in test_idx]
     test = [ds.instances[i] for i in sorted(test_idx)]
-    return (
-        Dataset(ds.schema, train, role="train"),
-        Dataset(ds.schema, test, role="test"),
-    )
+    return Dataset(ds.schema, train), Dataset(ds.schema, test)
 
 
 def compute_feature_stats(train):
@@ -307,7 +302,7 @@ def generate_synthetic(n, seed, n_continuous=8, n_integer=0, n_categorical=0):
         values += [float(v) for v in ints[r]]
         values += [tokens[c] for c in cats[r]]
         instances.append(Instance(tuple(values), int(labels[r])))
-    return Dataset(tuple(schema), instances, role="train")
+    return Dataset(tuple(schema), instances)
 
 
 def schema_fingerprint(schema):
@@ -513,7 +508,7 @@ def load_configured_dataset(cfg):
         ds = generate_synthetic(syn.n, syn.seed, syn.continuous, syn.integer, syn.categorical)
         if [(f.name, f.kind) for f in ds.schema] != [(f.name, f.kind) for f in cfg.schema]:
             raise ConfigError("declared schema does not match synthetic layout")
-        return Dataset(cfg.schema, ds.instances, role="train")
+        return Dataset(cfg.schema, ds.instances)
     if not cfg.csv_path:
         raise ConfigError("dataset config has neither csv nor synthetic source")
     return load_dataset(

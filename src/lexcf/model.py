@@ -569,7 +569,7 @@ def kfold_indices(n, k, seed):
 def _subset(train, indices):
     from .data import Dataset
 
-    return Dataset(train.schema, [train.instances[int(i)] for i in indices], role="train")
+    return Dataset(train.schema, [train.instances[int(i)] for i in indices])
 
 
 def cross_val_accuracy(train, cfg, folds):
@@ -580,14 +580,12 @@ def cross_val_accuracy(train, cfg, folds):
     return float(np.mean(scores))
 
 
-def tune_random_search(learner, train, space=None, n_trials=10, seed=0):
-    """Pick the trial config with the best 3-fold CV accuracy; ties keep the
-    first-sampled trial."""
+def tune_random_search(learner, train, n_trials=10, seed=0):
+    """Pick the trial config, drawn from the learner's default search space,
+    with the best 3-fold CV accuracy; ties keep the first-sampled trial."""
     if n_trials < 1:
         raise ConfigError("n_trials must be >= 1")
-    if space is None:
-        space = default_search_space(learner, train)
-    trials = sample_search_space(learner, space, n_trials, seed)
+    trials = sample_search_space(learner, default_search_space(learner, train), n_trials, seed)
     folds = kfold_indices(len(train), 3, seed)
     best_cfg = None
     best_score = -1.0

@@ -41,12 +41,12 @@ def make_stats(bounds):
     return tuple(stats)
 
 
-def make_dataset(schema, rows, labels=None, role="train"):
+def make_dataset(schema, rows, labels=None):
     instances = [
         Instance(tuple(row), None if labels is None else int(labels[i]))
         for i, row in enumerate(rows)
     ]
-    return Dataset(schema, instances, role=role)
+    return Dataset(schema, instances)
 
 
 class ConstantModel(Model):

@@ -50,7 +50,7 @@ def test_stable_seed_is_deterministic_and_bounded():
 def test_sample_points_of_interest_filters_negatives(rng):
     schema = numeric_schema(1)
     rows = [[float(i)] for i in range(20)]
-    test = make_dataset(schema, rows, [0] * 20, role="test")
+    test = make_dataset(schema, rows, [0] * 20)
     model = ThresholdModel(schema, 0, 10.0, positive_below=True)  # positive for x <= 10
     pois = sample_points_of_interest(model, test, 5, rng)
     assert len(pois) == 5
@@ -61,13 +61,13 @@ def test_sample_points_of_interest_filters_negatives(rng):
     few = sample_points_of_interest(model, test, 50, np.random.default_rng(0))
     assert len(few) == 9  # only 9 rows are predicted negative
 
-    empty = make_dataset(schema, [], [], role="test")
+    empty = make_dataset(schema, [], [])
     assert sample_points_of_interest(model, empty, 5, rng) == []
 
 
 def test_sample_points_of_interest_deterministic():
     schema = numeric_schema(1)
-    test = make_dataset(schema, [[float(i)] for i in range(30)], [0] * 30, role="test")
+    test = make_dataset(schema, [[float(i)] for i in range(30)], [0] * 30)
     model = ThresholdModel(schema, 0, 5.0, positive_below=True)
     a = sample_points_of_interest(model, test, 4, np.random.default_rng(8))
     b = sample_points_of_interest(model, test, 4, np.random.default_rng(8))

@@ -357,18 +357,18 @@ def test_sample_search_space_deterministic_and_bounded():
 
 def test_tune_random_search_picks_better_config():
     ds = generate_synthetic(90, seed=8, n_continuous=4)
-    # one absurd trial (epochs 1) and sane ones; search must not return it
-    space = {"epochs": ("int", 1, 400), "learning_rate": ("float", 0.1, 0.5)}
-    best = tune_random_search("logistic", ds, space, n_trials=6, seed=2)
-    trials = sample_search_space("logistic", space, 6, seed=2)
+    best = tune_random_search("logistic", ds, n_trials=6, seed=2)
+    trials = sample_search_space("logistic", default_search_space("logistic", ds), 6, seed=2)
     folds = kfold_indices(len(ds), 3, seed=2)
     from lexcf.model import cross_val_accuracy
 
     scores = [cross_val_accuracy(ds, t, folds) for t in trials]
     expected = trials[int(np.argmax(scores))]
+    # the best trial is not the first one, so taking the first would fail
+    assert expected != trials[0]
     assert best == expected
     with pytest.raises(ConfigError):
-        tune_random_search("logistic", ds, space, n_trials=0)
+        tune_random_search("logistic", ds, n_trials=0)
 
 
 def test_model_save_load_roundtrip(tmp_path):
