@@ -293,6 +293,14 @@ CSV_ROWS = "num0,count,label\n0.5,1,0\n1.5,2,1\n2.5,3,0\n3.5,4,1\n4.5,5,0\n5.5,6
         ("ea: {convergence_window: 10}\n", "1.5,2,1", 2, "convergence_window"),
         ("ea: {convergence_tol: 0.001}\n", "1.5,2,1", 2, "convergence_tol"),
         ("debug: true\n", "1.5,2,1", 2, "debug"),
+        ("max_pois: 2.9\n", "1.5,2,1", 2, "max_pois"),
+        ("max_pois: true\n", "1.5,2,1", 2, "max_pois"),
+        ("master_seed: 7.9\n", "1.5,2,1", 2, "master_seed"),
+        ("learner_params: {ntree: 2.5}\n", "1.5,2,1", 2, "ntree"),
+        ("learner_params: {mtry: 1.9}\n", "1.5,2,1", 2, "mtry"),
+        ("learner: logistic\nlearner_params: {epochs: true}\n", "1.5,2,1", 2, "epochs"),
+        ("tune_trials: 3\nlearner_params: {ntree: 2.5}\n", "1.5,2,1", 2, "ntree"),
+        ("dataset: 5\n", "1.5,2,1", 2, "dataset"),
     ],
     ids=[
         "top_level_key",
@@ -315,6 +323,14 @@ CSV_ROWS = "num0,count,label\n0.5,1,0\n1.5,2,1\n2.5,3,0\n3.5,4,1\n4.5,5,0\n5.5,6
         "ea_convergence_window",
         "ea_convergence_tol",
         "top_level_debug",
+        "max_pois_float",
+        "max_pois_bool",
+        "master_seed_float",
+        "ntree_float",
+        "mtry_float",
+        "epochs_bool",
+        "float_param_before_tuning",
+        "dataset_int",
     ],
 )
 def test_bench_malformed_input_exits_with_one_line(
