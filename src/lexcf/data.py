@@ -60,13 +60,14 @@ class FeatureSchema:
     categories: tuple = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "categories", tuple(self.categories))
+        check_fields(self)
         if self.kind not in FEATURE_KINDS:
             raise SchemaError("unknown feature kind %r for %r" % (self.kind, self.name))
         if self.kind == CATEGORICAL and not self.categories:
             raise SchemaError("categorical feature %r needs categories" % self.name)
         if self.kind != CATEGORICAL and self.categories:
             raise SchemaError("numeric feature %r must not declare categories" % self.name)
-        object.__setattr__(self, "categories", tuple(self.categories))
 
 
 @dataclass(frozen=True)
@@ -455,14 +456,14 @@ def load_dataset_config(path):
         positive_label = _text(raw["positive_label"])
     except KeyError as exc:
         raise ConfigError("dataset config missing key: %s" % exc) from None
-    non_actionable = set(_resolve_non_actionable(raw.get("non_actionable")))
+    non_actionable = _resolve_non_actionable(raw.get("non_actionable"))
     if not isinstance(features, list):
         raise ConfigError("features must be a list of feature mappings, got %r" % (features,))
     schema = []
     for entry in features:
         if not isinstance(entry, dict) or "name" not in entry or "kind" not in entry:
             raise ConfigError("each feature needs a name and a kind, got %r" % (entry,))
-        name = entry["name"]
+        name = _text(entry["name"])
         categories = _scalar_list(
             entry.get("categories", []), "categories of feature %r" % (name,)
         )
@@ -475,7 +476,7 @@ def load_dataset_config(path):
             )
         )
     declared = {f.name for f in schema}
-    unknown = non_actionable - declared
+    unknown = set(non_actionable) - declared
     if unknown:
         raise ConfigError("non_actionable names not in schema: %s" % sorted(unknown))
     cfg = DatasetConfig(

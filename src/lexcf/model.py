@@ -640,7 +640,7 @@ def load_model(path):
         )
         params = payload["params"]
         fingerprint = payload["schema_fingerprint"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise ModelFormatError("corrupt model file %s: %s" % (path, exc)) from None
     if schema_fingerprint(schema) != fingerprint:
         raise ModelFormatError("schema fingerprint mismatch in %s" % path)

@@ -378,6 +378,12 @@ def test_dataset_config_unknown_non_actionable_name(tmp_path):
         ("non_actionable: [age]", "non_actionable: 5", "non_actionable"),
         ("positive_label: good", "positive_label: [good]", "positive_label"),
         ("split_seed: 4", "split_seed: 4.5", "split_seed must be an integer"),
+        ("{name: income, kind: continuous}", "{name: [income], kind: continuous}", "name"),
+        (
+            "{name: income, kind: continuous}",
+            "{name: income, kind: continuous, actionable: maybe}",
+            "actionable",
+        ),
     ],
     ids=[
         "yaml_syntax",
@@ -403,6 +409,8 @@ def test_dataset_config_unknown_non_actionable_name(tmp_path):
         "non_actionable_int",
         "positive_label_list",
         "split_seed_float",
+        "feature_name_list",
+        "feature_actionable_text",
     ],
 )
 def test_dataset_config_malformed_values_name_the_problem(tmp_path, old, new, named):

@@ -424,6 +424,12 @@ def test_load_model_rejects_corruption(tmp_path):
     with pytest.raises(ModelFormatError):
         load_model(str(path))
 
+    bad_name = json.loads(json.dumps(payload))
+    bad_name["schema"][0][0] = 5
+    path.write_text(json.dumps(bad_name), encoding="utf-8")
+    with pytest.raises(ModelFormatError, match="name must be a string"):
+        load_model(str(path))
+
 
 @pytest.mark.parametrize(
     "column",
