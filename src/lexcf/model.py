@@ -183,7 +183,10 @@ class LogisticParams:
     epochs: int = 500
     l2: float = 0.0
 
-    __post_init__ = check_fields
+    def __post_init__(self):
+        check_fields(self)
+        if self.learning_rate <= 0 or self.epochs < 1 or self.l2 < 0:
+            raise ConfigError("bad logistic hyperparameters: %r" % (self,))
 
 
 @dataclass(frozen=True)
@@ -196,7 +199,10 @@ class ForestParams:
     max_depth: int | None = None
     min_leaf: int = 1
 
-    __post_init__ = check_fields
+    def __post_init__(self):
+        check_fields(self)
+        if self.ntree < 1:
+            raise ConfigError("ntree must be >= 1")
 
 
 _PARAMS = {"logistic": LogisticParams, "random_forest": ForestParams}
@@ -216,9 +222,6 @@ def train_logistic(train, cfg):
     """Deterministic full-batch gradient descent; L2 on weights, not bias."""
     _check_binary(train)
     p = learner_params(cfg)
-    lr, l2 = float(p.learning_rate), float(p.l2)
-    if lr <= 0 or p.epochs < 1 or l2 < 0:
-        raise ConfigError("bad logistic hyperparameters: %r" % (p,))
     encoder = _Encoder.fit(train)
     X = encoder.transform([inst.values for inst in train.instances])
     y = train.labels().astype(float)
@@ -227,8 +230,8 @@ def train_logistic(train, cfg):
     b = 0.0
     for _ in range(p.epochs):
         err = _sigmoid(X @ w + b) - y
-        w -= lr * (X.T @ err / n + l2 * w)
-        b -= lr * float(err.mean())
+        w -= p.learning_rate * (X.T @ err / n + p.l2 * w)
+        b -= p.learning_rate * float(err.mean())
     return LogisticModel(train.schema, encoder, w, b)
 
 
@@ -452,8 +455,6 @@ def train_random_forest(train, cfg):
     _check_binary(train)
     d_raw = len(train.schema)
     p = learner_params(cfg)
-    if p.ntree < 1:
-        raise ConfigError("ntree must be >= 1")
     encoder = _Encoder.fit(train)
     X = encoder.transform([inst.values for inst in train.instances])
     y = train.labels()

@@ -301,6 +301,13 @@ CSV_ROWS = "num0,count,label\n0.5,1,0\n1.5,2,1\n2.5,3,0\n3.5,4,1\n4.5,5,0\n5.5,6
         ("learner: logistic\nlearner_params: {epochs: true}\n", "1.5,2,1", 2, "epochs"),
         ("tune_trials: 3\nlearner_params: {ntree: 2.5}\n", "1.5,2,1", 2, "ntree"),
         ("dataset: 5\n", "1.5,2,1", 2, "dataset"),
+        ("tune_trials: 3\nlearner_params: {ntree: 0}\n", "1.5,2,1", 2, "ntree"),
+        (
+            "tune_trials: 3\nlearner: logistic\nlearner_params: {epochs: 0}\n",
+            "1.5,2,1",
+            2,
+            "logistic",
+        ),
     ],
     ids=[
         "top_level_key",
@@ -331,6 +338,8 @@ CSV_ROWS = "num0,count,label\n0.5,1,0\n1.5,2,1\n2.5,3,0\n3.5,4,1\n4.5,5,0\n5.5,6
         "epochs_bool",
         "float_param_before_tuning",
         "dataset_int",
+        "ntree_zero_before_tuning",
+        "epochs_zero_before_tuning",
     ],
 )
 def test_bench_malformed_input_exits_with_one_line(
