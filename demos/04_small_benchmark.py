@@ -56,8 +56,7 @@ for variant in report.variants:
 
 out_dir = tempfile.mkdtemp(prefix="lexcf_bench_")
 write_records(report.records, os.path.join(out_dir, "records.ndjson"))
-emit_report(report, "csv", out_dir)
-emit_report(report, "markdown", out_dir)
+emit_report(report, out_dir)
 write_meta(report, out_dir)
 print("\nreport written to", out_dir)
 print(sorted(os.listdir(out_dir)))

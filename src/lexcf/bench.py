@@ -147,111 +147,55 @@ def _record(poi_index, variant, strategy, result):
 def aggregate_records(records, strategies, variants, theta):
     """Pure fold from raw records to every table cell.
 
-    Validity cells carry pooled (micro) fractions plus the mean of per-point
-    fractions (macro). Cross-strategy cells are computed per point only when
-    all three strategies returned solutions there; skipped points are
-    counted.
+    Each record is keyed once by (variant, strategy, poi). Validity cells
+    carry pooled (micro) fractions plus the mean of per-point fractions
+    (macro). Cross-strategy cells are computed per point only when all three
+    strategies returned solutions there; skipped points are counted. The
+    strategies must share one generation budget at every point.
     """
-    by_cell = {}
-    for rec in records:
-        by_cell.setdefault((rec["variant"], rec["strategy"]), {})[rec["poi"]] = rec
-
-    aggregates = {
-        "validity": {},
-        "objective_means": {},
-        "wlt_pareto": {},
-        "wlt_lex": {},
-        "pairs": {},
-        "skipped": {},
-        "generations": {},
-    }
-    for variant in variants:
-        aggregates["validity"][variant] = {}
-        aggregates["objective_means"][variant] = {}
-        pois = sorted(
-            {rec["poi"] for rec in records if rec["variant"] == variant}
+    runs = {
+        (rec["variant"], rec["strategy"], rec["poi"]): (
+            rec.get("generations"), [tuple(sol["objectives"]) for sol in rec["solutions"]]
         )
+        for rec in records
+    }
+    names = ("validity", "objective_means", "wlt_pareto", "wlt_lex", "pairs")
+    aggregates = {name: {variant: {} for variant in variants} for name in names}
+    aggregates["skipped"] = {}
+    for variant in variants:
+        gens = {(s, poi): run[0] for (v, s, poi), run in runs.items() if v == variant}
+        sols = {(s, poi): run[1] for (v, s, poi), run in runs.items() if v == variant}
+        pois = sorted({poi for _, poi in sols})
+        for poi in pois:
+            budgets = {s: gens[s, poi] for s in STRATEGIES if (s, poi) in gens}
+            if len(set(budgets.values())) > 1:
+                raise InvariantViolation("generation budgets differ at poi %d: %r" % (poi, budgets))
         for strategy in strategies:
-            cell = by_cell.get((variant, strategy), {})
-            pooled = [
-                tuple(sol["objectives"])
-                for poi in pois
-                for sol in cell.get(poi, {"solutions": []})["solutions"]
-            ]
-            per_poi = [
-                valid_fraction([tuple(s["objectives"]) for s in cell[poi]["solutions"]])
-                for poi in pois
-                if poi in cell and cell[poi]["solutions"]
-            ]
+            per_poi = [sols.get((strategy, poi), []) for poi in pois]
+            pooled = [v for vectors in per_poi for v in vectors]
+            fractions = [valid_fraction(vectors) for vectors in per_poi if vectors]
             aggregates["validity"][variant][strategy] = {
                 "returned": len(pooled),
                 "pois": len(pois),
                 "valid": sum(1 for v in pooled if v[0] <= 0),
                 "micro": valid_fraction(pooled),
-                "macro": float(np.mean(per_poi)) if per_poi else None,
+                "macro": float(np.mean(fractions)) if fractions else None,
             }
             aggregates["objective_means"][variant][strategy] = (
-                [float(np.mean([v[j] for v in pooled])) for j in range(4)]
-                if pooled
-                else None
+                [float(np.mean([v[j] for v in pooled])) for j in range(4)] if pooled else None
             )
 
-        gens = {}
-        for poi in pois:
-            counts = {
-                s: by_cell.get((variant, s), {}).get(poi, {}).get("generations")
-                for s in STRATEGIES
-                if (variant, s) in by_cell and poi in by_cell[(variant, s)]
-            }
-            gens[poi] = counts
-            if len(set(counts.values())) > 1:
-                raise InvariantViolation(
-                    "generation budgets differ at poi %d: %r" % (poi, counts)
-                )
-        aggregates["generations"][variant] = gens
-
-        aggregates["wlt_pareto"][variant] = {}
-        aggregates["wlt_lex"][variant] = {}
-        aggregates["pairs"][variant] = {}
-        usable = [
-            poi
-            for poi in pois
-            if all(
-                (variant, s) in by_cell
-                and poi in by_cell[(variant, s)]
-                and by_cell[(variant, s)][poi]["solutions"]
-                for s in STRATEGIES
-            )
-        ]
+        usable = [poi for poi in pois if all(sols.get((s, poi)) for s in STRATEGIES)]
         aggregates["skipped"][variant] = len(pois) - len(usable)
-        for lex_strategy in LEX_STRATEGIES:
-            if lex_strategy not in strategies or "par" not in strategies:
+        for lex in LEX_STRATEGIES:
+            if lex not in strategies or "par" not in strategies:
                 continue
-            comparisons = {
-                "wlt_pareto": pareto_compare,
-                "wlt_lex": partial(
-                    lex_compare, ordering=STRATEGY_ORDERINGS[lex_strategy], theta=theta
-                ),
-            }
-            totals = {key: [0, 0, 0] for key in comparisons}
-            pairs = 0
-            for poi in usable:
-                lex_sols = [
-                    tuple(s["objectives"])
-                    for s in by_cell[(variant, lex_strategy)][poi]["solutions"]
-                ]
-                par_sols = [
-                    tuple(s["objectives"])
-                    for s in by_cell[(variant, "par")][poi]["solutions"]
-                ]
-                pairs += len(lex_sols) * len(par_sols)
-                for key, compare in comparisons.items():
-                    wlt = win_loss_tie(lex_sols, par_sols, compare)
-                    for j in range(3):
-                        totals[key][j] += wlt[j]
-            aggregates["pairs"][variant][lex_strategy] = pairs
-            for key, counts in totals.items():
-                aggregates[key][variant][lex_strategy] = tuple(counts) if pairs else None
+            sides = [(sols[lex, poi], sols["par", poi]) for poi in usable]
+            aggregates["pairs"][variant][lex] = sum(len(a) * len(b) for a, b in sides)
+            lex_order = partial(lex_compare, ordering=STRATEGY_ORDERINGS[lex], theta=theta)
+            for key, compare in (("wlt_pareto", pareto_compare), ("wlt_lex", lex_order)):
+                wlts = [win_loss_tie(a, b, compare) for a, b in sides]
+                aggregates[key][variant][lex] = tuple(map(sum, zip(*wlts))) if wlts else None
     return aggregates
 
 
@@ -346,16 +290,15 @@ def markdown_lines(header, rows):
     return lines
 
 
-def _write_table(path_base, fmt, header, rows):
-    if fmt == "csv":
-        with open(path_base + ".csv", "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            writer.writerows(rows)
-        return path_base + ".csv"
+def _write_table(path_base, header, rows):
+    """Write one table as path_base.csv and path_base.md; returns both paths."""
+    with open(path_base + ".csv", "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
     with open(path_base + ".md", "w", encoding="utf-8") as handle:
         handle.write("\n".join(markdown_lines(header, rows)) + "\n")
-    return path_base + ".md"
+    return [path_base + ".csv", path_base + ".md"]
 
 
 def _fmt_pct(fraction):
@@ -406,24 +349,22 @@ def wlt_table(aggregates, variants, key):
     return ["variant"] + list(LEX_STRATEGIES), rows
 
 
-def emit_report(report, fmt, out_dir):
-    """Write the four table files in the requested format; returns paths."""
-    if fmt not in ("csv", "markdown"):
-        raise ConfigError("format must be csv or markdown, not %r" % fmt)
+def emit_report(report, out_dir):
+    """Write the four tables, each as .csv and .md; returns the paths."""
     os.makedirs(out_dir, exist_ok=True)
+    tables = {
+        "validity": (
+            ["variant"] + list(STRATEGIES) + ["%s_macro" % s for s in STRATEGIES],
+            _validity_rows(report),
+        ),
+        "objectives": (["variant", "objective"] + list(STRATEGIES), _objective_rows(report)),
+        "pareto_wlt": wlt_table(report.aggregates, report.variants, "wlt_pareto"),
+        "lex_wlt": wlt_table(report.aggregates, report.variants, "wlt_lex"),
+    }
     paths = []
-    header = ["variant"] + list(STRATEGIES) + ["%s_macro" % s for s in STRATEGIES]
-    rows = _validity_rows(report) if report.poi_count else []
-    paths.append(_write_table(os.path.join(out_dir, "validity"), fmt, header, rows))
-
-    header = ["variant", "objective"] + list(STRATEGIES)
-    rows = _objective_rows(report) if report.poi_count else []
-    paths.append(_write_table(os.path.join(out_dir, "objectives"), fmt, header, rows))
-
-    for key, stem in (("wlt_pareto", "pareto_wlt"), ("wlt_lex", "lex_wlt")):
-        header, rows = wlt_table(report.aggregates, report.variants, key)
+    for stem, (header, rows) in tables.items():
         rows = rows if report.poi_count else []
-        paths.append(_write_table(os.path.join(out_dir, stem), fmt, header, rows))
+        paths += _write_table(os.path.join(out_dir, stem), header, rows)
     return paths
 
 

@@ -132,8 +132,7 @@ def _cmd_bench(args):
     if not cfg.output_dir:
         raise ConfigError("no output directory: pass --out or set output_dir")
     report = run_experiment(cfg)
-    emit_report(report, "csv", cfg.output_dir)
-    emit_report(report, "markdown", cfg.output_dir)
+    emit_report(report, cfg.output_dir)
     write_meta(report, cfg.output_dir)
     print("%d points of interest; reports in %s" % (report.poi_count, cfg.output_dir))
     for variant in report.variants:

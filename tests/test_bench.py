@@ -304,14 +304,12 @@ def test_run_experiment_golden_records():
 
 def test_emit_report_formats_agree(small_report, tmp_path):
     report, _ = small_report
-    csv_dir = str(tmp_path / "csv")
-    md_dir = str(tmp_path / "md")
-    csv_paths = emit_report(report, "csv", csv_dir)
-    md_paths = emit_report(report, "markdown", md_dir)
-    assert [os.path.basename(p) for p in csv_paths] == [
-        "validity.csv", "objectives.csv", "pareto_wlt.csv", "lex_wlt.csv",
+    paths = emit_report(report, str(tmp_path))
+    assert [os.path.basename(p) for p in paths] == [
+        "validity.csv", "validity.md", "objectives.csv", "objectives.md",
+        "pareto_wlt.csv", "pareto_wlt.md", "lex_wlt.csv", "lex_wlt.md",
     ]
-    for cpath, mpath in zip(csv_paths, md_paths):
+    for cpath, mpath in zip(paths[::2], paths[1::2]):
         with open(cpath, newline="", encoding="utf-8") as handle:
             csv_rows = [row for row in csv.reader(handle)]
         md_lines = open(mpath, encoding="utf-8").read().strip().splitlines()
@@ -321,12 +319,6 @@ def test_emit_report_formats_agree(small_report, tmp_path):
             if not set(line) <= {"|", "-", " "}
         ]
         assert md_rows == csv_rows  # identical cell strings in both formats
-
-
-def test_emit_report_rejects_unknown_format(small_report, tmp_path):
-    report, _ = small_report
-    with pytest.raises(ConfigError):
-        emit_report(report, "xlsx", str(tmp_path))
 
 
 def test_emit_report_empty_run(tmp_path):
@@ -340,8 +332,9 @@ def test_emit_report_empty_run(tmp_path):
         aggregates=aggregate_records([], STRATEGIES, VARIANTS, 0.01),
         model_info={},
     )
-    paths = emit_report(empty, "csv", str(tmp_path))
-    for path in paths:
+    paths = emit_report(empty, str(tmp_path))
+    assert len(paths) == 8
+    for path in paths[::2]:
         with open(path, newline="", encoding="utf-8") as handle:
             rows = list(csv.reader(handle))
         assert len(rows) == 1  # header only
