@@ -23,11 +23,12 @@ from .data import (
     config_from,
     load_configured_dataset,
     load_dataset_config,
+    read_text,
     read_yaml_mapping,
     split_dataset,
 )
 from .ea import STRATEGIES, STRATEGY_ORDERINGS, EAConfig, run_paired
-from .errors import ConfigError, InvariantViolation
+from .errors import ConfigError, DataError, InvariantViolation
 from .model import LearnerConfig, learner_params, train_model, tune_random_search
 from .objectives import EvalContext
 from .selection import FIRST_BETTER, SECOND_BETTER, TIE, lex_compare, pareto_compare
@@ -201,8 +202,8 @@ def aggregate_records(records, strategies, variants, theta):
 
 def _build_model(cfg, train):
     params = dict(cfg.learner_params)
-    # reject params the learner does not know before any tuning trial runs
-    learner_params(LearnerConfig(cfg.learner, params))
+    # reject params the learner cannot take before any tuning trial runs
+    learner_params(LearnerConfig(cfg.learner, params), train.schema)
     if cfg.tune_trials > 0:
         tuned = tune_random_search(
             cfg.learner,
@@ -271,13 +272,40 @@ def write_records(records, path):
             handle.write("\n")
 
 
+# the type of each field _record writes, as JSON reads it back
+_RECORD_FIELDS = {"poi": int, "variant": str, "strategy": str, "generations": int, "solutions": list}
+
+
+def _is_record(rec):
+    """Whether rec has the fields _record writes, each solution with four
+    numeric objectives."""
+    return (
+        isinstance(rec, dict)
+        and all(type(rec.get(key)) is kind for key, kind in _RECORD_FIELDS.items())
+        and all(
+            isinstance(sol, dict)
+            and isinstance(sol.get("objectives"), list)
+            and len(sol["objectives"]) == 4
+            and all(type(o) in (int, float) for o in sol["objectives"])
+            for sol in rec["solutions"]
+        )
+    )
+
+
 def read_records(path):
+    """The records of a records.ndjson file, one JSON object a line; a line
+    that holds no run record is a DataError naming it."""
     records = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
+    for number, line in enumerate(read_text(path, DataError).split("\n"), 1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError:
+            rec = None
+        if not _is_record(rec):
+            raise DataError("%s line %d is not a run record" % (path, number))
+        records.append(rec)
     return records
 
 
@@ -388,12 +416,33 @@ def write_meta(report, out_dir):
     return path
 
 
+def read_meta(path):
+    """The meta.json that write_meta wrote; one without a variants list and
+    a numeric theta is a DataError."""
+    try:
+        meta = json.loads(read_text(path, DataError))
+    except json.JSONDecodeError:
+        meta = None
+    variants = meta.get("variants") if isinstance(meta, dict) else None
+    if not (
+        isinstance(variants, list)
+        and all(isinstance(v, str) for v in variants)
+        and type(meta.get("theta")) in (int, float)
+    ):
+        raise DataError("%s holds no variants list and numeric theta" % path)
+    return meta
+
+
 def load_experiment_config(path):
-    """Parse a YAML experiment config; the dataset reference is resolved
-    relative to the config file."""
+    """Parse a YAML experiment config; the dataset reference and the output
+    directory are resolved relative to the config file."""
     raw = read_yaml_mapping(path, "experiment config")
     if "dataset" not in raw:
         raise ConfigError("experiment config needs a dataset reference")
     ds_ref = check_type("dataset", raw["dataset"], str)
-    dataset = load_dataset_config(os.path.join(os.path.dirname(os.path.abspath(path)), ds_ref))
-    return config_from(ExperimentConfig, {**raw, "dataset": dataset}, "experiment config")
+    here = os.path.dirname(os.path.abspath(path))
+    dataset = load_dataset_config(os.path.join(here, ds_ref))
+    cfg = config_from(ExperimentConfig, {**raw, "dataset": dataset}, "experiment config")
+    if cfg.output_dir:
+        cfg.output_dir = os.path.join(here, cfg.output_dir)
+    return cfg

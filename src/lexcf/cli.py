@@ -1,8 +1,8 @@
 """Command-line front end: train models, explain single predictions,
 run the benchmark protocol, and recompute comparisons from raw records.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 violated
-invariant.
+Exit codes: 0 success, 2 configuration error, 3 data error (an unreadable
+or unwritable file too), 4 violated invariant.
 """
 
 import argparse
@@ -15,6 +15,7 @@ from .bench import (
     emit_report,
     load_experiment_config,
     markdown_lines,
+    read_meta,
     read_records,
     run_experiment,
     wlt_table,
@@ -131,6 +132,8 @@ def _cmd_bench(args):
         cfg.output_dir = args.out
     if not cfg.output_dir:
         raise ConfigError("no output directory: pass --out or set output_dir")
+    # an unusable output directory fails here, not after the search
+    os.makedirs(cfg.output_dir, exist_ok=True)
     report = run_experiment(cfg)
     emit_report(report, cfg.output_dir)
     write_meta(report, cfg.output_dir)
@@ -152,19 +155,24 @@ def _cmd_bench(args):
 
 
 def _cmd_compare(args):
-    records_path = os.path.join(args.runs, "records.ndjson")
-    meta_path = os.path.join(args.runs, "meta.json")
-    for path in (records_path, meta_path):
-        if not os.path.exists(path):
-            raise DataError("missing %s (run `lexcf bench` first)" % path)
-    records = read_records(records_path)
-    with open(meta_path, encoding="utf-8") as handle:
-        meta = json.load(handle)
+    records = read_records(os.path.join(args.runs, "records.ndjson"))
+    meta = read_meta(os.path.join(args.runs, "meta.json"))
     aggregates = aggregate_records(records, STRATEGIES, meta["variants"], meta["theta"])
     key = "wlt_pareto" if args.mode == "pareto" else "wlt_lex"
     header, rows = wlt_table(aggregates, meta["variants"], key)
     print("\n".join(markdown_lines(header, rows)))
     return 0
+
+
+def _seed(text):
+    """A --seed value: a non-negative integer, as numpy seeds need."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError("seed must be a non-negative integer, got %r" % text)
+    return value
 
 
 def build_parser():
@@ -181,7 +189,7 @@ def build_parser():
         "--learner", default="random_forest", choices=["logistic", "rf", "random_forest"]
     )
     p.add_argument("--tune", type=int, default=0, help="random-search trials (0 = defaults)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="model file to write")
 
     p = sub.add_parser("explain", help="generate counterfactuals for one point")
@@ -191,7 +199,7 @@ def build_parser():
     p.add_argument("--strategy", default="lex1", choices=list(STRATEGIES))
     p.add_argument("--resilience", default="off", choices=["on", "off"])
     p.add_argument("--theta", type=float, default=0.01)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("bench", help="run the full benchmark protocol")
     p.add_argument("--config", required=True, help="experiment config file")
@@ -218,7 +226,7 @@ def main(argv=None):
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print("data error: %s" % exc, file=sys.stderr)
         return 3
     except InvariantViolation as exc:

@@ -8,6 +8,7 @@ the raw values defined here.
 
 import csv
 import hashlib
+import io
 import json
 import math
 import numbers
@@ -168,7 +169,7 @@ def load_dataset(
     schema = tuple(schema)
     missing = set(missing_tokens)
     expected = {f.name for f in schema} | {class_column}
-    with open(path, newline="", encoding="utf-8") as handle:
+    with io.StringIO(read_text(path, DataError, newline=""), newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -369,7 +370,10 @@ class SyntheticConfig:
     integer: int = 0
     categorical: int = 0
 
-    __post_init__ = check_fields
+    def __post_init__(self):
+        check_fields(self)
+        if min(self.seed, self.continuous, self.integer, self.categorical) < 0:
+            raise ConfigError("synthetic seed and feature counts must be >= 0")
 
 
 @dataclass
@@ -390,6 +394,8 @@ class DatasetConfig:
         if isinstance(self.synthetic, dict):
             self.synthetic = config_from(SyntheticConfig, self.synthetic, "synthetic")
         check_fields(self)
+        if self.split_seed < 0:
+            raise ConfigError("split_seed must be >= 0")
 
 
 def _resolve_non_actionable(spec):
@@ -408,18 +414,27 @@ def _resolve_non_actionable(spec):
     return _scalar_list(spec, "non_actionable")
 
 
+def read_text(path, error, newline=None):
+    """The text of a UTF-8 file; bytes that do not decode raise error naming
+    the file. A file that cannot be opened raises OSError."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise error("%s is not UTF-8 text: %s" % (path, exc.reason)) from None
+
+
 def read_yaml_mapping(path, what):
-    """Top-level mapping of a YAML config file; syntax errors become a
-    one-line ConfigError naming the file."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            raw = yaml.safe_load(handle)
-        except yaml.YAMLError as exc:
-            mark = getattr(exc, "problem_mark", None)
-            problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
-            if mark is not None:
-                problem = "line %d, column %d: %s" % (mark.line + 1, mark.column + 1, problem)
-            raise ConfigError("%s %s is not valid YAML: %s" % (what, path, problem)) from None
+    """Top-level mapping of a YAML config file; syntax and decode errors
+    become a one-line ConfigError naming the file."""
+    try:
+        raw = yaml.safe_load(read_text(path, ConfigError))
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
+        if mark is not None:
+            problem = "line %d, column %d: %s" % (mark.line + 1, mark.column + 1, problem)
+        raise ConfigError("%s %s is not valid YAML: %s" % (what, path, problem)) from None
     if not isinstance(raw, dict):
         raise ConfigError("%s %s is not a mapping" % (what, path))
     return raw

@@ -74,7 +74,7 @@ class EAConfig:
                 raise ConfigError("%s must lie in [0, 1]" % name)
         if self.strategy not in STRATEGIES:
             raise ConfigError("strategy must be one of %s" % (STRATEGIES,))
-        if self.theta < 0 or self.k < 1:
+        if not self.theta >= 0 or self.k < 1:
             raise ConfigError("need theta >= 0, k >= 1")
 
 

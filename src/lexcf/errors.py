@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 CLI exit codes map onto these: ConfigError -> 2, DataError -> 3,
-InvariantViolation -> 4.
+InvariantViolation -> 4. An OSError (a file that cannot be read or
+written) exits 3 as well.
 """
 
 

@@ -203,25 +203,38 @@ class ForestParams:
         check_fields(self)
         if self.ntree < 1:
             raise ConfigError("ntree must be >= 1")
+        if self.min_leaf < 1:
+            raise ConfigError("min_leaf must be >= 1")
 
 
 _PARAMS = {"logistic": LogisticParams, "random_forest": ForestParams}
 
 
-def learner_params(cfg):
-    """cfg.params as the learner's hyperparameter dataclass. An unknown
-    learner, an unknown key or a wrongly typed value is a ConfigError."""
+def encoded_width(schema):
+    """Columns of the model encoding of schema: one per numeric feature,
+    one per category of a categorical feature."""
+    return sum(len(f.categories) if f.kind == CATEGORICAL else 1 for f in schema)
+
+
+def learner_params(cfg, schema):
+    """cfg.params as the learner's hyperparameter dataclass, for data of
+    the given schema. An unknown learner, an unknown key, a wrongly typed
+    value or an mtry outside [1, encoded width] is a ConfigError."""
     if cfg.learner not in _PARAMS:
         raise ConfigError(
             "unknown learner %r (have: %s)" % (cfg.learner, ", ".join(sorted(_PARAMS)))
         )
-    return config_from(_PARAMS[cfg.learner], cfg.params, "%s learner params" % cfg.learner)
+    p = config_from(_PARAMS[cfg.learner], cfg.params, "%s learner params" % cfg.learner)
+    width = encoded_width(schema)
+    if isinstance(p, ForestParams) and p.mtry is not None and not 1 <= p.mtry <= width:
+        raise ConfigError("mtry %d outside [1, %d]" % (p.mtry, width))
+    return p
 
 
 def train_logistic(train, cfg):
     """Deterministic full-batch gradient descent; L2 on weights, not bias."""
     _check_binary(train)
-    p = learner_params(cfg)
+    p = learner_params(cfg, train.schema)
     encoder = _Encoder.fit(train)
     X = encoder.transform([inst.values for inst in train.instances])
     y = train.labels().astype(float)
@@ -306,7 +319,7 @@ def _grow_tree(X, y, rng, mtry, max_depth, min_leaf):
             continue
         if max_depth is not None and depth >= max_depth:
             continue
-        feats = rng.choice(d, size=min(mtry, d), replace=False)
+        feats = rng.choice(d, size=mtry, replace=False)
         split = _best_split(X, y, idx, feats, min_leaf)
         if split is None:
             continue
@@ -453,22 +466,17 @@ class RandomForestModel(Model):
 def train_random_forest(train, cfg):
     """CART with Gini splits, bootstrap samples, per-node feature subsets."""
     _check_binary(train)
-    d_raw = len(train.schema)
-    p = learner_params(cfg)
+    p = learner_params(cfg, train.schema)
     encoder = _Encoder.fit(train)
     X = encoder.transform([inst.values for inst in train.instances])
     y = train.labels()
-    d = X.shape[1]
-    mtry = max(1, int(np.sqrt(d))) if p.mtry is None else p.mtry
-    if mtry < 1 or mtry > max(d_raw, d):
-        raise ConfigError("mtry %d outside [1, %d]" % (mtry, max(d_raw, d)))
-    min_leaf = max(1, p.min_leaf)
+    mtry = max(1, int(np.sqrt(X.shape[1]))) if p.mtry is None else p.mtry
     n = len(y)
     trees = []
     for t in range(p.ntree):
         rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), t]))
         sample = rng.integers(0, n, size=n)
-        trees.append(_grow_tree(X[sample], y[sample], rng, mtry, p.max_depth, min_leaf))
+        trees.append(_grow_tree(X[sample], y[sample], rng, mtry, p.max_depth, p.min_leaf))
     return RandomForestModel(train.schema, encoder, trees)
 
 

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import shutil
 import subprocess
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lexcf import bench
 from lexcf.cli import main
@@ -308,6 +313,8 @@ CSV_ROWS = "num0,count,label\n0.5,1,0\n1.5,2,1\n2.5,3,0\n3.5,4,1\n4.5,5,0\n5.5,6
             2,
             "logistic",
         ),
+        ("tune_trials: 3\nlearner_params: {mtry: 99}\n", "1.5,2,1", 2, "mtry"),
+        ("learner_params: {min_leaf: 0}\n", "1.5,2,1", 2, "min_leaf"),
     ],
     ids=[
         "top_level_key",
@@ -340,6 +347,8 @@ CSV_ROWS = "num0,count,label\n0.5,1,0\n1.5,2,1\n2.5,3,0\n3.5,4,1\n4.5,5,0\n5.5,6
         "dataset_int",
         "ntree_zero_before_tuning",
         "epochs_zero_before_tuning",
+        "mtry_above_width_before_tuning",
+        "min_leaf_zero",
     ],
 )
 def test_bench_malformed_input_exits_with_one_line(
@@ -359,6 +368,143 @@ def test_bench_malformed_input_exits_with_one_line(
     assert len(err.strip().splitlines()) == 1
     assert named in err
     assert tuned == []
+
+
+TINY_EXPERIMENT_YAML = """
+dataset: ds.yaml
+learner: logistic
+learner_params: {epochs: 20}
+max_pois: 1
+ea: {population_size: 4, max_generations: 2}
+"""
+
+BENCH_ARGV = ["bench", "--config", "exp.yaml", "--out", "out"]
+COMPARE_ARGV = ["compare", "--runs", "runs"]
+RECORD_LINE = json.dumps(
+    {"poi": 0, "variant": "base", "strategy": "par", "generations": 2,
+     "solutions": [{"values": [1.0, 2.0], "objectives": [0.0, 0.1, 1, 0.2]}]}
+)
+
+
+@pytest.mark.parametrize(
+    "files, argv, code",
+    [
+        ({}, ["bench", "--config", "nope.yaml", "--out", "out"], 3),
+        ({}, ["bench", "--config", ".", "--out", "out"], 3),
+        ({"exp.yaml": "dataset: nope.yaml\n"}, BENCH_ARGV, 3),
+        ({"ds.yaml": CSV_DATASET_YAML.replace("data.csv", "nope.csv")}, BENCH_ARGV, 3),
+        ({}, ["explain", "--model", "nope.json", "--data", "ds.yaml", "--poi", "0"], 3),
+        ({}, ["train", "--data", "nope.yaml", "--out", "model.json"], 3),
+        ({"data.csv": CSV_ROWS.encode().replace(b"1.5", b"1.5\xff")}, BENCH_ARGV, 3),
+        ({"exp.yaml": TINY_EXPERIMENT_YAML.encode() + b"# \xff\n"}, BENCH_ARGV, 2),
+        ({"runs/records.ndjson": "{poi: 0}\n", "runs/meta.json": '{"variants": [], "theta": 0}'},
+         COMPARE_ARGV, 3),
+        ({"runs/records.ndjson": "[1]\n", "runs/meta.json": '{"variants": [], "theta": 0}'},
+         COMPARE_ARGV, 3),
+        ({"runs/records.ndjson": RECORD_LINE, "runs/meta.json": '{"variants": ["base"]}'},
+         COMPARE_ARGV, 3),
+        ({"taken": ""}, ["bench", "--config", "exp.yaml", "--out", "taken"], 3),
+    ],
+    ids=[
+        "config_missing",
+        "config_is_directory",
+        "dataset_missing",
+        "csv_missing",
+        "model_missing",
+        "train_data_missing",
+        "csv_not_utf8",
+        "experiment_not_utf8",
+        "record_not_json",
+        "record_not_mapping",
+        "meta_without_theta",
+        "out_is_a_file",
+    ],
+)
+def test_unreadable_input_exits_with_one_line(tmp_path, capsys, monkeypatch, files, argv, code):
+    inputs = {"ds.yaml": CSV_DATASET_YAML, "data.csv": CSV_ROWS, "exp.yaml": TINY_EXPERIMENT_YAML}
+    for name, content in {**inputs, **files}.items():
+        path = tmp_path / name
+        path.parent.mkdir(exist_ok=True)
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+def test_output_dir_is_relative_to_the_config(tmp_path, monkeypatch):
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    (sub / "ds.yaml").write_text(CSV_DATASET_YAML, encoding="utf-8")
+    (sub / "data.csv").write_text(CSV_ROWS, encoding="utf-8")
+    (sub / "exp.yaml").write_text(TINY_EXPERIMENT_YAML + "output_dir: rel_out\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(["bench", "--config", os.path.join("sub", "exp.yaml")]) == 0
+    assert (sub / "rel_out" / "records.ndjson").exists()
+    assert not (tmp_path / "rel_out").exists()
+
+
+# a tiny bench run, each scalar a {slot} that the fuzz test below replaces
+FUZZ_FILES = {
+    "exp.yaml": (
+        "dataset: {dataset}\nlearner: {learner}\n"
+        "learner_params: {{ntree: {ntree}, max_depth: {max_depth}, min_leaf: {min_leaf}}}\n"
+        "tune_trials: {tune_trials}\nmax_pois: {max_pois}\nmaster_seed: {master_seed}\n"
+        "variants: [{variant}]\n"
+        "ea: {{population_size: {population_size}, max_generations: {max_generations}, "
+        "theta: {theta}}}\n"
+    ),
+    "ds.yaml": (
+        "name: {name}\ncsv: {csv}\nclass_column: {class_column}\n"
+        "positive_label: {positive_label}\ntest_cap: {test_cap}\nsplit_seed: {split_seed}\n"
+        "missing_tokens: [{missing_token}]\nnon_actionable: [{non_actionable}]\n"
+        "features:\n  - {{name: {feature}, kind: {kind}}}\n  - {{name: count, kind: integer}}\n"
+        "  - {{name: color, kind: categorical, categories: [{category}, blue]}}\n"
+    ),
+}
+FUZZ_SLOTS = {
+    "dataset": "ds.yaml", "learner": "random_forest", "ntree": "3", "max_depth": "3",
+    "min_leaf": "1", "tune_trials": "0", "max_pois": "1", "master_seed": "3",
+    "variant": "resilient", "population_size": "4", "max_generations": "2", "theta": "0.01",
+    "name": "fuzz", "csv": "data.csv", "class_column": "label", "positive_label": "1",
+    "test_cap": "4", "split_seed": "2", "missing_token": "NA", "non_actionable": "count",
+    "feature": "num0", "kind": "continuous", "category": "red",
+}
+FUZZ_CSV = [["num0", "count", "color", "label"]] + [
+    ["%.1f" % (0.5 * i), str(i % 4), ("red", "blue")[i % 2], str(int(i >= 6))] for i in range(12)
+]
+# replacements: no large numbers, so every run stays small
+FUZZ_ALPHABET = ['""', "x", "-1", "0", "2.5", ".nan", "true", "null", "[1]", "{a: 1}", "nope.yaml"]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    target=st.one_of(
+        st.sampled_from(sorted(FUZZ_SLOTS)),
+        st.tuples(st.integers(0, len(FUZZ_CSV) - 1), st.integers(0, len(FUZZ_CSV[0]) - 1)),
+    ),
+    value=st.sampled_from(FUZZ_ALPHABET),
+)
+@example(target="dataset", value="nope.yaml")
+@example(target="csv", value="nope.yaml")
+@example(target="split_seed", value="-1")
+@example(target="theta", value=".nan")
+def test_bench_survives_one_replaced_scalar(target, value):
+    slots = {**FUZZ_SLOTS, target: value} if isinstance(target, str) else FUZZ_SLOTS
+    rows = [list(row) for row in FUZZ_CSV]
+    if not isinstance(target, str):
+        rows[target[0]][target[1]] = value
+    with tempfile.TemporaryDirectory() as root:
+        for name, template in FUZZ_FILES.items():
+            with open(os.path.join(root, name), "w", encoding="utf-8") as handle:
+                handle.write(template.format(**slots))
+        with open(os.path.join(root, "data.csv"), "w", encoding="utf-8") as handle:
+            handle.write("\n".join(",".join(row) for row in rows) + "\n")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["bench", "--config", os.path.join(root, "exp.yaml"),
+                       "--out", os.path.join(root, "out")])
+    assert rc in (0, 2, 3, 4)
+    assert len(err.getvalue().splitlines()) == (0 if rc == 0 else 1)
 
 
 def _first_node(tree, internal):
@@ -461,6 +607,13 @@ def test_model_file_with_wrong_encoder_exits_with_one_line(
 def test_unknown_subcommand_exits_via_argparse():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_negative_seed_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["train", "--data", "ds.yaml", "--out", "model.json", "--seed", "-1"])
+    assert info.value.code == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
 
 
 def test_console_script_installed():

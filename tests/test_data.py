@@ -384,6 +384,9 @@ def test_dataset_config_unknown_non_actionable_name(tmp_path):
             "{name: income, kind: continuous, actionable: maybe}",
             "actionable",
         ),
+        ("split_seed: 4", "split_seed: -1", "split_seed"),
+        ("split_seed: 4", "split_seed: 4\nsynthetic: {seed: -1}", "synthetic seed"),
+        ("split_seed: 4", "split_seed: 4\nsynthetic: {continuous: -1, integer: 2}", "counts"),
     ],
     ids=[
         "yaml_syntax",
@@ -411,6 +414,9 @@ def test_dataset_config_unknown_non_actionable_name(tmp_path):
         "split_seed_float",
         "feature_name_list",
         "feature_actionable_text",
+        "split_seed_negative",
+        "synthetic_seed_negative",
+        "synthetic_count_negative",
     ],
 )
 def test_dataset_config_malformed_values_name_the_problem(tmp_path, old, new, named):

@@ -1,10 +1,12 @@
-"""Run the demos end to end, each in its own interpreter.
+"""Run the demos and the README's library quick start end to end, each in
+its own interpreter.
 
 Demo 01 is left out: its random-search tuning makes it take about 40 s,
 several times the other three together.
 """
 
 import os
+import re
 import subprocess
 import sys
 
@@ -29,3 +31,19 @@ def test_demo_runs(demo, tmp_path):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs(tmp_path):
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
+        [code] = re.findall(r"^```python\n(.*?)^```", handle.read(), re.DOTALL | re.MULTILINE)
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()
