@@ -38,6 +38,11 @@ from .objectives import EvalContext
 
 
 def _cmd_train(args):
+    # fail an unusable --out before any work, leaving what is there as it is
+    existed = os.path.exists(args.out)
+    open(args.out, "a", encoding="utf-8").close()
+    if not existed:
+        os.remove(args.out)
     learner = {"rf": "random_forest"}.get(args.learner, args.learner)
     ds_cfg = load_dataset_config(args.data)
     dataset = load_configured_dataset(ds_cfg)

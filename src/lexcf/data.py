@@ -262,6 +262,18 @@ def compute_feature_stats(train):
     return tuple(stats)
 
 
+_TOKENS = ("a", "b", "c")  # the categories of every synthetic categorical feature
+
+
+def _synthetic_schema(n_continuous, n_integer, n_categorical):
+    """The features generate_synthetic makes, in its column order."""
+    return tuple(
+        [FeatureSchema("num%d" % i, CONTINUOUS) for i in range(n_continuous)]
+        + [FeatureSchema("int%d" % i, INTEGER) for i in range(n_integer)]
+        + [FeatureSchema("cat%d" % i, CATEGORICAL, True, _TOKENS) for i in range(n_categorical)]
+    )
+
+
 def generate_synthetic(n, seed, n_continuous=8, n_integer=0, n_categorical=0):
     """Deterministic linearly-informative binary dataset for desk-scale tests.
 
@@ -275,22 +287,15 @@ def generate_synthetic(n, seed, n_continuous=8, n_integer=0, n_categorical=0):
     if n_continuous + n_integer + n_categorical < 1:
         raise ConfigError("at least one feature required")
     rng = np.random.default_rng(seed)
-    schema = []
-    schema.extend(FeatureSchema("num%d" % i, CONTINUOUS) for i in range(n_continuous))
-    schema.extend(FeatureSchema("int%d" % i, INTEGER) for i in range(n_integer))
-    tokens = ("a", "b", "c")
-    schema.extend(
-        FeatureSchema("cat%d" % i, CATEGORICAL, categories=tokens)
-        for i in range(n_categorical)
-    )
+    schema = _synthetic_schema(n_continuous, n_integer, n_categorical)
 
     cont = rng.uniform(0.0, 10.0, size=(n, n_continuous))
     ints = rng.integers(0, 11, size=(n, n_integer)).astype(float)
-    cats = rng.integers(0, len(tokens), size=(n, n_categorical))
+    cats = rng.integers(0, len(_TOKENS), size=(n, n_categorical))
 
     w_cont = rng.normal(0.0, 1.0, size=n_continuous)
     w_int = rng.normal(0.0, 1.0, size=n_integer)
-    w_cat = rng.normal(0.0, 1.0, size=(n_categorical, len(tokens)))
+    w_cat = rng.normal(0.0, 1.0, size=(n_categorical, len(_TOKENS)))
 
     score = cont @ w_cont + ints @ w_int
     for j in range(n_categorical):
@@ -302,9 +307,9 @@ def generate_synthetic(n, seed, n_continuous=8, n_integer=0, n_categorical=0):
         # plain floats keep instances JSON-serializable downstream
         values = [float(v) for v in cont[r]]
         values += [float(v) for v in ints[r]]
-        values += [tokens[c] for c in cats[r]]
+        values += [_TOKENS[c] for c in cats[r]]
         instances.append(Instance(tuple(values), int(labels[r])))
-    return Dataset(tuple(schema), instances)
+    return Dataset(schema, instances)
 
 
 def schema_fingerprint(schema):
@@ -396,6 +401,14 @@ class DatasetConfig:
         check_fields(self)
         if self.split_seed < 0:
             raise ConfigError("split_seed must be >= 0")
+        if self.synthetic is not None:
+            syn = self.synthetic
+            layout = _synthetic_schema(syn.continuous, syn.integer, syn.categorical)
+            if [(f.name, f.kind) for f in layout] != [(f.name, f.kind) for f in self.schema]:
+                raise ConfigError("declared schema does not match synthetic layout")
+            for f in self.schema:
+                if f.kind == CATEGORICAL and not set(_TOKENS) <= set(f.categories):
+                    raise ConfigError("synthetic %r needs categories %s" % (f.name, _TOKENS))
 
 
 def _resolve_non_actionable(spec):
@@ -516,14 +529,12 @@ def load_dataset_config(path):
 def load_configured_dataset(cfg):
     """Materialize the dataset a DatasetConfig points at.
 
-    A `synthetic:` block generates data in-process (the declared schema
-    must match the generator's layout); otherwise the CSV is read.
+    A `synthetic:` block generates data in-process (DatasetConfig checks
+    the declared schema against the generator's layout); else the CSV is read.
     """
     if cfg.synthetic is not None:
         syn = cfg.synthetic
         ds = generate_synthetic(syn.n, syn.seed, syn.continuous, syn.integer, syn.categorical)
-        if [(f.name, f.kind) for f in ds.schema] != [(f.name, f.kind) for f in cfg.schema]:
-            raise ConfigError("declared schema does not match synthetic layout")
         return Dataset(cfg.schema, ds.instances)
     if not cfg.csv_path:
         raise ConfigError("dataset config has neither csv nor synthetic source")

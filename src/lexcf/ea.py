@@ -263,8 +263,8 @@ def run_ea(ctx, cfg):
         size = len(fronts[0]) if fronts else first_front_size(population)
         return GenerationTrace(generation, best_o1, mean_o2, size)
 
-    # Pareto runs sort each population into fronts once; its trace entry,
-    # the next parent tournament and the returned front all read them
+    # Pareto fronts come from this sort, then from each survival; the trace
+    # entry, the next parent tournament and the returned front read them
     fronts = nondominated_sort(population) if cfg.strategy == PARETO else None
     trace = [snapshot(0, fronts)]
     for gen in range(1, cfg.max_generations + 1):
@@ -291,8 +291,7 @@ def run_ea(ctx, cfg):
 
         pool = _dedup_pad(population + offspring, cfg.population_size)
         if cfg.strategy == PARETO:
-            population = nsga2_select(pool, cfg.population_size)
-            fronts = nondominated_sort(population)
+            population, fronts = nsga2_select(pool, cfg.population_size)
         else:
             population = lex_survival_select(pool, cfg.population_size, ordering, cfg.theta)
         trace.append(snapshot(gen, fronts))

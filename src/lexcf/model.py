@@ -119,7 +119,7 @@ class _Encoder:
             numeric = isinstance(entry, list) and len(entry) == 3 and entry[0] == "num"
             if feat.kind == CATEGORICAL and entry == ["cat", list(feat.categories)]:
                 columns.append(("cat", feat.categories))
-            elif feat.kind != CATEGORICAL and numeric:
+            elif feat.kind != CATEGORICAL and numeric and np.isfinite(entry[1:]).all():
                 columns.append(("num", float(entry[1]), float(entry[2])))
             else:
                 raise ModelFormatError(
@@ -153,6 +153,8 @@ class LogisticModel(Model):
                 "logistic weights have shape %s, the encoder width is %d"
                 % (self.weights.shape, encoder.width)
             )
+        if not np.isfinite(self.weights).all() or not np.isfinite(self.bias):
+            raise ModelFormatError("logistic weights and bias must be finite numbers")
 
     def predict_proba_batch(self, rows):
         X = self.encoder.transform(rows)
@@ -653,7 +655,7 @@ def load_model(path):
         raise ModelFormatError("corrupt model file %s: %s" % (path, exc)) from None
     if schema_fingerprint(schema) != fingerprint:
         raise ModelFormatError("schema fingerprint mismatch in %s" % path)
-    if learner not in _LOADERS:
+    if not isinstance(learner, str) or learner not in _LOADERS:
         raise ModelFormatError("unknown learner %r in %s" % (learner, path))
     try:
         return _LOADERS[learner].from_params(schema, params)

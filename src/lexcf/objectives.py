@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import CATEGORICAL, INTEGER, POSITIVE
+from .data import CATEGORICAL, INTEGER, NEGATIVE, POSITIVE
 from .errors import ConfigError, InvariantViolation
 
 
@@ -118,65 +118,42 @@ def resilience_step(x_cf_i, x_pt_i, bound, is_integer):
     return step, max(1, steps_max)
 
 
-class _FeatureWalk(NamedTuple):
-    index: int
-    step: float
-    steps_max: int
-    values: tuple | None  # None marks the at-or-beyond-bound case
-
-
-def _walk_plan(x_cf_values, x_pt_values, schema, stats):
-    """Plan the univariate walks for every changed numeric feature."""
-    plan = []
-    for i, feat in enumerate(schema):
-        if feat.kind == CATEGORICAL or x_cf_values[i] == x_pt_values[i]:
-            continue
-        lo, hi = stats[i].lower, stats[i].upper
-        x = x_cf_values[i]
-        if x >= hi or x <= lo:
-            plan.append(_FeatureWalk(i, 0.0, 0, None))
-            continue
-        bound = hi if x > x_pt_values[i] else lo
-        step, steps_max = resilience_step(x, x_pt_values[i], bound, feat.kind == INTEGER)
-        clamp, limit = (min, hi) if step > 0 else (max, lo)
-        values = tuple(clamp(x + s * step, limit) for s in range(1, steps_max + 1))
-        plan.append(_FeatureWalk(i, step, steps_max, values))
-    return plan
-
-
-def _score_plan(plan, classes, offset):
-    """Per-feature scores from the predicted classes of the plan's walk
-    rows, which start at offset: a walk keeps the steps before its first
-    step out of the positive class, and a walk of no steps scores 1."""
-    features = []
-    for walk in plan:
-        kept = 0
-        while kept < walk.steps_max and classes[offset + kept] == POSITIVE:
-            kept += 1
-        score = kept / walk.steps_max if walk.steps_max else 1.0
-        offset += walk.steps_max
-        features.append(FeatureResilience(walk.index, walk.step, walk.steps_max, kept, score))
-    return ResilienceReport(tuple(features))
-
-
 def _walk_reports(keys, x_pt, model, schema, stats):
-    """Resilience reports of valid candidates: every key's walks are
-    planned, all walk rows are classified in one batch, and each plan is
-    scored against its share of the classes."""
-    plans = [_walk_plan(key, x_pt, schema, stats) for key in keys]
-    rows = [
-        key[: walk.index] + (v,) + key[walk.index + 1 :]
-        for key, plan in zip(keys, plans)
-        for walk in plan
-        for v in walk.values or ()
-    ]
-    classes = model.predict_class_batch(rows) if rows else np.empty(0, dtype=int)
-    reports = []
-    offset = 0
-    for plan in plans:
-        reports.append(_score_plan(plan, classes, offset))
-        offset += sum(walk.steps_max for walk in plan)
-    return reports
+    """Resilience reports of valid candidates (value tuples), in one pass.
+
+    Every changed numeric feature of every key is walked toward the bound
+    it moves away from x_pt by, with resilience_step's steps clamped at
+    that bound; a feature at or beyond a bound gets an empty walk. All
+    walk rows, key-major and then feature-minor, are classified in one
+    batch, and each walk scores the share of its steps before its first
+    negative one, or 1 when it has no steps.
+    """
+    walks = []  # (key position, feature, step, walk values), in row order
+    for k, key in enumerate(keys):
+        for i, feat in enumerate(schema):
+            x = key[i]
+            if feat.kind == CATEGORICAL or x == x_pt[i]:
+                continue
+            lo, hi = stats[i].lower, stats[i].upper
+            if x >= hi or x <= lo:
+                walks.append((k, i, 0.0, ()))
+                continue
+            bound = hi if x > x_pt[i] else lo
+            step, steps_max = resilience_step(x, x_pt[i], bound, feat.kind == INTEGER)
+            clamp, limit = (min, hi) if step > 0 else (max, lo)
+            values = [clamp(x + s * step, limit) for s in range(1, steps_max + 1)]
+            walks.append((k, i, step, values))
+    rows = [keys[k][:i] + (v,) + keys[k][i + 1 :] for k, i, _, values in walks for v in values]
+    classes = model.predict_class_batch(rows).tolist() if rows else []
+    features = [[] for _ in keys]
+    start = 0
+    for k, i, step, values in walks:
+        n = len(values)
+        walk = classes[start : start + n]
+        start += n
+        kept = walk.index(NEGATIVE) if NEGATIVE in walk else n
+        features[k].append(FeatureResilience(i, step, n, kept, kept / n if n else 1.0))
+    return [ResilienceReport(tuple(f)) for f in features]
 
 
 def resilience_scores(x_cf, x_pt, model, schema, stats):
@@ -308,15 +285,13 @@ def evaluate_population(rows, ctx):
         reports = dict.fromkeys(fresh)
         if ctx.resilience:
             valid = [key for key, p_hat in zip(fresh, probs) if p_hat >= 0.5]
-            reports.update(
-                zip(valid, _walk_reports(valid, ctx.x_pt, ctx.model, ctx.schema, ctx.stats))
-            )
+            walked = _walk_reports(valid, ctx.x_pt, ctx.model, ctx.schema, ctx.stats)
+            reports.update(zip(valid, walked))
         for key, p_hat, o2, o4 in zip(fresh, probs, to_poi, to_train):
             report = reports[key]
             o1 = obj_validity_resilient(p_hat, report) if ctx.resilience else obj_validity(p_hat)
-            vector = ObjectiveVector(o1, o2, obj_sparsity(key, ctx.x_pt, ctx.schema), o4)
-            ctx.cache[key] = (vector, report)
-    return [ctx.cache[key][0] for key in keys]
+            ctx.cache[key] = ObjectiveVector(o1, o2, obj_sparsity(key, ctx.x_pt, ctx.schema), o4)
+    return [ctx.cache[key] for key in keys]
 
 
 def evaluate(candidate, ctx):
@@ -325,6 +300,10 @@ def evaluate(candidate, ctx):
 
 
 def evaluate_with_report(candidate, ctx):
-    """Objective vector plus the resilience report (None when absent)."""
-    evaluate_population([candidate], ctx)
-    return ctx.cache[tuple(_values_of(candidate))]
+    """Objective vector plus the resilience report of a valid candidate
+    under resilience, built on demand by resilience_scores; the report is
+    None for an invalid candidate or without resilience."""
+    vector = evaluate(candidate, ctx)
+    if not ctx.resilience or vector.o1 > 0:
+        return vector, None
+    return vector, resilience_scores(candidate, ctx.x_pt, ctx.model, ctx.schema, ctx.stats)

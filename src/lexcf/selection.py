@@ -267,22 +267,25 @@ def crowding_distance(front):
 
 def nsga2_select(pool, target_size):
     """Survival fill: whole fronts in rank order, the straddling front cut by
-    descending crowding distance (index ascending on exact ties)."""
-    if target_size > len(pool):
-        raise ConfigError("target size %d exceeds pool %d" % (target_size, len(pool)))
+    descending crowding distance (index ascending on exact ties). Returns
+    the survivors, front by front, and their fronts as runs of consecutive
+    indices, equal to nondominated_sort(survivors): whatever dominates a
+    survivor in the pool lies in an earlier, whole front."""
+    if not 1 <= target_size <= len(pool):
+        raise ConfigError("target size %d outside [1, %d]" % (target_size, len(pool)))
     V = _objective_matrix(pool)
-    chosen = []
+    chosen, fronts = [], []
     for front in _peel(_dominance_matrix(V)):
-        if len(chosen) + len(front) <= target_size:
-            chosen.extend(front)
-            if len(chosen) == target_size:
-                break
-            continue
-        cd = _crowding(V[front]).tolist()
-        ranked = sorted(range(len(front)), key=lambda t: (-cd[t], front[t]))
-        chosen.extend(front[t] for t in ranked[: target_size - len(chosen)])
-        break
-    return [pool[i] for i in chosen]
+        room = target_size - len(chosen)
+        if len(front) > room:
+            cd = _crowding(V[front]).tolist()
+            ranked = sorted(range(len(front)), key=lambda t: (-cd[t], front[t]))
+            front = [front[t] for t in ranked[:room]]
+        fronts.append(list(range(len(chosen), len(chosen) + len(front))))
+        chosen.extend(front)
+        if len(chosen) == target_size:
+            break
+    return [pool[i] for i in chosen], fronts
 
 
 def crowded_tournament_select(population, n, rng, fronts=None):

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lexcf import bench
+from lexcf import bench, cli
 from lexcf.cli import main
 from lexcf.data import NEGATIVE, load_configured_dataset, load_dataset_config, split_dataset
-from lexcf.errors import ModelFormatError
-from lexcf.model import load_model
+from lexcf.errors import ModelFormatError, TrainingError
+from lexcf.model import LearnerConfig, load_model, save_model, train_model
 
 DATASET_YAML = """
 name: clisynth
@@ -90,6 +90,33 @@ def test_train_with_tuning(workspace, capsys):
     assert rc == 0
     assert "trained logistic" in capsys.readouterr().out
     assert os.path.exists(out)
+
+
+@pytest.mark.parametrize("out", ["nodir/model.json", "."], ids=["missing_dir", "directory"])
+def test_train_checks_out_before_tuning(workspace, tmp_path, capsys, monkeypatch, out):
+    calls = []
+    monkeypatch.setattr(cli, "tune_random_search", lambda *a, **k: calls.append("tune"))
+    monkeypatch.setattr(cli, "train_model", lambda *a, **k: calls.append("train"))
+    rc = main(
+        ["train", "--data", workspace["data"], "--learner", "logistic",
+         "--tune", "2", "--out", str(tmp_path / out)]
+    )
+    assert rc == 3
+    assert calls == []
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+def test_train_failure_leaves_out_as_it_was(workspace, tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise TrainingError("cannot fit")
+
+    monkeypatch.setattr(cli, "train_model", fail)
+    old = tmp_path / "old.json"
+    old.write_text("previous model", encoding="utf-8")
+    for path in (old, tmp_path / "new.json"):
+        assert main(["train", "--data", workspace["data"], "--out", str(path)]) == 3
+    assert old.read_text(encoding="utf-8") == "previous model"
+    assert not (tmp_path / "new.json").exists()
 
 
 def test_explain_by_index(workspace, capsys):
@@ -504,6 +531,75 @@ def test_bench_survives_one_replaced_scalar(target, value):
             rc = main(["bench", "--config", os.path.join(root, "exp.yaml"),
                        "--out", os.path.join(root, "out")])
     assert rc in (0, 2, 3, 4)
+    assert len(err.getvalue().splitlines()) == (0 if rc == 0 else 1)
+
+
+def _scalar_paths(node, path=()):
+    """The path (keys and list indices) to every scalar inside a JSON value."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return [p for key, child in items for p in _scalar_paths(child, path + (key,))]
+    return [path]
+
+
+@pytest.fixture(scope="module")
+def small_model_files(workspace):
+    """A saved logistic file and a saved three-tree forest file, each with a
+    test row index its model predicts negative."""
+    ds_cfg = load_dataset_config(workspace["data"])
+    dataset = load_configured_dataset(ds_cfg)
+    train, test = split_dataset(dataset, ds_cfg.test_cap, ds_cfg.split_seed)
+    files = {}
+    for learner, params in (("logistic", {}), ("random_forest", {"ntree": 3, "max_depth": 3})):
+        model = train_model(train, LearnerConfig(learner, params, seed=2))
+        path = str(workspace["root"] / ("small_%s.json" % learner))
+        save_model(model, path)
+        poi = next(
+            i for i, inst in enumerate(test.instances)
+            if model.predict_class(inst.values) == NEGATIVE
+        )
+        files[learner] = (json.loads(open(path, encoding="utf-8").read()), poi)
+    return files
+
+
+# JSON values a scalar of a model file is replaced with
+MODEL_FUZZ_VALUES = [
+    None, True, "x", "", -1, 0, 1, 2.5, -1e300, float("nan"), float("inf"), [1], {}
+]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    learner=st.sampled_from(["logistic", "random_forest"]),
+    pick=st.integers(0, 10**6),
+    value=st.sampled_from(MODEL_FUZZ_VALUES),
+)
+# path 2 is the learner name; in the logistic file 14 is an encoder
+# bound, 22 a weight and 25 the bias
+@example(learner="random_forest", pick=2, value=[1])
+@example(learner="logistic", pick=14, value=float("inf"))
+@example(learner="logistic", pick=22, value=None)
+@example(learner="logistic", pick=25, value=float("nan"))
+def test_explain_survives_one_replaced_model_scalar(
+    workspace, small_model_files, learner, pick, value
+):
+    payload, poi = small_model_files[learner]
+    payload = json.loads(json.dumps(payload))
+    paths = _scalar_paths(payload)
+    *parents, last = paths[pick % len(paths)]
+    node = payload
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "model.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["explain", "--model", path, "--data", workspace["data"],
+                       "--poi", str(poi)])
+    assert rc in (0, 2, 3)
     assert len(err.getvalue().splitlines()) == (0 if rc == 0 else 1)
 
 

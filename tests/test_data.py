@@ -387,6 +387,13 @@ def test_dataset_config_unknown_non_actionable_name(tmp_path):
         ("split_seed: 4", "split_seed: -1", "split_seed"),
         ("split_seed: 4", "split_seed: 4\nsynthetic: {seed: -1}", "synthetic seed"),
         ("split_seed: 4", "split_seed: 4\nsynthetic: {continuous: -1, integer: 2}", "counts"),
+        (
+            "non_actionable: [age]\n" + FEATURES_YAML,
+            "synthetic: {n: 60, seed: 1, continuous: 1, categorical: 1}\nfeatures:\n"
+            "  - {name: num0, kind: continuous}\n"
+            "  - {name: cat0, kind: categorical, categories: [x, y, z]}\n",
+            "'cat0' needs categories",
+        ),
     ],
     ids=[
         "yaml_syntax",
@@ -417,6 +424,7 @@ def test_dataset_config_unknown_non_actionable_name(tmp_path):
         "split_seed_negative",
         "synthetic_seed_negative",
         "synthetic_count_negative",
+        "synthetic_categories_undeclared",
     ],
 )
 def test_dataset_config_malformed_values_name_the_problem(tmp_path, old, new, named):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from lexcf.data import CATEGORICAL, CONTINUOUS, INTEGER, FeatureSchema, FeatureStats
 from lexcf.errors import ConfigError, InvariantViolation
-from lexcf.model import FixedLinearModel
+from lexcf.model import FixedLinearModel, Model
 from lexcf.objectives import (
     EvalContext,
     FeatureResilience,
@@ -27,7 +28,7 @@ from lexcf.objectives import (
     resilience_step,
 )
 from lexcf import objectives
-from lexcf.objectives import _walk_plan
+from lexcf.objectives import _walk_reports
 
 from conftest import (
     ConstantModel,
@@ -206,20 +207,143 @@ def test_resilience_step_integer_rounding():
     assert resilience_step(9.0, 0.0, 10.0, True) == (1.0, 1)
 
 
+class RecordingModel(CountingModel):
+    """Wraps another model and keeps every row it is asked to classify."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.seen = []
+
+    def predict_proba_batch(self, rows):
+        self.seen.extend(rows)
+        return super().predict_proba_batch(rows)
+
+
 def test_walk_plan_clamps_to_bound():
+    # unclamped, the tenth step of (1 - 0.076) / 10 would overshoot 1.0
     schema = numeric_schema(1)
     stats = make_stats([(0.0, 1.0)])
-    plan = _walk_plan((0.3,), (0.0,), schema, stats)
-    assert len(plan) == 1
-    walk = plan[0]
-    assert walk.steps_max == 10
-    assert all(v <= 1.0 for v in walk.values)
-    assert walk.values[-1] == 1.0
+    step = (1.0 - 0.076) / 10.0
+    assert 0.076 + 10 * step > 1.0
+    model = RecordingModel(ConstantModel(schema, 0.9))
+    report = resilience_scores((0.076,), (0.0,), model, schema, stats)
+    assert model.seen[0] == (0.076,)  # the validity check
+    walk = [row[0] for row in model.seen[1:]]
+    assert walk == [0.076 + s * step for s in range(1, 10)] + [1.0]
+    assert report.features == (FeatureResilience(0, step, 10, 10, 1.0),)
 
 
 def test_walk_plan_skips_unchanged_and_categorical():
-    plan = _walk_plan((2.0, 3.0, "b"), (2.0, 1.0, "a"), MIXED_SCHEMA, MIXED_STATS)
-    assert [w.index for w in plan] == [1]
+    model = RecordingModel(ConstantModel(MIXED_SCHEMA, 0.9))
+    report = resilience_scores((2.0, 3.0, "b"), (2.0, 1.0, "a"), model, MIXED_SCHEMA, MIXED_STATS)
+    assert [f.index for f in report.features] == [1]
+    # only feature n walks: 3 -> 4 -> 5
+    assert model.seen[1:] == [(2.0, 4.0, "b"), (2.0, 5.0, "b")]
+
+
+class BoxModel(Model):
+    """Positive while every numeric feature lies in its closed box [a, b];
+    a per-row oracle whose class does not depend on the batch."""
+
+    learner_name = "box"
+
+    def __init__(self, schema, box):
+        self.schema = tuple(schema)
+        self.box = box
+
+    def predict_proba_batch(self, rows):
+        inside = [
+            all(a <= row[j] <= b for j, (a, b) in self.box.items()) for row in rows
+        ]
+        return np.where(inside, 0.9, 0.1)
+
+
+def _walk_oracle(key, x_pt, model, schema, stats):
+    """The resilience report of one key, walked one step at a time: each
+    step is one predict_class call, and a walk stops at its first
+    negative step."""
+    features = []
+    for i, feat in enumerate(schema):
+        x = key[i]
+        if feat.kind == CATEGORICAL or x == x_pt[i]:
+            continue
+        lo, hi = stats[i].lower, stats[i].upper
+        if not lo < x < hi:
+            features.append(FeatureResilience(i, 0.0, 0, 0, 1.0))
+            continue
+        up = x > x_pt[i]
+        step, steps_max = resilience_step(x, x_pt[i], hi if up else lo, feat.kind == INTEGER)
+        kept = 0
+        for s in range(1, steps_max + 1):
+            v = x + s * step
+            v = min(v, hi) if step > 0 else max(v, lo)
+            if model.predict_class(key[:i] + (v,) + key[i + 1 :]) != 1:
+                break
+            kept += 1
+        features.append(FeatureResilience(i, step, steps_max, kept, kept / steps_max))
+    return ResilienceReport(tuple(features))
+
+
+@st.composite
+def _walk_batches(draw):
+    """A schema, its stats, a POI, a box model and a batch of keys. Bounds
+    may coincide (zero range) and values may sit at or beyond a bound.
+    Integer ranges are short enough that steps round to 0 and long enough
+    that they round to 2 or more; walks of one step come from values next
+    to a bound."""
+    kind = st.sampled_from((CONTINUOUS, INTEGER, CATEGORICAL))
+    kinds = draw(st.lists(kind, min_size=1, max_size=4))
+    schema, stats, x_pt, values, box = [], [], [], [], {}
+    for j, kind in enumerate(kinds):
+        if kind == CATEGORICAL:
+            schema.append(FeatureSchema("f%d" % j, kind, categories=("a", "b")))
+            stats.append(FeatureStats(categories=("a", "b")))
+            values.append(st.sampled_from(("a", "b")))
+            x_pt.append(draw(values[-1]))
+            continue
+        whole = kind == INTEGER
+        number = st.integers(-20, 20).map(float) if whole else st.floats(-20, 20)
+        lo = draw(number)
+        hi = lo if draw(st.integers(0, 3)) == 0 else draw(number)
+        lo, hi = min(lo, hi), max(lo, hi)
+        inside = st.integers(int(lo), int(hi)).map(float) if whole else st.floats(lo, hi)
+        value = st.one_of(inside, inside, inside, st.sampled_from((lo, hi)), number)
+        schema.append(FeatureSchema("f%d" % j, kind))
+        stats.append(FeatureStats(lower=lo, upper=hi))
+        values.append(value)
+        x_pt.append(draw(value))
+        # about half the numeric features cut the positive region on one side
+        side = draw(st.integers(0, 3))
+        if side < 2:
+            cut = draw(inside)
+            box[j] = (-math.inf, cut) if side == 0 else (cut, math.inf)
+    keys = draw(
+        st.lists(
+            st.tuples(*(st.one_of(st.just(p), v) for p, v in zip(x_pt, values))),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return tuple(schema), tuple(stats), tuple(x_pt), BoxModel(schema, box), keys
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch=_walk_batches())
+def test_walk_reports_match_stepwise_oracle(batch):
+    schema, stats, x_pt, model, keys = batch
+    recorder = RecordingModel(model)
+    reports = _walk_reports(keys, x_pt, recorder, schema, stats)
+    assert recorder.calls <= 1  # every walk row of the batch in one call
+    assert reports == [_walk_oracle(key, x_pt, model, schema, stats) for key in keys]
+    # the rows come key-major, then feature-minor, each walk inside its bounds
+    rows = iter(recorder.seen)
+    for key, report in zip(keys, reports):
+        for f in report.features:
+            i, lo, hi = f.index, stats[f.index].lower, stats[f.index].upper
+            for row in itertools.islice(rows, f.steps_max):
+                assert row[:i] + row[i + 1 :] == key[:i] + key[i + 1 :]
+                assert lo <= row[i] <= hi
+    assert next(rows, None) is None
 
 
 def test_resilience_partial_walk_score():
@@ -341,7 +465,8 @@ def test_evaluate_population_batches_resilience_walks(rng):
     # one probability batch plus one merged class batch for all walks
     assert counter.calls == 2
     for cand in cands:
-        vec, report = ctx.cache[cand]
+        vec, report = evaluate_with_report(cand, ctx)
+        assert ctx.cache[cand] == vec
         assert report is not None
         assert vec.o1 == -report.mean
 
@@ -385,10 +510,10 @@ def test_evaluate_population_batch_equals_scalar_oracles(rng, monkeypatch, chunk
             p_hat = model.predict_proba(cand)
             if resilience and p_hat >= 0.5:
                 report = resilience_scores(cand, x_pt, model, schema, stats)
-                assert ctx.cache[cand][1] == report
+                assert evaluate_with_report(cand, ctx) == (vec, report)
                 assert vec.o1 == obj_validity_resilient(p_hat, report)
             else:
-                assert ctx.cache[cand][1] is None
+                assert evaluate_with_report(cand, ctx) == (vec, None)
                 assert vec.o1 == obj_validity(p_hat)
             assert vec.o2 == obj_distance(cand, x_pt, schema, stats)
             assert vec.o3 == obj_sparsity(cand, x_pt, schema)

@@ -285,17 +285,20 @@ def test_crowding_distance_boundary_always_infinite():
 
 def test_nsga2_select_whole_fronts_then_cut():
     pool = LADDER + [vec4(5, 5, 0, 5)]  # last one dominated by all of LADDER
-    got = nsga2_select(pool, 5)
+    got, fronts = nsga2_select(pool, 5)
     assert got == pool  # both fronts fit exactly
-    cut = nsga2_select(pool, 3)
+    assert fronts == [[0, 1, 2, 3], [4]]
+    cut, fronts = nsga2_select(pool, 3)
     # boundary members survive first, then the lower-index interior one
     assert cut == [pool[0], pool[3], pool[1]]
+    assert fronts == [[0, 1, 2]]
 
 
 def test_nsga2_select_errors_and_identity():
-    with pytest.raises(ConfigError):
-        nsga2_select(LADDER, 5)
-    assert nsga2_select(LADDER, 4) == LADDER
+    for target in (0, 5):
+        with pytest.raises(ConfigError):
+            nsga2_select(LADDER, target)
+    assert nsga2_select(LADDER, 4) == (LADDER, [[0, 1, 2, 3]])
 
 
 @settings(max_examples=60)
@@ -314,7 +317,7 @@ def test_nsga2_select_size_and_membership(data):
         for _ in range(n)
     ]
     target = data.draw(st.integers(1, n))
-    got = nsga2_select(pool, target)
+    got, _ = nsga2_select(pool, target)
     assert len(got) == target
     pool_left = list(pool)
     for item in got:
@@ -520,3 +523,15 @@ def test_array_kernels_match_sort_oracles(data):
         given_fronts = crowded_tournament_select(pool, 25, rng_new, fronts)
         assert given_fronts == crowded_tournament_select(pool, 25, rng_old)
         assert rng_new.random() == rng_old.random()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_nsga2_select_fronts_equal_sort_of_survivors(data):
+    # a few distinct vectors drawn many times, so ties and duplicates abound
+    distinct = data.draw(st.lists(_NEAR_TIES, min_size=1, max_size=12))
+    pool = data.draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=40))
+    target = data.draw(st.integers(1, len(pool)))
+    survivors, fronts = nsga2_select(pool, target)
+    assert fronts == nondominated_sort(survivors)
+    assert [i for front in fronts for i in front] == list(range(target))
