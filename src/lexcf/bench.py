@@ -66,6 +66,10 @@ class ExperimentConfig:
         check_fields(self)
         if self.max_pois < 1:
             raise ConfigError("max_pois must be >= 1")
+        if self.tune_trials < 0:
+            raise ConfigError("tune_trials must be >= 0")
+        if not self.variants:
+            raise ConfigError("variants must name at least one validity variant")
         if self.learner_params is None:
             self.learner_params = {}
         if self.ea is None:
@@ -200,22 +204,16 @@ def aggregate_records(records, strategies, variants, theta):
     return aggregates
 
 
-def _build_model(cfg, train):
-    params = dict(cfg.learner_params)
-    # reject params the learner cannot take before any tuning trial runs
-    learner_params(LearnerConfig(cfg.learner, params), train.schema)
-    if cfg.tune_trials > 0:
-        tuned = tune_random_search(
-            cfg.learner,
-            train,
-            n_trials=cfg.tune_trials,
-            seed=stable_seed(cfg.master_seed, "tune"),
-        )
-        params = {**tuned.params, **params}
-    learner_cfg = LearnerConfig(
-        cfg.learner, params, seed=stable_seed(cfg.master_seed, "train")
-    )
-    return train_model(train, learner_cfg), learner_cfg
+def build_model(train, cfg, tune_trials, tune_seed):
+    """Train cfg's learner on train; returns the model and the config it was
+    trained with. cfg.params is checked before anything runs. With
+    tune_trials above 0, a random search seeded with tune_seed supplies the
+    params that cfg.params leaves unset."""
+    learner_params(cfg, train.schema)
+    if tune_trials > 0:
+        tuned = tune_random_search(cfg.learner, train, n_trials=tune_trials, seed=tune_seed)
+        cfg = replace(cfg, params={**tuned.params, **cfg.params})
+    return train_model(train, cfg), cfg
 
 
 def run_experiment(cfg):
@@ -226,7 +224,12 @@ def run_experiment(cfg):
         dataset, cfg.dataset.test_cap, cfg.dataset.split_seed
     )
     stats = compute_feature_stats(train)
-    model, learner_cfg = _build_model(cfg, train)
+    model, learner_cfg = build_model(
+        train,
+        LearnerConfig(cfg.learner, cfg.learner_params, stable_seed(cfg.master_seed, "train")),
+        cfg.tune_trials,
+        stable_seed(cfg.master_seed, "tune"),
+    )
     dataset_id = cfg.dataset.name
 
     rng = np.random.default_rng(stable_seed(cfg.master_seed, dataset_id, "poi-sample"))

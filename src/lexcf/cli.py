@@ -12,6 +12,7 @@ import sys
 
 from .bench import (
     aggregate_records,
+    build_model,
     emit_report,
     load_experiment_config,
     markdown_lines,
@@ -33,7 +34,7 @@ from .data import (
 )
 from .ea import STRATEGIES, EAConfig, run_ea
 from .errors import ConfigError, DataError, InvariantViolation
-from .model import LearnerConfig, load_model, save_model, train_model, tune_random_search
+from .model import LEARNERS, LearnerConfig, load_model, save_model
 from .objectives import EvalContext
 
 
@@ -47,12 +48,7 @@ def _cmd_train(args):
     ds_cfg = load_dataset_config(args.data)
     dataset = load_configured_dataset(ds_cfg)
     train, test = split_dataset(dataset, ds_cfg.test_cap, ds_cfg.split_seed)
-    if args.tune > 0:
-        tuned = tune_random_search(learner, train, n_trials=args.tune, seed=args.seed)
-        cfg = LearnerConfig(learner, tuned.params, seed=args.seed)
-    else:
-        cfg = LearnerConfig(learner, {}, seed=args.seed)
-    model = train_model(train, cfg)
+    model, _ = build_model(train, LearnerConfig(learner, {}, seed=args.seed), args.tune, args.seed)
     save_model(model, args.out)
     print(
         "trained %s on %d rows (held out %d); training accuracy %.3f"
@@ -169,15 +165,22 @@ def _cmd_compare(args):
     return 0
 
 
-def _seed(text):
-    """A --seed value: a non-negative integer, as numpy seeds need."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError("seed must be a non-negative integer, got %r" % text)
-    return value
+def _non_negative(name):
+    """The argparse type of an option that takes a non-negative integer, as
+    numpy seeds and trial counts need; name is what its error calls it."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = -1
+        if value < 0:
+            raise argparse.ArgumentTypeError(
+                "%s must be a non-negative integer, got %r" % (name, text)
+            )
+        return value
+
+    return parse
 
 
 def build_parser():
@@ -190,11 +193,11 @@ def build_parser():
 
     p = sub.add_parser("train", help="train and save a classifier")
     p.add_argument("--data", required=True, help="dataset config file")
+    p.add_argument("--learner", default="random_forest", choices=[*LEARNERS, "rf"])
     p.add_argument(
-        "--learner", default="random_forest", choices=["logistic", "rf", "random_forest"]
+        "--tune", type=_non_negative("tune"), default=0, help="random-search trials (0 = defaults)"
     )
-    p.add_argument("--tune", type=int, default=0, help="random-search trials (0 = defaults)")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_non_negative("seed"), default=0)
     p.add_argument("--out", required=True, help="model file to write")
 
     p = sub.add_parser("explain", help="generate counterfactuals for one point")
@@ -204,7 +207,7 @@ def build_parser():
     p.add_argument("--strategy", default="lex1", choices=list(STRATEGIES))
     p.add_argument("--resilience", default="off", choices=["on", "off"])
     p.add_argument("--theta", type=float, default=0.01)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_non_negative("seed"), default=0)
 
     p = sub.add_parser("bench", help="run the full benchmark protocol")
     p.add_argument("--config", required=True, help="experiment config file")

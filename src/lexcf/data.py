@@ -162,9 +162,9 @@ def load_dataset(
     """Read a CSV with a header row into a Dataset.
 
     Rows containing a missing token in any column are dropped. The header
-    must contain exactly the schema's feature names plus the class column.
-    The class column is mapped to 0/1 via positive_label; more than two
-    distinct class tokens is an error.
+    must contain exactly the schema's feature names plus the class column,
+    each once. The class column is mapped to 0/1 via positive_label; more
+    than two distinct class tokens is an error.
     """
     schema = tuple(schema)
     missing = set(missing_tokens)
@@ -176,14 +176,15 @@ def load_dataset(
         except StopIteration:
             raise DataError("empty file: %s" % path) from None
         header = [h.strip() for h in header]
-        if set(header) != expected:
+        repeated = sorted({name for name in header if header.count(name) > 1})
+        if repeated or set(header) != expected:
             unknown = sorted(set(header) - expected)
             absent = sorted(expected - set(header))
             raise SchemaError(
-                "header mismatch in %s (unknown: %s, missing: %s)"
-                % (path, unknown, absent)
+                "header mismatch in %s (unknown: %s, missing: %s, repeated: %s)"
+                % (path, unknown, absent, repeated)
             )
-        col_of = {name: header.index(name) for name in header}
+        col_of = {name: i for i, name in enumerate(header)}
         feature_cols = [col_of[f.name] for f in schema]
         class_col = col_of[class_column]
 

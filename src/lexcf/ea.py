@@ -74,8 +74,8 @@ class EAConfig:
                 raise ConfigError("%s must lie in [0, 1]" % name)
         if self.strategy not in STRATEGIES:
             raise ConfigError("strategy must be one of %s" % (STRATEGIES,))
-        if not self.theta >= 0 or self.k < 1:
-            raise ConfigError("need theta >= 0, k >= 1")
+        if not self.theta >= 0 or not 1 <= self.k <= self.population_size:
+            raise ConfigError("need theta >= 0, 1 <= k <= population_size")
 
 
 class GenerationTrace(NamedTuple):

@@ -1,13 +1,14 @@
 """Black-box classifiers over raw feature space.
 
-Two built-in learners (logistic regression, random forest) plus a
-fixed-weight linear model for deterministic tests. All models expose
-batched probability prediction; the optimizer never sees encodings,
-only raw values.
+Two built-in learners (logistic regression, random forest), each one row
+of the LEARNERS table, plus a fixed-weight linear model built in code for
+deterministic tests. All models expose batched probability prediction;
+the optimizer never sees encodings, only raw values.
 """
 
 import json
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -209,9 +210,6 @@ class ForestParams:
             raise ConfigError("min_leaf must be >= 1")
 
 
-_PARAMS = {"logistic": LogisticParams, "random_forest": ForestParams}
-
-
 def encoded_width(schema):
     """Columns of the model encoding of schema: one per numeric feature,
     one per category of a categorical feature."""
@@ -222,11 +220,7 @@ def learner_params(cfg, schema):
     """cfg.params as the learner's hyperparameter dataclass, for data of
     the given schema. An unknown learner, an unknown key, a wrongly typed
     value or an mtry outside [1, encoded width] is a ConfigError."""
-    if cfg.learner not in _PARAMS:
-        raise ConfigError(
-            "unknown learner %r (have: %s)" % (cfg.learner, ", ".join(sorted(_PARAMS)))
-        )
-    p = config_from(_PARAMS[cfg.learner], cfg.params, "%s learner params" % cfg.learner)
+    p = config_from(_learner(cfg.learner).params, cfg.params, "%s learner params" % cfg.learner)
     width = encoded_width(schema)
     if isinstance(p, ForestParams) and p.mtry is not None and not 1 <= p.mtry <= width:
         raise ConfigError("mtry %d outside [1, %d]" % (p.mtry, width))
@@ -485,8 +479,9 @@ def train_random_forest(train, cfg):
 class FixedLinearModel(Model):
     """Sigmoid of a fixed linear score over raw numeric features.
 
-    Used as a deterministic oracle in tests: with non-negative weights the
-    probability is monotone non-decreasing in every weighted feature.
+    Built in code as a deterministic oracle for tests, never saved or
+    loaded: with non-negative weights the probability is monotone
+    non-decreasing in every weighted feature.
     """
 
     learner_name = "fixed_linear"
@@ -510,56 +505,58 @@ class FixedLinearModel(Model):
             score += w * np.array([row[j] for row in rows], dtype=float)
         return _sigmoid(score)
 
-    def to_params(self):
-        return {"weights": self.weights, "intercept": self.intercept}
 
-    @classmethod
-    def from_params(cls, schema, params):
-        return cls(schema, params["weights"], params.get("intercept", 0.0))
+class Learner(NamedTuple):
+    """One row of the learner table: the hyperparameter dataclass, the
+    trainer, the model class a saved file loads into, and search_space,
+    which maps the schema's feature count d to each tuned hyperparameter's
+    random-search range (lo, hi)."""
+
+    params: type
+    train: Callable
+    model: type
+    search_space: Callable
 
 
-_LEARNERS = {
-    "logistic": (train_logistic, LogisticModel),
-    "random_forest": (train_random_forest, RandomForestModel),
+LEARNERS = {
+    "logistic": Learner(
+        LogisticParams,
+        train_logistic,
+        LogisticModel,
+        lambda d: {"learning_rate": (0.01, 1.0), "epochs": (100, 1000), "l2": (0.0, 0.1)},
+    ),
+    "random_forest": Learner(
+        ForestParams,
+        train_random_forest,
+        RandomForestModel,
+        lambda d: {"ntree": (50, 500), "mtry": (1, d), "max_depth": (2, 20), "min_leaf": (1, 5)},
+    ),
 }
 
 
+def _learner(name):
+    """The LEARNERS row of name; any other name is a ConfigError."""
+    if not isinstance(name, str) or name not in LEARNERS:
+        raise ConfigError("unknown learner %r (have: %s)" % (name, ", ".join(LEARNERS)))
+    return LEARNERS[name]
+
+
 def train_model(train, cfg):
-    if cfg.learner not in _LEARNERS:
-        raise ConfigError(
-            "unknown learner %r (have: %s)" % (cfg.learner, ", ".join(sorted(_LEARNERS)))
-        )
-    return _LEARNERS[cfg.learner][0](train, cfg)
+    return _learner(cfg.learner).train(train, cfg)
 
 
-def default_search_space(learner, train):
-    """Hyperparameter ranges used by random search when none are given."""
-    if learner == "random_forest":
-        return {
-            "ntree": ("int", 50, 500),
-            "mtry": ("int", 1, len(train.schema)),
-            "max_depth": ("int", 2, 20),
-            "min_leaf": ("int", 1, 5),
-        }
-    if learner == "logistic":
-        return {
-            "learning_rate": ("float", 0.01, 1.0),
-            "epochs": ("int", 100, 1000),
-            "l2": ("float", 0.0, 0.1),
-        }
-    raise ConfigError("no search space for learner %r" % learner)
-
-
-def sample_search_space(learner, space, n_trials, seed):
-    """Deterministic list of trial configs; parameter order is alphabetical."""
+def sample_search_space(learner, schema, n_trials, seed):
+    """Deterministic list of trial configs from the learner's search space
+    for data of the given schema. Parameters are drawn in alphabetical
+    order: an integer in [lo, hi] for integer bounds, else a float."""
+    space = sorted(_learner(learner).search_space(len(schema)).items())
     rng = np.random.default_rng(seed)
     trials = []
     for t in range(n_trials):
         params = {}
-        for name in sorted(space):
-            kind, lo, hi = space[name]
-            if kind == "int":
-                params[name] = int(rng.integers(int(lo), int(hi) + 1))
+        for name, (lo, hi) in space:
+            if isinstance(lo, int):
+                params[name] = int(rng.integers(lo, hi + 1))
             else:
                 params[name] = float(rng.uniform(lo, hi))
         trials.append(LearnerConfig(learner, params, seed=int(seed) + t))
@@ -592,11 +589,11 @@ def cross_val_accuracy(train, cfg, folds):
 
 
 def tune_random_search(learner, train, n_trials=10, seed=0):
-    """Pick the trial config, drawn from the learner's default search space,
-    with the best 3-fold CV accuracy; ties keep the first-sampled trial."""
+    """Pick the trial config, drawn from the learner's search space, with
+    the best 3-fold CV accuracy; ties keep the first-sampled trial."""
     if n_trials < 1:
         raise ConfigError("n_trials must be >= 1")
-    trials = sample_search_space(learner, default_search_space(learner, train), n_trials, seed)
+    trials = sample_search_space(learner, train.schema, n_trials, seed)
     folds = kfold_indices(len(train), 3, seed)
     best_cfg = None
     best_score = -1.0
@@ -621,13 +618,6 @@ def save_model(model, path):
     }
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle)
-
-
-_LOADERS = {
-    "logistic": LogisticModel,
-    "random_forest": RandomForestModel,
-    "fixed_linear": FixedLinearModel,
-}
 
 
 def load_model(path):
@@ -655,9 +645,7 @@ def load_model(path):
         raise ModelFormatError("corrupt model file %s: %s" % (path, exc)) from None
     if schema_fingerprint(schema) != fingerprint:
         raise ModelFormatError("schema fingerprint mismatch in %s" % path)
-    if not isinstance(learner, str) or learner not in _LOADERS:
-        raise ModelFormatError("unknown learner %r in %s" % (learner, path))
     try:
-        return _LOADERS[learner].from_params(schema, params)
-    except (KeyError, TypeError, ValueError, ModelFormatError) as exc:
+        return _learner(learner).model.from_params(schema, params)
+    except (KeyError, TypeError, ValueError, ConfigError, ModelFormatError) as exc:
         raise ModelFormatError("corrupt model file %s: %s" % (path, exc)) from None

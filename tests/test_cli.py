@@ -95,8 +95,8 @@ def test_train_with_tuning(workspace, capsys):
 @pytest.mark.parametrize("out", ["nodir/model.json", "."], ids=["missing_dir", "directory"])
 def test_train_checks_out_before_tuning(workspace, tmp_path, capsys, monkeypatch, out):
     calls = []
-    monkeypatch.setattr(cli, "tune_random_search", lambda *a, **k: calls.append("tune"))
-    monkeypatch.setattr(cli, "train_model", lambda *a, **k: calls.append("train"))
+    monkeypatch.setattr(bench, "tune_random_search", lambda *a, **k: calls.append("tune"))
+    monkeypatch.setattr(bench, "train_model", lambda *a, **k: calls.append("train"))
     rc = main(
         ["train", "--data", workspace["data"], "--learner", "logistic",
          "--tune", "2", "--out", str(tmp_path / out)]
@@ -110,7 +110,7 @@ def test_train_failure_leaves_out_as_it_was(workspace, tmp_path, capsys, monkeyp
     def fail(*args, **kwargs):
         raise TrainingError("cannot fit")
 
-    monkeypatch.setattr(cli, "train_model", fail)
+    monkeypatch.setattr(bench, "train_model", fail)
     old = tmp_path / "old.json"
     old.write_text("previous model", encoding="utf-8")
     for path in (old, tmp_path / "new.json"):
@@ -342,6 +342,9 @@ CSV_ROWS = "num0,count,label\n0.5,1,0\n1.5,2,1\n2.5,3,0\n3.5,4,1\n4.5,5,0\n5.5,6
         ),
         ("tune_trials: 3\nlearner_params: {mtry: 99}\n", "1.5,2,1", 2, "mtry"),
         ("learner_params: {min_leaf: 0}\n", "1.5,2,1", 2, "min_leaf"),
+        ("tune_trials: 3\nea: {population_size: 4, k: 5}\n", "1.5,2,1", 2, "population_size"),
+        ("variants: []\n", "1.5,2,1", 2, "variants"),
+        ("tune_trials: -4\n", "1.5,2,1", 2, "tune_trials"),
     ],
     ids=[
         "top_level_key",
@@ -376,6 +379,9 @@ CSV_ROWS = "num0,count,label\n0.5,1,0\n1.5,2,1\n2.5,3,0\n3.5,4,1\n4.5,5,0\n5.5,6
         "epochs_zero_before_tuning",
         "mtry_above_width_before_tuning",
         "min_leaf_zero",
+        "k_above_population_before_tuning",
+        "variants_empty",
+        "tune_trials_negative",
     ],
 )
 def test_bench_malformed_input_exits_with_one_line(
@@ -577,6 +583,7 @@ MODEL_FUZZ_VALUES = [
 # path 2 is the learner name; in the logistic file 14 is an encoder
 # bound, 22 a weight and 25 the bias
 @example(learner="random_forest", pick=2, value=[1])
+@example(learner="logistic", pick=2, value="fixed_linear")
 @example(learner="logistic", pick=14, value=float("inf"))
 @example(learner="logistic", pick=22, value=None)
 @example(learner="logistic", pick=25, value=float("nan"))
@@ -710,6 +717,13 @@ def test_negative_seed_is_a_usage_error(capsys):
         main(["train", "--data", "ds.yaml", "--out", "model.json", "--seed", "-1"])
     assert info.value.code == 2
     assert "seed must be a non-negative integer" in capsys.readouterr().err
+
+
+def test_negative_tune_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["train", "--data", "ds.yaml", "--out", "model.json", "--tune", "-3"])
+    assert info.value.code == 2
+    assert "tune must be a non-negative integer" in capsys.readouterr().err
 
 
 def test_console_script_installed():

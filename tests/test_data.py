@@ -120,6 +120,13 @@ def test_load_dataset_header_mismatch(tmp_path):
     )
     with pytest.raises(SchemaError):
         load_dataset(path2, BASIC_SCHEMA, "outcome", "good")
+    # a repeated column name is refused, not read from its first column
+    path3 = _write_csv(
+        tmp_path / "f.csv",
+        "age,income,job,age,outcome\n30,5.0,clerk,31,good\n",
+    )
+    with pytest.raises(SchemaError, match=r"repeated: \['age'\]"):
+        load_dataset(path3, BASIC_SCHEMA, "outcome", "good")
 
 
 def test_load_dataset_drops_missing_rows(tmp_path):

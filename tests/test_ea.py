@@ -60,6 +60,9 @@ def test_ea_config_validation():
         EAConfig(strategy="random_walk")
     with pytest.raises(ConfigError):
         EAConfig(theta=-0.1)
+    with pytest.raises(ConfigError, match="population_size"):
+        EAConfig(population_size=4, k=5)
+    assert EAConfig(population_size=4, k=4).k == 4
     for wrong in ({"population_size": "a"}, {"k": True}, {"theta": "low"}, {"resilience": 1}):
         with pytest.raises(ConfigError, match=next(iter(wrong))):
             EAConfig(**wrong)

@@ -15,11 +15,11 @@ from lexcf.errors import ConfigError, ModelFormatError, TrainingError
 from lexcf.model import (
     _CHUNK_ROWS,
     _Encoder,
+    LEARNERS,
     FixedLinearModel,
     LearnerConfig,
     RandomForestModel,
     _Tree,
-    default_search_space,
     kfold_indices,
     load_model,
     sample_search_space,
@@ -326,9 +326,8 @@ def test_train_model_dispatch():
 @pytest.mark.parametrize("learner", ["logistic", "random_forest"])
 def test_learner_params_accept_tuned_keys_and_reject_others(learner):
     ds = _separable_dataset()
-    space = default_search_space(learner, ds)
-    [cfg] = sample_search_space(learner, space, 1, seed=0)
-    assert set(cfg.params) == set(space)
+    [cfg] = sample_search_space(learner, ds.schema, 1, seed=0)
+    assert set(cfg.params) == set(LEARNERS[learner].search_space(len(ds.schema)))
     assert train_model(ds, cfg).learner_name == learner
     with pytest.raises(ConfigError, match="bogus"):
         train_model(ds, LearnerConfig(learner, {**cfg.params, "bogus": 1}))
@@ -345,20 +344,55 @@ def test_kfold_indices_partition():
 
 
 def test_sample_search_space_deterministic_and_bounded():
-    space = {"b": ("int", 1, 5), "a": ("float", 0.0, 1.0)}
-    trials = sample_search_space("logistic", space, 6, seed=4)
-    again = sample_search_space("logistic", space, 6, seed=4)
-    assert trials == again
-    for t in trials:
-        assert 1 <= t.params["b"] <= 5
-        assert 0.0 <= t.params["a"] <= 1.0
-    assert [t.seed for t in trials] == [4, 5, 6, 7, 8, 9]
+    schema = generate_synthetic(30, seed=1, n_continuous=3, n_categorical=1).schema
+    for learner, row in LEARNERS.items():
+        space = row.search_space(len(schema))
+        trials = sample_search_space(learner, schema, 6, seed=4)
+        assert trials == sample_search_space(learner, schema, 6, seed=4)
+        for t in trials:
+            assert list(t.params) == sorted(space)
+            for name, (lo, hi) in space.items():
+                # integer bounds draw integers, float bounds floats
+                assert type(t.params[name]) is type(lo)
+                assert lo <= t.params[name] <= hi
+        assert [t.seed for t in trials] == [4, 5, 6, 7, 8, 9]
+    # the forest's mtry range ends at the feature count, not the encoded width
+    assert LEARNERS["random_forest"].search_space(len(schema))["mtry"] == (1, 4)
+    with pytest.raises(ConfigError, match="gradient_boost"):
+        sample_search_space("gradient_boost", schema, 1, seed=0)
+
+
+# the first three trials of seed 11 on a five-feature mixed schema, as the
+# draws have always come out; any change to the tuning draws fails here
+PINNED_TRIALS = {
+    "logistic": [
+        {"epochs": 220, "l2": 0.0499277862440115, "learning_rate": 0.6054833740471239},
+        {"epochs": 215, "l2": 0.002868900837194455, "learning_rate": 0.15644682373168137},
+        {"epochs": 461, "l2": 0.007042057615419684, "learning_rate": 0.13847620990530501},
+    ],
+    "random_forest": [
+        {"max_depth": 4, "min_leaf": 1, "mtry": 4, "ntree": 275},
+        {"max_depth": 13, "min_leaf": 4, "mtry": 4, "ntree": 62},
+        {"max_depth": 11, "min_leaf": 1, "mtry": 3, "ntree": 468},
+    ],
+}
+
+
+@pytest.mark.parametrize("learner", sorted(PINNED_TRIALS))
+def test_sample_search_space_pins_first_trials(learner):
+    schema = generate_synthetic(
+        60, seed=1, n_continuous=3, n_integer=1, n_categorical=1
+    ).schema
+    trials = sample_search_space(learner, schema, 3, seed=11)
+    assert [t.params for t in trials] == PINNED_TRIALS[learner]
+    assert [list(t.params) for t in trials] == [sorted(p) for p in PINNED_TRIALS[learner]]
+    assert [(t.learner, t.seed) for t in trials] == [(learner, 11), (learner, 12), (learner, 13)]
 
 
 def test_tune_random_search_picks_better_config():
     ds = generate_synthetic(90, seed=8, n_continuous=4)
     best = tune_random_search("logistic", ds, n_trials=6, seed=2)
-    trials = sample_search_space("logistic", default_search_space("logistic", ds), 6, seed=2)
+    trials = sample_search_space("logistic", ds.schema, 6, seed=2)
     folds = kfold_indices(len(ds), 3, seed=2)
     from lexcf.model import cross_val_accuracy
 
@@ -418,6 +452,13 @@ def test_load_model_rejects_corruption(tmp_path):
     path.write_text(json.dumps(bad_learner), encoding="utf-8")
     with pytest.raises(ModelFormatError):
         load_model(str(path))
+
+    # the fixed linear model is built in code and has no file format
+    for params in (payload["params"], {"weights": {"num0": float("nan")}}):
+        fixed = dict(payload, learner="fixed_linear", params=params)
+        path.write_text(json.dumps(fixed), encoding="utf-8")
+        with pytest.raises(ModelFormatError, match="unknown learner 'fixed_linear'"):
+            load_model(str(path))
 
     missing = {k: v for k, v in payload.items() if k != "params"}
     path.write_text(json.dumps(missing), encoding="utf-8")
