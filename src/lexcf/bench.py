@@ -29,7 +29,7 @@ from .data import (
 )
 from .ea import STRATEGIES, STRATEGY_ORDERINGS, EAConfig, run_paired
 from .errors import ConfigError, DataError, InvariantViolation
-from .model import LearnerConfig, learner_params, train_model, tune_random_search
+from .model import LearnerConfig, learner_key, learner_params, train_model, tune_random_search
 from .objectives import EvalContext
 from .selection import FIRST_BETTER, SECOND_BETTER, TIE, lex_compare, pareto_compare
 
@@ -68,6 +68,7 @@ class ExperimentConfig:
             raise ConfigError("max_pois must be >= 1")
         if self.tune_trials < 0:
             raise ConfigError("tune_trials must be >= 0")
+        self.learner = learner_key(self.learner)
         if not self.variants:
             raise ConfigError("variants must name at least one validity variant")
         if self.learner_params is None:

@@ -34,7 +34,7 @@ from .data import (
 )
 from .ea import STRATEGIES, EAConfig, run_ea
 from .errors import ConfigError, DataError, InvariantViolation
-from .model import LEARNERS, LearnerConfig, load_model, save_model
+from .model import LEARNER_ALIASES, LEARNERS, LearnerConfig, learner_key, load_model, save_model
 from .objectives import EvalContext
 
 
@@ -44,7 +44,7 @@ def _cmd_train(args):
     open(args.out, "a", encoding="utf-8").close()
     if not existed:
         os.remove(args.out)
-    learner = {"rf": "random_forest"}.get(args.learner, args.learner)
+    learner = learner_key(args.learner)
     ds_cfg = load_dataset_config(args.data)
     dataset = load_configured_dataset(ds_cfg)
     train, test = split_dataset(dataset, ds_cfg.test_cap, ds_cfg.split_seed)
@@ -193,7 +193,7 @@ def build_parser():
 
     p = sub.add_parser("train", help="train and save a classifier")
     p.add_argument("--data", required=True, help="dataset config file")
-    p.add_argument("--learner", default="random_forest", choices=[*LEARNERS, "rf"])
+    p.add_argument("--learner", default="random_forest", choices=[*LEARNERS, *LEARNER_ALIASES])
     p.add_argument(
         "--tune", type=_non_negative("tune"), default=0, help="random-search trials (0 = defaults)"
     )

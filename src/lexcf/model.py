@@ -2,12 +2,15 @@
 
 Two built-in learners (logistic regression, random forest), each one row
 of the LEARNERS table, plus a fixed-weight linear model built in code for
-deterministic tests. All models expose batched probability prediction;
-the optimizer never sees encodings, only raw values.
+deterministic tests. All models expose batched probability prediction
+over raw value tuples. Resilience walks also go through the encode step:
+they encode each walked candidate once and set one feature per walk row
+in the model's encoded space.
 """
 
 import json
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -41,6 +44,24 @@ class Model:
     def predict_proba_batch(self, rows):
         raise NotImplementedError
 
+    def encode(self, rows):
+        """rows (value tuples) in the form predict_encoded reads. A model
+        without an encoder reads the value tuples themselves."""
+        return rows
+
+    def predict_encoded(self, encoded):
+        """Probabilities of rows that encode or with_values returned."""
+        return self.predict_proba_batch(encoded)
+
+    def with_values(self, encoded, at, features, values):
+        """Rows encoded[at[r]], each with numeric schema feature
+        features[r] set to values[r]; at, features and values are
+        equal-length arrays."""
+        return [
+            encoded[k][:i] + (v,) + encoded[k][i + 1 :]
+            for k, i, v in zip(at.tolist(), features.tolist(), values.tolist())
+        ]
+
     def predict_proba(self, values):
         return float(self.predict_proba_batch([values])[0])
 
@@ -64,7 +85,10 @@ class _Encoder:
     def __init__(self, columns):
         # columns: per feature either ("num", lo, hi) or ("cat", categories)
         self.columns = columns
-        self.width = sum(1 if c[0] == "num" else len(c[1]) for c in columns)
+        sizes = [1 if c[0] == "num" else len(c[1]) for c in columns]
+        self.width = sum(sizes)
+        # the encoded column of each feature (a categorical's first one)
+        self.column_of = list(accumulate(sizes, initial=0))[:-1]
         # per categorical column: {category: code} and a table whose row for
         # a code is that category's one-hot block; the last row, which the
         # code -1 of an unknown token selects, is all zeros
@@ -88,21 +112,30 @@ class _Encoder:
                 columns.append(("num", float(min(vals)), float(max(vals))))
         return cls(columns)
 
+    def _scaled(self, j, vals):
+        """The encoded column of numeric feature j for the float array
+        vals: (vals - lo) / (hi - lo), or 0 when the range is empty."""
+        _, lo, hi = self.columns[j]
+        return (vals - lo) / (hi - lo) if hi > lo else np.zeros_like(vals)
+
     def transform(self, rows):
         out = np.zeros((len(rows), self.width))
-        col = 0
-        for j, spec in enumerate(self.columns):
+        for j, (spec, col) in enumerate(zip(self.columns, self.column_of)):
             if spec[0] == "num":
-                lo, hi = spec[1], spec[2]
-                vals = np.array([row[j] for row in rows], dtype=float)
-                if hi > lo:
-                    out[:, col] = (vals - lo) / (hi - lo)
-                col += 1
+                out[:, col] = self._scaled(j, np.array([row[j] for row in rows], dtype=float))
             else:
                 codes, table = self._onehot[j]
                 idx = [codes.get(row[j], -1) for row in rows]
                 out[:, col : col + len(spec[1])] = table.take(idx, axis=0)
-                col += len(spec[1])
+        return out
+
+    def with_values(self, encoded, at, features, values):
+        """Rows encoded[at], each with numeric feature features[r] set to
+        values[r], scaled as transform scales it."""
+        out = encoded[at]
+        for j in np.unique(features).tolist():
+            rows = np.flatnonzero(features == j)
+            out[rows, self.column_of[j]] = self._scaled(j, values[rows])
         return out
 
     def to_spec(self):
@@ -139,7 +172,17 @@ def _check_binary(train):
         raise TrainingError("training set contains a single class: %r" % sorted(labels))
 
 
-class LogisticModel(Model):
+class _EncodedModel(Model):
+    """A model that reads rows through its _Encoder, self.encoder."""
+
+    def encode(self, rows):
+        return self.encoder.transform(rows)
+
+    def with_values(self, encoded, at, features, values):
+        return self.encoder.with_values(encoded, at, features, values)
+
+
+class LogisticModel(_EncodedModel):
     """Logistic regression fitted by full-batch gradient descent."""
 
     learner_name = "logistic"
@@ -158,8 +201,10 @@ class LogisticModel(Model):
             raise ModelFormatError("logistic weights and bias must be finite numbers")
 
     def predict_proba_batch(self, rows):
-        X = self.encoder.transform(rows)
-        return _sigmoid(X @ self.weights + self.bias)
+        return self.predict_encoded(self.encode(rows))
+
+    def predict_encoded(self, encoded):
+        return _sigmoid(encoded @ self.weights + self.bias)
 
     def to_params(self):
         return {
@@ -398,7 +443,7 @@ def _flatten_forest(trees, width):
     return feature, threshold, children.ravel(), value, roots, depth
 
 
-class RandomForestModel(Model):
+class RandomForestModel(_EncodedModel):
     """Bagged CART trees; probability is the fraction of positive votes.
 
     The trees are flattened once, at construction, into one node table;
@@ -422,10 +467,12 @@ class RandomForestModel(Model):
         ) = _flatten_forest(trees, encoder.width)
 
     def predict_proba_batch(self, rows):
-        X = self.encoder.transform(rows)
-        votes = np.empty(X.shape[0], dtype=np.int64)
-        for start in range(0, X.shape[0], _CHUNK_ROWS):
-            chunk = X[start : start + _CHUNK_ROWS]
+        return self.predict_encoded(self.encode(rows))
+
+    def predict_encoded(self, encoded):
+        votes = np.empty(encoded.shape[0], dtype=np.int64)
+        for start in range(0, encoded.shape[0], _CHUNK_ROWS):
+            chunk = encoded[start : start + _CHUNK_ROWS]
             cells = chunk.ravel()
             row_start = (np.arange(chunk.shape[0]) * chunk.shape[1])[:, None]
             pos = np.broadcast_to(self._roots, (chunk.shape[0], len(self._roots)))
@@ -534,11 +581,25 @@ LEARNERS = {
 }
 
 
+# other names a config or the command line may give a learner
+LEARNER_ALIASES = {"rf": "random_forest"}
+
+
+def learner_key(name):
+    """The LEARNERS name that name or its alias stands for; any other name
+    is a ConfigError."""
+    key = LEARNER_ALIASES.get(name, name) if isinstance(name, str) else None
+    if key not in LEARNERS:
+        raise ConfigError(
+            "unknown learner %r (have: %s)" % (name, ", ".join([*LEARNERS, *LEARNER_ALIASES]))
+        )
+    return key
+
+
 def _learner(name):
-    """The LEARNERS row of name; any other name is a ConfigError."""
-    if not isinstance(name, str) or name not in LEARNERS:
-        raise ConfigError("unknown learner %r (have: %s)" % (name, ", ".join(LEARNERS)))
-    return LEARNERS[name]
+    """The LEARNERS row of name or its alias; any other name is a
+    ConfigError."""
+    return LEARNERS[learner_key(name)]
 
 
 def train_model(train, cfg):

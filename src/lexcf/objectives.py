@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import CATEGORICAL, INTEGER, NEGATIVE, POSITIVE
+from .data import CATEGORICAL, INTEGER, POSITIVE
 from .errors import ConfigError, InvariantViolation
 
 
@@ -106,13 +106,14 @@ def resilience_step(x_cf_i, x_pt_i, bound, is_integer):
 
     One tenth of the remaining distance per step; integer features round
     the step and fall back to a whole unit in the walk direction when
-    rounding collapses it to zero.
+    rounding collapses it to zero. A continuous distance so small that
+    its tenth underflows to zero is walked in one step.
     """
     step = (bound - x_cf_i) / 10.0
     if is_integer:
         step = float(round(step))
-        if step == 0.0:
-            step = 1.0 if x_cf_i > x_pt_i else -1.0
+    if step == 0.0:
+        step = (1.0 if x_cf_i > x_pt_i else -1.0) if is_integer else bound - x_cf_i
     # the epsilon absorbs float error in an exact-quotient case like 5/0.5
     steps_max = int(math.floor(abs((bound - x_cf_i) / step) + 1e-9))
     return step, max(1, steps_max)
@@ -124,36 +125,52 @@ def _walk_reports(keys, x_pt, model, schema, stats):
     Every changed numeric feature of every key is walked toward the bound
     it moves away from x_pt by, with resilience_step's steps clamped at
     that bound; a feature at or beyond a bound gets an empty walk. All
-    walk rows, key-major and then feature-minor, are classified in one
+    walk rows, key-major and then feature-minor, are built in the model's
+    encoded space from each key's encoded row and classified in one
     batch, and each walk scores the share of its steps before its first
     negative one, or 1 when it has no steps.
     """
-    walks = []  # (key position, feature, step, walk values), in row order
-    for k, key in enumerate(keys):
-        for i, feat in enumerate(schema):
-            x = key[i]
-            if feat.kind == CATEGORICAL or x == x_pt[i]:
-                continue
-            lo, hi = stats[i].lower, stats[i].upper
-            if x >= hi or x <= lo:
-                walks.append((k, i, 0.0, ()))
-                continue
-            bound = hi if x > x_pt[i] else lo
-            step, steps_max = resilience_step(x, x_pt[i], bound, feat.kind == INTEGER)
-            clamp, limit = (min, hi) if step > 0 else (max, lo)
-            values = [clamp(x + s * step, limit) for s in range(1, steps_max + 1)]
-            walks.append((k, i, step, values))
-    rows = [keys[k][:i] + (v,) + keys[k][i + 1 :] for k, i, _, values in walks for v in values]
-    classes = model.predict_class_batch(rows).tolist() if rows else []
-    features = [[] for _ in keys]
-    start = 0
-    for k, i, step, values in walks:
-        n = len(values)
-        walk = classes[start : start + n]
-        start += n
-        kept = walk.index(NEGATIVE) if NEGATIVE in walk else n
-        features[k].append(FeatureResilience(i, step, n, kept, kept / n if n else 1.0))
-    return [ResilienceReport(tuple(f)) for f in features]
+    numeric = [i for i, feat in enumerate(schema) if feat.kind != CATEGORICAL]
+    is_int = np.array([schema[i].kind == INTEGER for i in numeric], dtype=bool)
+    lower = np.array([stats[i].lower for i in numeric], dtype=float)
+    upper = np.array([stats[i].upper for i in numeric], dtype=float)
+    values = np.array([[key[i] for i in numeric] for key in keys], dtype=float)
+    values = values.reshape(len(keys), len(numeric))
+    poi = np.array([x_pt[i] for i in numeric], dtype=float)
+    # one walk per changed numeric feature, key-major then feature-minor
+    key_of, col = np.nonzero(values != poi)
+    feature = np.array(numeric, dtype=np.int64)[col]
+    x, pt, lo, hi = values[key_of, col], poi[col], lower[col], upper[col]
+    inside = (lo < x) & (x < hi)
+    # resilience_step's arithmetic on the walks with steps; np.round
+    # rounds half to even, as round does
+    up = x > pt
+    dist = np.where(up, hi, lo) - x
+    step = np.where(inside, dist / 10.0, 0.0)
+    whole = is_int[col]
+    step[whole] = np.round(step[whole])
+    zero = inside & (step == 0.0)
+    step[zero] = np.where(whole, np.where(up, 1.0, -1.0), dist)[zero]
+    n = np.zeros(len(x), dtype=np.int64)
+    n[inside] = np.maximum(1, np.floor(np.abs(dist[inside] / step[inside]) + 1e-9))
+    # step s of walk w sits at x + s * step, clamped at the bound
+    walk = np.repeat(np.arange(len(x)), n)
+    firsts = np.cumsum(n) - n
+    s = np.arange(len(walk)) - firsts[walk] + 1
+    v = x[walk] + s * step[walk]
+    v = np.where(step[walk] > 0, np.minimum(v, hi[walk]), np.maximum(v, lo[walk]))
+    kept = n.copy()
+    if len(walk):
+        rows = model.with_values(model.encode(keys), key_of[walk], feature[walk], v)
+        negative = ~(model.predict_encoded(rows) >= 0.5)
+        # each walk keeps the steps before its first negative one
+        first = np.where(negative, s - 1, n[walk])
+        kept[n > 0] = np.minimum.reduceat(first, firsts[n > 0])
+    score = np.divide(kept, n, out=np.ones(len(n)), where=n > 0)
+    columns = (feature, step, n, kept, score)
+    walks = list(map(FeatureResilience, *(c.tolist() for c in columns)))
+    ends = np.cumsum(np.bincount(key_of, minlength=len(keys))).tolist()
+    return [ResilienceReport(tuple(walks[a:b])) for a, b in zip([0, *ends], ends)]
 
 
 def resilience_scores(x_cf, x_pt, model, schema, stats):

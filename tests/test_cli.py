@@ -476,6 +476,34 @@ def test_output_dir_is_relative_to_the_config(tmp_path, monkeypatch):
     assert not (tmp_path / "rel_out").exists()
 
 
+def test_bench_checks_the_learner_before_reading_data(tmp_path, capsys):
+    # reading this CSV would fail on its nan cell with exit 3
+    (tmp_path / "data.csv").write_text(
+        "num0,count,label\n0.5,1,0\n1.5,nan,1\n2.5,3,0\n3.5,4,1\n", encoding="utf-8"
+    )
+    (tmp_path / "ds.yaml").write_text(CSV_DATASET_YAML, encoding="utf-8")
+    exp = tmp_path / "exp.yaml"
+    exp.write_text("dataset: ds.yaml\nlearner: gradient_boost\n", encoding="utf-8")
+    assert main(["bench", "--config", str(exp), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "gradient_boost" in err
+
+
+def test_config_learner_alias_names_the_learner(tmp_path):
+    (tmp_path / "ds.yaml").write_text(CSV_DATASET_YAML, encoding="utf-8")
+    (tmp_path / "data.csv").write_text(CSV_ROWS, encoding="utf-8")
+    exp = TINY_EXPERIMENT_YAML.replace("learner: logistic", "learner: rf").replace(
+        "{epochs: 20}", "{ntree: 3}"
+    )
+    (tmp_path / "exp.yaml").write_text(exp, encoding="utf-8")
+    assert bench.load_experiment_config(str(tmp_path / "exp.yaml")).learner == "random_forest"
+    out = tmp_path / "out"
+    assert main(["bench", "--config", str(tmp_path / "exp.yaml"), "--out", str(out)]) == 0
+    meta = json.loads((out / "meta.json").read_text(encoding="utf-8"))
+    assert meta["model"]["learner"] == "random_forest"
+
+
 # a tiny bench run, each scalar a {slot} that the fuzz test below replaces
 FUZZ_FILES = {
     "exp.yaml": (

@@ -6,9 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexcf.data import CATEGORICAL, CONTINUOUS, INTEGER, FeatureSchema, FeatureStats
+from lexcf.data import (
+    CATEGORICAL,
+    CONTINUOUS,
+    INTEGER,
+    FeatureSchema,
+    FeatureStats,
+    compute_feature_stats,
+)
 from lexcf.errors import ConfigError, InvariantViolation
-from lexcf.model import FixedLinearModel, Model
+from lexcf.model import (
+    FixedLinearModel,
+    LearnerConfig,
+    LogisticModel,
+    Model,
+    _Encoder,
+    train_random_forest,
+)
 from lexcf.objectives import (
     EvalContext,
     FeatureResilience,
@@ -207,6 +221,15 @@ def test_resilience_step_integer_rounding():
     assert resilience_step(9.0, 0.0, 10.0, True) == (1.0, 1)
 
 
+def test_step_below_the_smallest_tenth_walks_in_one_step():
+    # a tenth of 5e-324 underflows to zero: the walk takes the whole distance
+    assert resilience_step(0.0, 1.0, -5e-324, False) == (-5e-324, 1)
+    schema = numeric_schema(1)
+    stats = make_stats([(-5e-324, 1.0)])
+    report = resilience_scores((0.0,), (1.0,), ConstantModel(schema, 0.9), schema, stats)
+    assert report.features == (FeatureResilience(0, -5e-324, 1, 1, 1.0),)
+
+
 class RecordingModel(CountingModel):
     """Wraps another model and keeps every row it is asked to classify."""
 
@@ -344,6 +367,70 @@ def test_walk_reports_match_stepwise_oracle(batch):
                 assert row[:i] + row[i + 1 :] == key[:i] + key[i + 1 :]
                 assert lo <= row[i] <= hi
     assert next(rows, None) is None
+
+
+# a categorical feature first, so encoded columns are not schema indices;
+# then an integer, a continuous and a zero-range numeric feature
+ENCODED_SCHEMA = (
+    FeatureSchema("k", CATEGORICAL, categories=("a", "b", "c")),
+    FeatureSchema("n", INTEGER),
+    FeatureSchema("x", CONTINUOUS),
+    FeatureSchema("z", CONTINUOUS),
+)
+ENCODED_POI = ("b", 4.0, 0.1, 3.0)
+
+
+def _encoded_fixture():
+    """Training data, stats, and keys around ENCODED_POI: some values lie
+    beyond a bound, and z differs from the POI only where it has no range."""
+    rng = np.random.default_rng(7)
+    rows, labels = [], []
+    for _ in range(120):
+        k, n, x = rng.choice(["a", "b", "c"]), float(rng.integers(0, 11)), rng.uniform(-1, 1)
+        rows.append((str(k), n, float(x), 3.0))
+        labels.append(int(n / 10 + x + (k == "c") > 0.9))
+    train = make_dataset(ENCODED_SCHEMA, rows, labels)
+    stats = compute_feature_stats(train)
+    keys = [
+        (str(rng.choice(["a", "b", "c"])), float(rng.integers(-2, 13)), float(x), z)
+        for x, z in zip(rng.uniform(-1.3, 1.3, 40), rng.choice([3.0, 3.0, 5.0], 40))
+    ]
+    keys += [("b", 12.0, 0.1, 3.0), ("a", 4.0, 1.5, 3.0), ("c", 0.0, -1.0, 2.0)]
+    return train, stats, keys
+
+
+def test_walk_reports_on_encoded_models_match_stepwise_oracle():
+    train, stats, keys = _encoded_fixture()
+    assert any(key[1] > stats[1].upper or abs(key[2]) > 1.0 for key in keys)
+    forest = train_random_forest(train, LearnerConfig("random_forest", {"ntree": 15}, seed=3))
+    # encoded columns: k a, k b, k c, n, x, z (zero range, encodes to 0)
+    weights = [0.4, -0.3, 0.9, 2.1, 1.7, 5.0]
+    logistic = LogisticModel(ENCODED_SCHEMA, _Encoder.fit(train), weights, -1.6)
+    for model in (forest, logistic):
+        recorder = RecordingModel(model)
+        expected = _walk_reports(keys, ENCODED_POI, recorder, ENCODED_SCHEMA, stats)
+        assert expected == [
+            _walk_oracle(key, ENCODED_POI, model, ENCODED_SCHEMA, stats) for key in keys
+        ]
+        assert _walk_reports(keys, ENCODED_POI, model, ENCODED_SCHEMA, stats) == expected
+        # partial walks, and more walk rows than one forest chunk
+        assert any(0 < f.score < 1 for report in expected for f in report.features)
+        assert len(recorder.seen) > 256
+    # one row scored alone and in a batch may differ in its last bits; no
+    # walk row of the logistic model lies near enough to 0.5 for that to
+    # flip its class
+    probs = logistic.predict_proba_batch(recorder.seen)
+    assert np.abs(probs - 0.5).min() > 1e-9
+
+
+def test_forest_vectors_do_not_depend_on_the_batch():
+    train, stats, keys = _encoded_fixture()
+    forest = train_random_forest(train, LearnerConfig("random_forest", {"ntree": 15}, seed=3))
+    batch = EvalContext(ENCODED_POI, forest, train, stats, resilience=True)
+    single = EvalContext(ENCODED_POI, forest, train, stats, resilience=True)
+    vectors = evaluate_population(keys, batch)
+    assert vectors == [evaluate(key, single) for key in keys]
+    assert any(v.o1 < 0 for v in vectors) and any(v.o1 > 0 for v in vectors)
 
 
 def test_resilience_partial_walk_score():
