@@ -4,6 +4,32 @@ Individuals are mutated copies of the point of interest. Non-actionable
 features are never touched; every value the loop introduces is clamped to
 the training bounds. The two strategies differ only in parent selection,
 survival, and what the run returns.
+
+A run holds each generation as one float matrix, a row per candidate (see
+Genome), next to its (n x 4) objective array. Rows become value tuples
+only where they leave the loop: as evaluate_population's keys, and as the
+Candidates of the result and the genealogy.
+
+Random draws, all from the run's one generator:
+
+- init_population draws per individual, as described there.
+- Each generation, with n the population size and A the number of
+  actionable features:
+  1. parent selection draws n rounds of entrants at once, and the
+     lexicographic tournament its tie draws (selection's module
+     docstring gives the order);
+  2. crossover draws rng.random(n // 2), the gate of each pair of
+     consecutive parents, then rng.random((n // 2, A)), the swap mask;
+  3. mutate draws rng.random((n, A)), the mutation mask, then
+     rng.standard_normal((n, numeric)) for the actionable numeric
+     features, rng.integers(categories, size=(n, categorical)) for the
+     actionable categorical ones with a training category, and
+     rng.random((n, A)), the reset mask.
+- A lexicographic run's final pick draws one rng.integers(ties), only on
+  a perfect tie.
+
+Every draw is made whether or not its outcome is used, so the count per
+generation depends only on the configuration and the schema.
 """
 
 from dataclasses import dataclass, field, replace
@@ -163,80 +189,150 @@ def init_population(x_pt, schema, stats, cfg, rng):
     return population
 
 
-def crossover(a, b, schema, cfg, rng):
-    """Uniform crossover over actionable genes, applied with probability
-    crossover_prob; otherwise the parents pass through unchanged."""
-    a = tuple(getattr(a, "values", a))
-    b = tuple(getattr(b, "values", b))
-    if rng.random() >= cfg.crossover_prob:
-        return a, b
-    child1, child2 = list(a), list(b)
-    for i, feat in enumerate(schema):
-        if feat.actionable and rng.random() < 0.5:
-            child1[i], child2[i] = b[i], a[i]
-    return tuple(child1), tuple(child2)
+class Genome:
+    """How a run holds candidates as float rows: a numeric feature as its
+    value, a categorical feature as an integer code into its code table,
+    the feature's training categories followed by the point of interest's
+    own value when training never saw it."""
+
+    def __init__(self, x_pt, schema, stats):
+        self.tables = []
+        for feat, st, x in zip(schema, stats, x_pt):
+            if feat.kind != CATEGORICAL:
+                self.tables.append(None)
+            else:
+                self.tables.append(st.categories if x in st.categories else (*st.categories, x))
+        self._codes = [
+            None if table is None else {v: c for c, v in enumerate(table)}
+            for table in self.tables
+        ]
+        # one float object per distinct value of a numeric feature, the
+        # point of interest's first: the evaluation cache keeps every key
+        # of a run, and a fresh float object per cell raised the peak
+        # memory of a population-100 run by about 9 MB
+        self._numbers = [{x: x} if table is None else None for table, x in zip(self.tables, x_pt)]
+        self.poi = self.encode([tuple(x_pt)])[0]
+        actionable = [i for i, feat in enumerate(schema) if feat.actionable]
+        numeric = [i for i in actionable if schema[i].kind != CATEGORICAL]
+        categorical = [
+            i for i in actionable if schema[i].kind == CATEGORICAL and stats[i].categories
+        ]
+        self.actionable = np.array(actionable, dtype=np.intp)
+        self.numeric = np.array(numeric, dtype=np.intp)
+        self.categorical = np.array(categorical, dtype=np.intp)
+        # where each numeric and categorical column sits among the actionable ones
+        self.numeric_at = np.searchsorted(self.actionable, self.numeric)
+        self.categorical_at = np.searchsorted(self.actionable, self.categorical)
+        self.lower = np.array([stats[i].lower for i in numeric], dtype=float)
+        self.upper = np.array([stats[i].upper for i in numeric], dtype=float)
+        self.scale = 0.1 * (self.upper - self.lower)
+        self.integer = np.array([schema[i].kind == INTEGER for i in numeric], dtype=bool)
+        self.n_categories = np.array(
+            [len(stats[i].categories) for i in categorical], dtype=np.int64
+        )
+
+    def encode(self, rows):
+        """Value tuples as one (rows x features) float matrix."""
+        X = np.empty((len(rows), len(self.tables)))
+        for i, (codes, column) in enumerate(zip(self._codes, zip(*rows))):
+            X[:, i] = column if codes is None else [codes[v] for v in column]
+        return X
+
+    def decode(self, X):
+        """The rows of a float matrix as value tuples."""
+        columns = X.T.tolist()
+        for i, (table, numbers) in enumerate(zip(self.tables, self._numbers)):
+            if table is None:
+                columns[i] = [numbers.setdefault(v, v) for v in columns[i]]
+            else:
+                columns[i] = [table[c] for c in map(int, columns[i])]
+        return list(zip(*columns))
 
 
-def mutate(values, x_pt, schema, stats, cfg, rng):
-    """Per-gene mutation (Gaussian for numerics, resample for categoricals)
-    followed by a reset pass that pulls changed genes back to the point of
-    interest, keeping sparsity reachable."""
-    values = list(getattr(values, "values", values))
-    x_pt = tuple(getattr(x_pt, "values", x_pt))
-    for i, feat in enumerate(schema):
-        if not feat.actionable or rng.random() >= cfg.mutation_prob:
-            continue
-        st = stats[i]
-        if feat.kind == CATEGORICAL:
-            if st.categories:
-                values[i] = st.categories[int(rng.integers(len(st.categories)))]
-            continue
-        v = values[i] + rng.normal(0.0, 0.1 * st.range)
-        if feat.kind == INTEGER:
-            v = float(round(v))
-        values[i] = float(min(max(v, st.lower), st.upper))
-    for i, feat in enumerate(schema):
-        if feat.actionable and values[i] != x_pt[i] and rng.random() < cfg.reset_prob:
-            values[i] = x_pt[i]
-    return tuple(values)
+def crossover(parents, genome, cfg, rng):
+    """Uniform crossover of consecutive parent rows, 0 with 1, 2 with 3 and
+    so on: a pair crosses with probability crossover_prob, and a crossed
+    pair swaps each actionable gene with probability 1/2. An odd last row
+    passes through. Returns the children as a new matrix."""
+    pairs = len(parents) // 2
+    crossed = rng.random(pairs) < cfg.crossover_prob
+    swap = (rng.random((pairs, genome.actionable.size)) < 0.5) & crossed[:, None]
+    act = genome.actionable
+    first, second = parents[0 : 2 * pairs : 2, act], parents[1 : 2 * pairs : 2, act]
+    children = parents.copy()
+    children[0 : 2 * pairs : 2, act] = np.where(swap, second, first)
+    children[1 : 2 * pairs : 2, act] = np.where(swap, first, second)
+    return children
+
+
+def mutate(rows, genome, cfg, rng):
+    """Per-gene mutation of every row, each actionable gene with probability
+    mutation_prob: a Gaussian step of 0.1 times the training range for
+    numerics (integers rounded), clamped to the training bounds, and a
+    uniform resample of the training categories for categoricals. A reset
+    pass then pulls each changed actionable gene back to the point of
+    interest with probability reset_prob, keeping sparsity reachable.
+    Returns a new matrix."""
+    g, m = genome, len(rows)
+    hit = rng.random((m, g.actionable.size)) < cfg.mutation_prob
+    steps = rng.standard_normal((m, g.numeric.size))
+    picks = rng.integers(g.n_categories, size=(m, g.categorical.size))
+    reset = rng.random((m, g.actionable.size)) < cfg.reset_prob
+    out = rows.copy()
+    old = out[:, g.numeric]
+    new = old + steps * g.scale
+    new[:, g.integer] = np.round(new[:, g.integer])
+    # + 0.0 turns a rounded -0.0 into 0.0, as Python's round gives
+    new = np.minimum(np.maximum(new, g.lower), g.upper) + 0.0
+    out[:, g.numeric] = np.where(hit[:, g.numeric_at], new, old)
+    out[:, g.categorical] = np.where(hit[:, g.categorical_at], picks, out[:, g.categorical])
+    genes, poi = out[:, g.actionable], g.poi[g.actionable]
+    out[:, g.actionable] = np.where(reset & (genes != poi), poi, genes)
+    return out
 
 
 def check_candidate(values, x_pt, schema, stats):
-    """Constraint check: non-actionable genes equal the point of interest;
-    every numeric value the search introduced lies inside the training
-    bounds (inherited out-of-range values of the point of interest are
-    not the search's doing)."""
+    """Constraint check on every value the search introduced, that is every
+    value that differs from the point of interest's (inherited values are
+    not the search's doing): the feature is actionable, a categorical value
+    is one of the feature's training categories, and a numeric value lies
+    inside the training bounds, integral for an integer feature."""
     for i, feat in enumerate(schema):
-        if not feat.actionable and values[i] != x_pt[i]:
-            raise InvariantViolation(
-                "non-actionable feature %r was mutated" % feat.name
-            )
-        if feat.kind != CATEGORICAL and values[i] != x_pt[i]:
-            if not stats[i].lower <= values[i] <= stats[i].upper:
+        value, st = values[i], stats[i]
+        if value == x_pt[i]:
+            continue
+        if not feat.actionable:
+            raise InvariantViolation("non-actionable feature %r was mutated" % feat.name)
+        if feat.kind == CATEGORICAL:
+            if value not in st.categories:
                 raise InvariantViolation(
-                    "feature %r value %r outside [%r, %r]"
-                    % (feat.name, values[i], stats[i].lower, stats[i].upper)
+                    "feature %r value %r is not a training category" % (feat.name, value)
                 )
+        elif not st.lower <= value <= st.upper:
+            raise InvariantViolation(
+                "feature %r value %r outside [%r, %r]" % (feat.name, value, st.lower, st.upper)
+            )
+        elif feat.kind == INTEGER and not float(value).is_integer():
+            raise InvariantViolation("integer feature %r value %r" % (feat.name, value))
 
 
-def _dedup_pad(pool, size):
-    """Remove exact duplicates (first occurrence wins), then pad with the
-    removed ones if the distinct pool no longer fills a population."""
-    distinct, dupes, seen = [], [], set()
-    for cand in pool:
-        if cand.values in seen:
-            dupes.append(cand)
-        else:
-            seen.add(cand.values)
-            distinct.append(cand)
-    while len(distinct) < size and dupes:
-        distinct.append(dupes.pop(0))
-    return distinct
+def _dedup_pad(rows, size):
+    """Indices of the distinct rows of a matrix, each row's first occurrence
+    in row order, then the repeated rows in row order as padding if the
+    distinct rows no longer fill a population of size.
 
-
-def _evaluate_candidates(values_list, generation, ctx):
-    vectors = evaluate_population(values_list, ctx)
-    return [Candidate(v, vec, generation) for v, vec in zip(values_list, vectors)]
+    Equal rows are adjacent after a stable sort by every column (lexsort
+    keeps row order among them, so the first of a run is the first
+    occurrence); rows compare as floats, so -0.0 equals 0.0 as in the
+    value tuples. np.unique(rows, axis=0) finds the same rows at about
+    five times the cost.
+    """
+    order = np.lexsort(rows.T)
+    ordered = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    distinct, repeated = np.sort(order[first]), np.sort(order[~first])
+    return np.concatenate((distinct, repeated[: max(0, size - distinct.size)]))
 
 
 def run_ea(ctx, cfg):
@@ -245,57 +341,58 @@ def run_ea(ctx, cfg):
     if bool(cfg.resilience) != bool(ctx.resilience):
         raise ConfigError("config and evaluation context disagree on resilience")
     rng = np.random.default_rng(cfg.seed)
+    n = cfg.population_size
     ordering = STRATEGY_ORDERINGS.get(cfg.strategy)
+    params = None if ordering is None else LexParams(n, cfg.k, cfg.theta, ordering)
+    genome = Genome(ctx.x_pt, ctx.schema, ctx.stats)
 
-    population = _evaluate_candidates(
-        init_population(ctx.x_pt, ctx.schema, ctx.stats, cfg, rng), 0, ctx
-    )
-    genealogy = list(population) if cfg.debug else None
+    # the population: feature rows X, objective array V, and per row its
+    # value tuple, objective vector and birth generation
+    keys = init_population(ctx.x_pt, ctx.schema, ctx.stats, cfg, rng)
+    vectors = evaluate_population(keys, ctx)
+    X, V, born = genome.encode(keys), np.array(vectors, dtype=float), np.zeros(n, dtype=np.int64)
+    genealogy = [Candidate(*c, 0) for c in zip(keys, vectors)] if cfg.debug else None
     if cfg.debug:
-        for cand in population:
-            check_candidate(cand.values, ctx.x_pt, ctx.schema, ctx.stats)
+        for key in keys:
+            check_candidate(key, ctx.x_pt, ctx.schema, ctx.stats)
 
     def snapshot(generation, fronts):
         """The trace entry of the current population. Pareto runs pass the
         fronts they sort anyway; lex runs count front 0 alone."""
-        best_o1 = min(c.objectives[0] for c in population)
-        mean_o2 = float(np.mean([c.objectives[1] for c in population]))
-        size = len(fronts[0]) if fronts else first_front_size(population)
-        return GenerationTrace(generation, best_o1, mean_o2, size)
+        size = len(fronts[0]) if fronts else first_front_size(V)
+        return GenerationTrace(generation, float(V[:, 0].min()), float(np.mean(V[:, 1])), size)
 
     # Pareto fronts come from this sort, then from each survival; the trace
     # entry, the next parent tournament and the returned front read them
-    fronts = nondominated_sort(population) if cfg.strategy == PARETO else None
+    fronts = nondominated_sort(V) if cfg.strategy == PARETO else None
     trace = [snapshot(0, fronts)]
     for gen in range(1, cfg.max_generations + 1):
         if cfg.strategy == PARETO:
-            parents = crowded_tournament_select(population, cfg.population_size, rng, fronts)
+            parents = crowded_tournament_select(X, n, rng, fronts, V=V)
         else:
-            params = LexParams(cfg.population_size, cfg.k, cfg.theta, ordering)
-            parents = lex_tournament_select(params, population, rng)
-
-        offspring_values = []
-        for i in range(0, len(parents) - 1, 2):
-            c1, c2 = crossover(parents[i], parents[i + 1], ctx.schema, cfg, rng)
-            offspring_values.append(mutate(c1, ctx.x_pt, ctx.schema, ctx.stats, cfg, rng))
-            offspring_values.append(mutate(c2, ctx.x_pt, ctx.schema, ctx.stats, cfg, rng))
-        if len(parents) % 2:
-            offspring_values.append(
-                mutate(parents[-1], ctx.x_pt, ctx.schema, ctx.stats, cfg, rng)
-            )
-        offspring = _evaluate_candidates(offspring_values, gen, ctx)
+            parents = lex_tournament_select(params, X, rng, V=V)
+        offspring = mutate(crossover(parents, genome, cfg, rng), genome, cfg, rng)
+        new_keys = genome.decode(offspring)
+        new_vectors = evaluate_population(new_keys, ctx)
         if cfg.debug:
-            genealogy.extend(offspring)
-            for cand in offspring:
-                check_candidate(cand.values, ctx.x_pt, ctx.schema, ctx.stats)
+            genealogy.extend(Candidate(*c, gen) for c in zip(new_keys, new_vectors))
+            for key in new_keys:
+                check_candidate(key, ctx.x_pt, ctx.schema, ctx.stats)
 
-        pool = _dedup_pad(population + offspring, cfg.population_size)
+        pool_X = np.concatenate((X, offspring))
+        pool_V = np.concatenate((V, np.array(new_vectors, dtype=float)))
+        pool = _dedup_pad(pool_X, n)
         if cfg.strategy == PARETO:
-            population, fronts = nsga2_select(pool, cfg.population_size)
+            rows, fronts = nsga2_select(pool, n, V=pool_V[pool])
         else:
-            population = lex_survival_select(pool, cfg.population_size, ordering, cfg.theta)
+            rows = lex_survival_select(pool, n, ordering, cfg.theta, V=pool_V[pool])
+        X, V = pool_X[rows], pool_V[rows]
+        born = np.concatenate((born, np.full(len(offspring), gen)))[rows]
+        keys, vectors = keys + new_keys, vectors + new_vectors
+        keys, vectors = [keys[i] for i in rows.tolist()], [vectors[i] for i in rows.tolist()]
         trace.append(snapshot(gen, fronts))
 
+    population = tuple(map(Candidate, keys, vectors, born.tolist()))
     if cfg.strategy == PARETO:
         solutions = tuple(population[i] for i in fronts[0])
     else:
@@ -303,7 +400,7 @@ def run_ea(ctx, cfg):
     return EAResult(
         solutions=solutions,
         generations_executed=cfg.max_generations,
-        population=tuple(population),
+        population=population,
         trace=tuple(trace),
         genealogy=tuple(genealogy) if genealogy is not None else None,
     )

@@ -11,7 +11,20 @@ distance or sparsity is compared next.
 
 Every routine that looks at a whole population or pool works on one
 (n x 4) float array of its objectives: the dominance matrix, crowding
-distances and the lexicographic winnow are array operations over it.
+distances and the lexicographic winnow are array operations over it. A
+caller that already holds that array passes it as V; the population is
+then only indexed, so it may be any array of rows (the evolutionary loop
+passes its feature rows, or pool row numbers) and the picks come back as
+an array.
+
+A tournament call draws all its entrants at once. With n members and N
+rounds, two entrants per round are a = rng.integers(n, size=N) and
+b = (a + 1 + rng.integers(n - 1, size=N)) % n, two distinct members;
+k entrants are the first k columns of np.argsort(rng.random((N, n))),
+in that order. A lexicographic tournament then draws u = rng.random(N),
+and a round that ends in a perfect tie among t entrants picks the
+survivor at position int(u * t), in entrant order. The crowded
+tournament needs no tie draw.
 """
 
 import itertools
@@ -68,9 +81,28 @@ def lex_compare(a, b, ordering, theta):
 
 
 def _objective_matrix(items):
-    """The items' objective vectors as the rows of one (n x 4) float array."""
+    """The items' objective vectors as the rows of one (n x 4) float array;
+    an array passes through as the objective array itself."""
+    if isinstance(items, np.ndarray):
+        return items
     values = itertools.chain.from_iterable(map(_vector_of, items))
     return np.fromiter(values, dtype=float, count=4 * len(items)).reshape(-1, 4)
+
+
+def _pick(population, idx):
+    """The members at the given indices: an array for an array population,
+    otherwise a list."""
+    idx = np.asarray(idx, dtype=np.intp)
+    if isinstance(population, np.ndarray):
+        return population[idx]
+    return [population[i] for i in idx.tolist()]
+
+
+def _pair_entrants(n, rounds, rng):
+    """Two distinct entrants per round, as two index arrays."""
+    a = rng.integers(n, size=rounds)
+    b = (a + 1 + rng.integers(n - 1, size=rounds)) % n
+    return a, b
 
 
 def _priority_columns(V, ordering):
@@ -116,6 +148,21 @@ def _tournament_round(cols, idx, theta, rng):
     return int(survivors[int(rng.integers(survivors.size))])
 
 
+def _pair_outcomes(A, B, theta):
+    """lex_compare of column j of A with column j of B, for every j at once;
+    A and B hold objectives in priority order (4 x rounds)."""
+    diff = np.abs(A - B)
+    outcome = np.zeros(A.shape[1], dtype=np.int64)
+    rounds = np.arange(A.shape[1])
+    for th in (theta, 0.0) if theta > 0 else (0.0,):
+        apart = diff > th
+        j = apart.argmax(axis=0)
+        open_ = (outcome == TIE) & apart.any(axis=0)
+        first = A[j, rounds] < B[j, rounds]
+        outcome[open_] = np.where(first, FIRST_BETTER, SECOND_BETTER)[open_]
+    return outcome
+
+
 def _lex_best(cols, theta):
     """Deterministic winner of a tournament round over every participant:
     the lexicographic survivors, perfect ties resolved to the smallest
@@ -123,41 +170,36 @@ def _lex_best(cols, theta):
     return int(_lex_survivors(cols, np.arange(cols.shape[1]), theta)[0])
 
 
-def lex_tournament_select(params, population, rng=None):
+def lex_tournament_select(params, population, rng=None, V=None):
     """Run params.n tournament rounds of size params.k over the population
-    and return the list of victors; victors across rounds may repeat.
+    and return the victors; victors across rounds may repeat.
 
-    Each round draws its entrants with one rng.choice(n, size=k,
-    replace=False), keeps the entrants that survive a theta pass over the
-    objectives in priority order and then an exact pass, and only on a
-    perfect tie draws one rng.integers(ties) to pick among the tied
-    entrants in draw order. Two entrants are decided by lex_compare; larger
-    rounds winnow the population's objective array. Both make exactly
-    these draws, in this order.
+    A round keeps the entrants that survive a theta pass over the
+    objectives in priority order and then an exact pass; on a perfect tie
+    it picks a survivor by the round's tie draw (see the module docstring
+    for the draws). Two-entrant rounds are decided for all rounds at once,
+    by lex_compare's rule as array comparisons; larger rounds winnow the
+    population's objective array round by round.
     """
-    if params.k > len(population):
-        raise ConfigError(
-            "tournament size %d exceeds population %d" % (params.k, len(population))
-        )
+    n, k, rounds, theta = len(population), params.k, params.n, params.theta
+    if k > n:
+        raise ConfigError("tournament size %d exceeds population %d" % (k, n))
     if rng is None:
         rng = np.random.default_rng(params.seed)
-    n, ordering, theta = len(population), params.ordering, params.theta
-    victors = []
-    if params.k == 2:
-        for _ in range(params.n):
-            a, b = rng.choice(n, size=2, replace=False).tolist()
-            outcome = lex_compare(population[a], population[b], ordering, theta)
-            if outcome == TIE:
-                winner = (a, b)[int(rng.integers(2))]
-            else:
-                winner = a if outcome == FIRST_BETTER else b
-            victors.append(population[winner])
-        return victors
-    cols = _priority_columns(_objective_matrix(population), ordering)
-    for _ in range(params.n):
-        entrants = rng.choice(n, size=params.k, replace=False)
-        victors.append(population[_tournament_round(cols, entrants, theta, rng)])
-    return victors
+    cols = _priority_columns(_objective_matrix(population) if V is None else V, params.ordering)
+    if k == 2:
+        a, b = _pair_entrants(n, rounds, rng)
+        u = rng.random(rounds)
+        outcome = _pair_outcomes(cols[:, a], cols[:, b], theta)
+        decided = np.where(outcome == FIRST_BETTER, a, b)
+        return _pick(population, np.where(outcome == TIE, np.where(u < 0.5, a, b), decided))
+    entrants = np.argsort(rng.random((rounds, n)), axis=1)[:, :k]
+    u = rng.random(rounds).tolist()
+    winners = []
+    for idx, draw in zip(entrants, u):
+        survivors = _lex_survivors(cols, idx, theta)
+        winners.append(survivors[int(draw * survivors.size)])
+    return _pick(population, winners)
 
 
 def final_select_lex(last_population, ordering, theta, rng=None):
@@ -228,13 +270,15 @@ def _peel(dom):
 
 def nondominated_sort(population):
     """Partition into fronts: index lists, front 0 dominated by nobody, each
-    later front nondominated once earlier fronts are removed."""
+    later front nondominated once earlier fronts are removed. The
+    population may be given as its (n x 4) objective array."""
     return list(_peel(_dominance_matrix(_objective_matrix(population))))
 
 
 def first_front_size(population):
     """How many members no other member dominates: the size of front 0,
-    counted without peeling the later fronts."""
+    counted without peeling the later fronts. The population may be given
+    as its (n x 4) objective array."""
     dom = _dominance_matrix(_objective_matrix(population))
     return int(np.count_nonzero(~dom.any(axis=0)))
 
@@ -265,7 +309,7 @@ def crowding_distance(front):
     return _crowding(_objective_matrix(front)).tolist()
 
 
-def nsga2_select(pool, target_size):
+def nsga2_select(pool, target_size, V=None):
     """Survival fill: whole fronts in rank order, the straddling front cut by
     descending crowding distance (index ascending on exact ties). Returns
     the survivors, front by front, and their fronts as runs of consecutive
@@ -273,7 +317,7 @@ def nsga2_select(pool, target_size):
     survivor in the pool lies in an earlier, whole front."""
     if not 1 <= target_size <= len(pool):
         raise ConfigError("target size %d outside [1, %d]" % (target_size, len(pool)))
-    V = _objective_matrix(pool)
+    V = _objective_matrix(pool) if V is None else V
     chosen, fronts = [], []
     for front in _peel(_dominance_matrix(V)):
         room = target_size - len(chosen)
@@ -285,38 +329,32 @@ def nsga2_select(pool, target_size):
         chosen.extend(front)
         if len(chosen) == target_size:
             break
-    return [pool[i] for i in chosen], fronts
+    return _pick(pool, chosen), fronts
 
 
-def crowded_tournament_select(population, n, rng, fronts=None):
-    """NSGA-II parent selection: binary tournaments decided by front rank,
-    then crowding distance, then the smaller index. fronts, when given, is
+def crowded_tournament_select(population, n, rng, fronts=None, V=None):
+    """NSGA-II parent selection: n binary tournaments, all drawn at once (see
+    the module docstring), each decided by front rank, then crowding
+    distance, then the smaller index. fronts, when given, is
     nondominated_sort(population), already computed."""
-    if len(population) < 2:
+    size = len(population)
+    if size < 2:
         raise ConfigError("need at least two candidates for binary tournaments")
-    V = _objective_matrix(population)
+    V = _objective_matrix(population) if V is None else V
     if fronts is None:
         fronts = _peel(_dominance_matrix(V))
-    rank = [0] * len(population)
-    crowd = [0.0] * len(population)
+    rank = np.zeros(size, dtype=np.int64)
+    crowd = np.zeros(size)
     for r, front in enumerate(fronts):
-        for i, c in zip(front, _crowding(V[front]).tolist()):
-            rank[i] = r
-            crowd[i] = c
-    victors = []
-    for _ in range(n):
-        i, j = rng.choice(len(population), size=2, replace=False).tolist()
-        if rank[i] != rank[j]:
-            winner = i if rank[i] < rank[j] else j
-        elif crowd[i] != crowd[j]:
-            winner = i if crowd[i] > crowd[j] else j
-        else:
-            winner = min(i, j)
-        victors.append(population[winner])
-    return victors
+        rank[front] = r
+        crowd[front] = _crowding(V[front])
+    a, b = _pair_entrants(size, n, rng)
+    by_crowd = np.where(crowd[a] != crowd[b], np.where(crowd[a] > crowd[b], a, b), np.minimum(a, b))
+    winners = np.where(rank[a] != rank[b], np.where(rank[a] < rank[b], a, b), by_crowd)
+    return _pick(population, winners)
 
 
-def lex_survival_select(pool, target_size, ordering, theta):
+def lex_survival_select(pool, target_size, ordering, theta, V=None):
     """Survival for the lexicographic path; it draws no random numbers.
 
     The deterministic tournament winner over the whole pool (a theta pass,
@@ -329,7 +367,7 @@ def lex_survival_select(pool, target_size, ordering, theta):
     """
     if target_size > len(pool):
         raise ConfigError("target size %d exceeds pool %d" % (target_size, len(pool)))
-    V = _objective_matrix(pool)
+    V = _objective_matrix(pool) if V is None else V
     cd = _crowding(V).tolist()
     cols = _priority_columns(V, ordering)
     best = _lex_best(cols, theta)
@@ -340,4 +378,4 @@ def lex_survival_select(pool, target_size, ordering, theta):
         group = _winnow(cols, alive.nonzero()[0], theta)
         alive[group] = False
         ranked.extend(sorted(group.tolist(), key=lambda i: (-cd[i], i)))
-    return [pool[i] for i in ranked[:target_size]]
+    return _pick(pool, ranked[:target_size])

@@ -267,7 +267,7 @@ def test_run_experiment_deterministic():
 
 # sha256 of the golden run's records, one canonical JSON line each; a
 # deliberate change to the search's draw order updates it with a note
-GOLDEN_RECORDS_SHA256 = "1f2a4816cf19455aace99f74cc9e5f3d99fd30275a761d9ca57d006049440d5b"
+GOLDEN_RECORDS_SHA256 = "4dcde0dbd06abd2c30c0e770cf0e820047b95142ca833dfebf52fc38a4b741ff"
 
 
 def test_run_experiment_golden_records():

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lexcf.data import CATEGORICAL, CONTINUOUS, INTEGER, FeatureSchema
+from lexcf.data import CATEGORICAL, CONTINUOUS, INTEGER, FeatureSchema, FeatureStats
 from lexcf.errors import ConfigError, InvariantViolation
 from lexcf.objectives import EvalContext
 from lexcf.ea import (
-    Candidate,
     EAConfig,
     GenerationTrace,
+    Genome,
     LEX_DISTANCE_FIRST,
     LEX_SPARSITY_FIRST,
     PARETO,
@@ -32,6 +34,11 @@ SCHEMA = (
 )
 STATS = make_stats([(0.0, 100.0), (0, 5), ("a", "b", "c"), (0.0, 1.0)])
 X_PT = (10.0, 2.0, "a", 0.5)
+GENOME = Genome(X_PT, SCHEMA, STATS)
+
+
+def _rows(*values):
+    return GENOME.encode(list(values))
 
 
 def _train(rng, n=40):
@@ -127,59 +134,158 @@ def test_init_population_deterministic():
     assert a == b
 
 
+def test_genome_code_tables():
+    # a POI category that training never saw gets the code after the
+    # training categories; rows round-trip through the matrix
+    genome = Genome((10.0, 2.0, "z", 0.5), SCHEMA, STATS)
+    assert genome.tables[2] == ("a", "b", "c", "z")
+    assert GENOME.tables[2] == ("a", "b", "c")
+    assert genome.tables[0] is None and genome.tables[3] is None
+    rows = [(10.0, 2.0, "z", 0.5), (99.5, 0.0, "c", 0.5)]
+    X = genome.encode(rows)
+    assert X.tolist() == [[10.0, 2.0, 3.0, 0.5], [99.5, 0.0, 2.0, 0.5]]
+    assert genome.decode(X) == rows
+    assert genome.poi.tolist() == [10.0, 2.0, 3.0, 0.5]
+
+
 def test_crossover_gate():
     cfg = EAConfig(crossover_prob=0.0)
-    a = (1.0, 2.0, "a", 0.5)
-    b = (9.0, 4.0, "c", 0.5)
+    parents = _rows((1.0, 2.0, "a", 0.5), (9.0, 4.0, "c", 0.5), (5.0, 1.0, "b", 0.5))
     for seed in range(10):
-        assert crossover(a, b, SCHEMA, cfg, np.random.default_rng(seed)) == (a, b)
+        children = crossover(parents, GENOME, cfg, np.random.default_rng(seed))
+        assert np.array_equal(children, parents) and children is not parents
 
 
 def test_crossover_conserves_genes_per_position(rng):
     cfg = EAConfig(crossover_prob=1.0)
     a = (1.0, 2.0, "a", 0.5)
     b = (9.0, 4.0, "c", 0.5)
+    odd = (5.0, 1.0, "b", 0.5)
+    parents = _rows(*[a, b] * 15, odd)
     swapped_somewhere = False
-    for _ in range(30):
-        c1, c2 = crossover(a, b, SCHEMA, cfg, rng)
-        for i in range(len(SCHEMA)):
-            assert {c1[i], c2[i]} == {a[i], b[i]}
-        if c1 != a:
-            swapped_somewhere = True
+    for _ in range(5):
+        children = GENOME.decode(crossover(parents, GENOME, cfg, rng))
+        assert children[-1] == odd  # the odd last parent is not crossed
+        for c1, c2 in zip(children[0:-1:2], children[1:-1:2]):
+            for i in range(len(SCHEMA)):
+                assert {c1[i], c2[i]} == {a[i], b[i]}
+            swapped_somewhere |= c1 != a
     assert swapped_somewhere
 
 
 def test_crossover_never_touches_non_actionable(rng):
     cfg = EAConfig(crossover_prob=1.0)
-    a = (1.0, 2.0, "a", 0.1)
-    b = (9.0, 4.0, "c", 0.9)
-    for _ in range(40):
-        c1, c2 = crossover(a, b, SCHEMA, cfg, rng)
-        assert c1[3] == 0.1 and c2[3] == 0.9
+    parents = _rows(*[(1.0, 2.0, "a", 0.1), (9.0, 4.0, "c", 0.9)] * 20)
+    for _ in range(2):
+        children = crossover(parents, GENOME, cfg, rng)
+        assert np.array_equal(children[:, 3], parents[:, 3])
 
 
 def test_mutate_identity_when_disabled(rng):
     cfg = EAConfig(mutation_prob=0.0, reset_prob=0.0)
-    values = (42.0, 3.0, "b", 0.5)
-    for _ in range(10):
-        assert mutate(values, X_PT, SCHEMA, STATS, cfg, rng) == values
+    rows = _rows(*[(42.0, 3.0, "b", 0.5)] * 10)
+    assert np.array_equal(mutate(rows, GENOME, cfg, rng), rows)
 
 
 def test_mutate_respects_bounds_and_kinds(rng):
     cfg = EAConfig(mutation_prob=1.0, reset_prob=0.0)
-    values = (42.0, 3.0, "b", 0.5)
-    for _ in range(60):
-        out = mutate(values, X_PT, SCHEMA, STATS, cfg, rng)
-        assert 0.0 <= out[0] <= 100.0
-        assert out[1] == int(out[1]) and 0 <= out[1] <= 5
-        assert out[2] in ("a", "b", "c")
-        assert out[3] == 0.5  # non-actionable never mutated
+    rows = _rows(*[(42.0, 3.0, "b", 0.5)] * 60)
+    out = GENOME.decode(mutate(rows, GENOME, cfg, rng))
+    for values in out:
+        assert 0.0 <= values[0] <= 100.0
+        assert values[1] == int(values[1]) and 0 <= values[1] <= 5
+        assert values[2] in ("a", "b", "c")
+        assert values[3] == 0.5  # non-actionable never mutated
+    assert len({values[0] for values in out}) > 1
 
 
 def test_mutate_reset_pass_restores_poi_genes(rng):
     cfg = EAConfig(mutation_prob=0.0, reset_prob=1.0)
-    values = (42.0, 3.0, "b", X_PT[3])
-    assert mutate(values, X_PT, SCHEMA, STATS, cfg, rng) == X_PT
+    rows = _rows(*[(42.0, 3.0, "b", X_PT[3])] * 5)
+    assert GENOME.decode(mutate(rows, GENOME, cfg, rng)) == [X_PT] * 5
+
+
+def test_variation_draws_follow_documented_order():
+    # the batch operators make exactly the draws ea's docstring lists and
+    # apply them gene by gene as this loop does
+    cfg = EAConfig(crossover_prob=0.6, mutation_prob=0.5, reset_prob=0.3)
+    parents = _rows(
+        (1.0, 2.0, "a", 0.5), (9.0, 4.0, "c", 0.5), (55.0, 0.0, "b", 0.5),
+        (10.0, 2.0, "a", 0.5), (99.0, 5.0, "b", 0.5),
+    )
+    got = mutate(crossover(parents, GENOME, cfg, np.random.default_rng(8)), GENOME, cfg,
+                 np.random.default_rng(9))
+
+    rng = np.random.default_rng(8)
+    gate, swap = rng.random(2), rng.random((2, 3))
+    rows = [list(r) for r in GENOME.decode(parents)]
+    for p in range(2):
+        for j, i in enumerate((0, 1, 2)):  # the actionable features
+            if gate[p] < cfg.crossover_prob and swap[p, j] < 0.5:
+                rows[2 * p][i], rows[2 * p + 1][i] = rows[2 * p + 1][i], rows[2 * p][i]
+    rng = np.random.default_rng(9)
+    hit, steps = rng.random((5, 3)), rng.standard_normal((5, 2))
+    picks, reset = rng.integers([3], size=(5, 1)), rng.random((5, 3))
+    for r, values in enumerate(rows):
+        for j, i in enumerate((0, 1)):
+            if hit[r, j] < cfg.mutation_prob:
+                v = values[i] + steps[r, j] * 0.1 * STATS[i].range
+                v = float(round(v)) if i == 1 else v
+                values[i] = min(max(v, STATS[i].lower), STATS[i].upper)
+        if hit[r, 2] < cfg.mutation_prob:
+            values[2] = STATS[2].categories[picks[r, 0]]
+        for j, i in enumerate((0, 1, 2)):
+            if values[i] != X_PT[i] and reset[r, j] < cfg.reset_prob:
+                values[i] = X_PT[i]
+    assert GENOME.decode(got) == [tuple(values) for values in rows]
+
+
+@st.composite
+def _mixed_problem(draw):
+    """A schema with every degenerate case variation must survive, its
+    stats, a point of interest and an odd or even population size."""
+    schema, stats, poi = [], [], []
+    kinds = draw(st.lists(st.sampled_from([CONTINUOUS, INTEGER, CATEGORICAL]), min_size=1,
+                          max_size=6))
+    for j, kind in enumerate(kinds):
+        actionable = draw(st.booleans())
+        if kind == CATEGORICAL:
+            # one-category training sets, and POI categories training never saw
+            seen = draw(st.sampled_from([("a",), ("a", "b"), ("b", "c", "a")]))
+            schema.append(FeatureSchema("f%d" % j, kind, actionable, ("a", "b", "c", "z")))
+            stats.append(FeatureStats(categories=seen))
+            poi.append(draw(st.sampled_from(["a", "b", "z"])))
+        else:
+            lower = float(draw(st.integers(-5, 5)))
+            width = float(draw(st.sampled_from([0, 1, 3, 10])))  # 0: a zero range
+            schema.append(FeatureSchema("f%d" % j, kind, actionable))
+            # inside the bounds, on them, or outside them
+            upper = lower + width
+            stats.append(FeatureStats(lower=lower, upper=upper))
+            x = draw(st.sampled_from([lower, lower + 0.37 * width, upper, lower - 2, upper + 2]))
+            poi.append(float(round(x)) if kind == INTEGER else x)
+    size = draw(st.integers(2, 9))
+    return tuple(schema), tuple(stats), tuple(poi), size
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    problem=_mixed_problem(),
+    probs=st.tuples(*[st.sampled_from([0.0, 0.3, 1.0])] * 3),
+    seed=st.integers(0, 2**16),
+)
+def test_offspring_pass_check_candidate(problem, probs, seed):
+    schema, stats, poi, size = problem
+    cfg = EAConfig(population_size=size, crossover_prob=probs[0], mutation_prob=probs[1],
+                   reset_prob=probs[2])
+    genome = Genome(poi, schema, stats)
+    rng = np.random.default_rng(seed)
+    rows = genome.encode([poi] * size)
+    for _ in range(4):
+        rows = mutate(crossover(rows, genome, cfg, rng), genome, cfg, rng)
+        assert rows.shape == (size, len(schema))
+        for values in genome.decode(rows):
+            check_candidate(values, poi, schema, stats)
 
 
 def test_check_candidate_contract():
@@ -188,23 +294,33 @@ def test_check_candidate_contract():
         check_candidate((10.0, 2.0, "a", 0.9), X_PT, SCHEMA, STATS)  # non-actionable moved
     with pytest.raises(InvariantViolation):
         check_candidate((150.0, 2.0, "a", 0.5), X_PT, SCHEMA, STATS)  # out of bounds
-    # an out-of-range value inherited from the point of interest is tolerated
-    poi = (120.0, 2.0, "a", 0.5)
-    check_candidate((120.0, 4.0, "a", 0.5), poi, SCHEMA, STATS)
-
-
-def _cand(values, o1=0.0):
-    return Candidate(tuple(values), (o1, 0.0, 0, 0.0), 0)
+    # an introduced category must be a training category, and an introduced
+    # integer value integral: a wrong code table shows as either
+    with pytest.raises(InvariantViolation, match="category"):
+        check_candidate((10.0, 2.0, "z", 0.5), X_PT, SCHEMA, STATS)
+    with pytest.raises(InvariantViolation, match="category"):
+        check_candidate((10.0, 2.0, 1.0, 0.5), X_PT, SCHEMA, STATS)
+    with pytest.raises(InvariantViolation, match="integer"):
+        check_candidate((10.0, 2.5, "a", 0.5), X_PT, SCHEMA, STATS)
+    # out-of-range, unseen or non-integral values inherited from the point
+    # of interest are tolerated
+    poi = (120.0, 2.5, "z", 0.5)
+    check_candidate((120.0, 2.5, "z", 0.5), poi, SCHEMA, STATS)
+    check_candidate((120.0, 4.0, "z", 0.5), poi, SCHEMA, STATS)
+    check_candidate((50.0, 2.5, "b", 0.5), poi, SCHEMA, STATS)
 
 
 def test_dedup_pad_keeps_first_and_pads():
-    a, b, c = _cand((1.0,)), _cand((2.0,)), _cand((1.0,), o1=0.9)
-    pool = [a, b, c, a]
-    # two distinct values; padding refills back up to the requested size
-    got = _dedup_pad(pool, 3)
-    assert got == [a, b, c]
-    assert _dedup_pad(pool, 2) == [a, b]
-    assert _dedup_pad([a, a, a], 2) == [a, a]
+    a, b = [1.0, 0.0], [2.0, 0.0]
+    rows = np.array([a, b, a, [0.0, 1.0], b, a])
+    # three distinct rows, first occurrences in row order; padding refills
+    # with the repeated rows in row order
+    assert _dedup_pad(rows, 3).tolist() == [0, 1, 3]
+    assert _dedup_pad(rows, 2).tolist() == [0, 1, 3]
+    assert _dedup_pad(rows, 5).tolist() == [0, 1, 3, 2, 4]
+    assert _dedup_pad(np.array([a, a, a]), 2).tolist() == [0, 1]
+    # -0.0 and 0.0 are one value, as in the value tuples
+    assert _dedup_pad(np.array([[0.0, 1.0], [-0.0, 1.0]]), 1).tolist() == [0]
 
 
 def test_run_ea_rejects_resilience_mismatch(rng):
@@ -287,6 +403,23 @@ def test_run_ea_resilient_solution_scores_negative(rng):
     result = run_ea(ctx, cfg)
     # the model is monotone in x, so every valid solution is fully resilient
     assert result.solutions[0].objectives[0] == -1.0
+
+
+@pytest.mark.parametrize("size", [2, 3, 5])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_run_ea_small_and_odd_populations(rng, strategy, size):
+    ctx = _context(rng)
+    cfg = EAConfig(population_size=size, max_generations=6, strategy=strategy, k=2, seed=size,
+                   debug=True)
+    result = run_ea(ctx, cfg)
+    assert len(result.population) == size and len(result.trace) == 7
+    # the initial population, then one offspring per parent each generation
+    assert len(result.genealogy) == size * 7
+    for cand in result.genealogy:
+        check_candidate(cand.values, ctx.x_pt, ctx.schema, ctx.stats)
+        assert cand.objectives == ctx.cache[cand.values]
+    assert result.solutions and all(s in result.population for s in result.solutions)
+    assert run_ea(ctx, cfg) == result
 
 
 def test_child_seeds_are_distinct_and_stable():

@@ -397,7 +397,8 @@ def test_orderings_are_permutations():
 # Sort-based references for the array kernels: lexicographic winnowing by
 # stable sorts of Python lists, and dominance from a 3-D broadcast. The
 # kernels must return exactly what these return and make the same random
-# draws in the same order.
+# draws in the same order: the tournaments draw in the batched order the
+# selection module documents, and each round is decided by list sorts.
 
 
 def _oracle_winnow(indices, vectors, ordering, theta):
@@ -428,13 +429,34 @@ def _oracle_round(indices, vectors, ordering, theta, rng):
     return survivors[int(rng.integers(len(survivors)))]
 
 
+def _oracle_entrants(n, k, rounds, rng):
+    """Entrant lists in the documented batched draw order."""
+    if k == 2:
+        a = rng.integers(n, size=rounds)
+        b = (a + 1 + rng.integers(n - 1, size=rounds)) % n
+        return list(zip(a.tolist(), b.tolist()))
+    return np.argsort(rng.random((rounds, n)), axis=1)[:, :k].tolist()
+
+
 def _oracle_tournament(params, population, rng):
     vectors = [c.objectives for c in population]
+    entrants = _oracle_entrants(len(population), params.k, params.n, rng)
     victors = []
-    for _ in range(params.n):
-        entrants = rng.choice(len(population), size=params.k, replace=False)
-        winner = _oracle_round(entrants.tolist(), vectors, params.ordering, params.theta, rng)
-        victors.append(population[winner])
+    for idx, u in zip(entrants, rng.random(params.n).tolist()):
+        survivors = _oracle_lex_survivors(idx, vectors, params.ordering, params.theta)
+        victors.append(population[survivors[int(u * len(survivors))]])
+    return victors
+
+
+def _oracle_crowded_tournament(population, rounds, rng):
+    rank, crowd = {}, {}
+    for r, front in enumerate(_oracle_sort(population)):
+        for i, cd in zip(front, crowding_distance([population[i] for i in front])):
+            rank[i], crowd[i] = r, cd
+    victors = []
+    for pair in _oracle_entrants(len(population), 2, rounds, rng):
+        ranked = sorted(pair, key=lambda i: (rank[i], -crowd[i], i))
+        victors.append(population[ranked[0]])
     return victors
 
 
@@ -502,15 +524,24 @@ def test_array_kernels_match_sort_oracles(data):
         pool, target, ordering, theta
     )
 
-    for k in (2, 3):
+    # a caller holding the objective array gets the same picks as indices
+    V = np.array([c.objectives for c in pool], dtype=float)
+    ids = np.arange(n)
+    survivors = lex_survival_select(ids, target, ordering, theta, V=V)
+    assert [pool[i] for i in survivors] == _oracle_survival(pool, target, ordering, theta)
+    survivors, fronts_given = nsga2_select(ids, target, V=V)
+    assert ([pool[i] for i in survivors], fronts_given) == nsga2_select(pool, target)
+
+    for k in (1, 2, 3):
         if k > n:
             continue
         params = LexParams(n=25, k=k, theta=theta, ordering=ordering)
         rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert lex_tournament_select(params, pool, rng_new) == _oracle_tournament(
-            params, pool, rng_old
-        )
+        victors = lex_tournament_select(params, pool, rng_new)
+        assert victors == _oracle_tournament(params, pool, rng_old)
         assert rng_new.random() == rng_old.random()
+        picks = lex_tournament_select(params, ids, np.random.default_rng(seed), V=V)
+        assert [pool[i] for i in picks] == victors
 
     rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
     got = final_select_lex(pool, ordering, theta, rng_new)
@@ -520,9 +551,36 @@ def test_array_kernels_match_sort_oracles(data):
 
     if n >= 2:
         rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
-        given_fronts = crowded_tournament_select(pool, 25, rng_new, fronts)
-        assert given_fronts == crowded_tournament_select(pool, 25, rng_old)
+        victors = crowded_tournament_select(pool, 25, rng_new)
+        assert victors == _oracle_crowded_tournament(pool, 25, rng_old)
         assert rng_new.random() == rng_old.random()
+        given_fronts = crowded_tournament_select(pool, 25, np.random.default_rng(seed), fronts)
+        assert given_fronts == victors
+        picks = crowded_tournament_select(ids, 25, np.random.default_rng(seed), fronts, V=V)
+        assert [pool[i] for i in picks] == victors
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_pair_rounds_follow_lex_compare(data):
+    # every two-entrant round, decided for all rounds at once, names the
+    # winner lex_compare names for its drawn pair, and the tie draw picks
+    # the first entrant below 1/2
+    distinct = data.draw(st.lists(_NEAR_TIES, min_size=1, max_size=6))
+    vectors = data.draw(st.lists(st.sampled_from(distinct), min_size=2, max_size=20))
+    pool = [Cand((i,), v) for i, v in enumerate(vectors)]
+    theta = data.draw(st.sampled_from([0.0, 0.01]))
+    ordering = data.draw(st.sampled_from([DISTANCE_BEFORE_SPARSITY, SPARSITY_BEFORE_DISTANCE]))
+    seed = data.draw(st.integers(0, 2**16))
+    params = LexParams(n=30, k=2, theta=theta, ordering=ordering)
+    victors = lex_tournament_select(params, pool, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    pairs = _oracle_entrants(len(pool), 2, 30, rng)
+    for victor, (a, b), u in zip(victors, pairs, rng.random(30).tolist()):
+        assert a != b
+        outcome = lex_compare(pool[a], pool[b], ordering, theta)
+        winner = {FIRST_BETTER: a, SECOND_BETTER: b, TIE: a if u < 0.5 else b}[outcome]
+        assert victor == pool[winner]
 
 
 @settings(max_examples=300, deadline=None)
