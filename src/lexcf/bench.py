@@ -421,19 +421,21 @@ def write_meta(report, out_dir):
 
 
 def read_meta(path):
-    """The meta.json that write_meta wrote; one without a variants list and
-    a numeric theta is a DataError."""
+    """The meta.json that write_meta wrote; one without a list of variants
+    from VARIANTS and a finite theta >= 0 is a DataError."""
     try:
         meta = json.loads(read_text(path, DataError))
     except json.JSONDecodeError:
         meta = None
-    variants = meta.get("variants") if isinstance(meta, dict) else None
+    meta = meta if isinstance(meta, dict) else {}
+    variants, theta = meta.get("variants"), meta.get("theta")
     if not (
         isinstance(variants, list)
-        and all(isinstance(v, str) for v in variants)
-        and type(meta.get("theta")) in (int, float)
+        and all(v in VARIANTS for v in variants)
+        and type(theta) in (int, float)
+        and 0 <= theta < float("inf")
     ):
-        raise DataError("%s holds no variants list and numeric theta" % path)
+        raise DataError("%s holds no variants among %s and finite theta >= 0" % (path, VARIANTS))
     return meta
 
 

@@ -5,10 +5,12 @@ features are never touched; every value the loop introduces is clamped to
 the training bounds. The two strategies differ only in parent selection,
 survival, and what the run returns.
 
-A run holds each generation as one float matrix, a row per candidate (see
-Genome), next to its (n x 4) objective array. Rows become value tuples
-only where they leave the loop: as evaluate_population's keys, and as the
-Candidates of the result and the genealogy.
+A run holds each generation as one float matrix, a row per candidate in
+the evaluation context's Genome codes, next to its (n x 4) objective
+array; evaluate_population scores the coded rows themselves. Rows stay
+coded until the model reads them and the run returns: the final
+population is decoded once into the result's Candidates, and a debug run
+also decodes each generation for its genealogy and check_candidate.
 
 Random draws, all from the run's one generator:
 
@@ -39,7 +41,7 @@ import numpy as np
 
 from .data import CATEGORICAL, INTEGER, check_fields
 from .errors import ConfigError, InvariantViolation
-from .objectives import evaluate_population
+from .objectives import Genome, evaluate_population  # noqa: F401 (re-exported)
 from .selection import (
     DISTANCE_BEFORE_SPARSITY,
     SPARSITY_BEFORE_DISTANCE,
@@ -189,66 +191,6 @@ def init_population(x_pt, schema, stats, cfg, rng):
     return population
 
 
-class Genome:
-    """How a run holds candidates as float rows: a numeric feature as its
-    value, a categorical feature as an integer code into its code table,
-    the feature's training categories followed by the point of interest's
-    own value when training never saw it."""
-
-    def __init__(self, x_pt, schema, stats):
-        self.tables = []
-        for feat, st, x in zip(schema, stats, x_pt):
-            if feat.kind != CATEGORICAL:
-                self.tables.append(None)
-            else:
-                self.tables.append(st.categories if x in st.categories else (*st.categories, x))
-        self._codes = [
-            None if table is None else {v: c for c, v in enumerate(table)}
-            for table in self.tables
-        ]
-        # one float object per distinct value of a numeric feature, the
-        # point of interest's first: the evaluation cache keeps every key
-        # of a run, and a fresh float object per cell raised the peak
-        # memory of a population-100 run by about 9 MB
-        self._numbers = [{x: x} if table is None else None for table, x in zip(self.tables, x_pt)]
-        self.poi = self.encode([tuple(x_pt)])[0]
-        actionable = [i for i, feat in enumerate(schema) if feat.actionable]
-        numeric = [i for i in actionable if schema[i].kind != CATEGORICAL]
-        categorical = [
-            i for i in actionable if schema[i].kind == CATEGORICAL and stats[i].categories
-        ]
-        self.actionable = np.array(actionable, dtype=np.intp)
-        self.numeric = np.array(numeric, dtype=np.intp)
-        self.categorical = np.array(categorical, dtype=np.intp)
-        # where each numeric and categorical column sits among the actionable ones
-        self.numeric_at = np.searchsorted(self.actionable, self.numeric)
-        self.categorical_at = np.searchsorted(self.actionable, self.categorical)
-        self.lower = np.array([stats[i].lower for i in numeric], dtype=float)
-        self.upper = np.array([stats[i].upper for i in numeric], dtype=float)
-        self.scale = 0.1 * (self.upper - self.lower)
-        self.integer = np.array([schema[i].kind == INTEGER for i in numeric], dtype=bool)
-        self.n_categories = np.array(
-            [len(stats[i].categories) for i in categorical], dtype=np.int64
-        )
-
-    def encode(self, rows):
-        """Value tuples as one (rows x features) float matrix."""
-        X = np.empty((len(rows), len(self.tables)))
-        for i, (codes, column) in enumerate(zip(self._codes, zip(*rows))):
-            X[:, i] = column if codes is None else [codes[v] for v in column]
-        return X
-
-    def decode(self, X):
-        """The rows of a float matrix as value tuples."""
-        columns = X.T.tolist()
-        for i, (table, numbers) in enumerate(zip(self.tables, self._numbers)):
-            if table is None:
-                columns[i] = [numbers.setdefault(v, v) for v in columns[i]]
-            else:
-                columns[i] = [table[c] for c in map(int, columns[i])]
-        return list(zip(*columns))
-
-
 def crossover(parents, genome, cfg, rng):
     """Uniform crossover of consecutive parent rows, 0 with 1, 2 with 3 and
     so on: a pair crosses with probability crossover_prob, and a crossed
@@ -344,17 +286,21 @@ def run_ea(ctx, cfg):
     n = cfg.population_size
     ordering = STRATEGY_ORDERINGS.get(cfg.strategy)
     params = None if ordering is None else LexParams(n, cfg.k, cfg.theta, ordering)
-    genome = Genome(ctx.x_pt, ctx.schema, ctx.stats)
+    genome = ctx.genome
+    genealogy = [] if cfg.debug else None
 
-    # the population: feature rows X, objective array V, and per row its
-    # value tuple, objective vector and birth generation
-    keys = init_population(ctx.x_pt, ctx.schema, ctx.stats, cfg, rng)
-    vectors = evaluate_population(keys, ctx)
-    X, V, born = genome.encode(keys), np.array(vectors, dtype=float), np.zeros(n, dtype=np.int64)
-    genealogy = [Candidate(*c, 0) for c in zip(keys, vectors)] if cfg.debug else None
+    def audit(rows, vectors, generation):
+        """A debug run keeps every candidate and checks its constraints."""
+        for values, vector in zip(genome.decode(rows), vectors):
+            genealogy.append(Candidate(values, vector, generation))
+            check_candidate(values, ctx.x_pt, ctx.schema, ctx.stats)
+
+    # the population: coded rows X, objective array V, birth generations
+    X = genome.encode(init_population(ctx.x_pt, ctx.schema, ctx.stats, cfg, rng))
+    vectors = evaluate_population(X, ctx)
+    V, born = np.array(vectors, dtype=float), np.zeros(n, dtype=np.int64)
     if cfg.debug:
-        for key in keys:
-            check_candidate(key, ctx.x_pt, ctx.schema, ctx.stats)
+        audit(X, vectors, 0)
 
     def snapshot(generation, fronts):
         """The trace entry of the current population. Pareto runs pass the
@@ -372,15 +318,12 @@ def run_ea(ctx, cfg):
         else:
             parents = lex_tournament_select(params, X, rng, V=V)
         offspring = mutate(crossover(parents, genome, cfg, rng), genome, cfg, rng)
-        new_keys = genome.decode(offspring)
-        new_vectors = evaluate_population(new_keys, ctx)
+        vectors = evaluate_population(offspring, ctx)
         if cfg.debug:
-            genealogy.extend(Candidate(*c, gen) for c in zip(new_keys, new_vectors))
-            for key in new_keys:
-                check_candidate(key, ctx.x_pt, ctx.schema, ctx.stats)
+            audit(offspring, vectors, gen)
 
         pool_X = np.concatenate((X, offspring))
-        pool_V = np.concatenate((V, np.array(new_vectors, dtype=float)))
+        pool_V = np.concatenate((V, np.array(vectors, dtype=float)))
         pool = _dedup_pad(pool_X, n)
         if cfg.strategy == PARETO:
             rows, fronts = nsga2_select(pool, n, V=pool_V[pool])
@@ -388,11 +331,11 @@ def run_ea(ctx, cfg):
             rows = lex_survival_select(pool, n, ordering, cfg.theta, V=pool_V[pool])
         X, V = pool_X[rows], pool_V[rows]
         born = np.concatenate((born, np.full(len(offspring), gen)))[rows]
-        keys, vectors = keys + new_keys, vectors + new_vectors
-        keys, vectors = [keys[i] for i in rows.tolist()], [vectors[i] for i in rows.tolist()]
         trace.append(snapshot(gen, fronts))
 
-    population = tuple(map(Candidate, keys, vectors, born.tolist()))
+    # the survivors' vectors are all cached
+    vectors = evaluate_population(X, ctx)
+    population = tuple(map(Candidate, genome.decode(X), vectors, born.tolist()))
     if cfg.strategy == PARETO:
         solutions = tuple(population[i] for i in fronts[0])
     else:

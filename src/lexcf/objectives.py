@@ -4,6 +4,10 @@ o1 validity: distance of the predicted probability to the target interval
 [0.5, 1]; optionally extended below zero by resilience. o2: mean Gower
 distance to the point of interest. o3: count of changed features. o4:
 Gower distance to the nearest training instance.
+
+evaluate_population scores candidates as rows in a Genome's codes, the
+form they keep from variation on; they are decoded to value tuples only
+for the model. The scalar obj_* functions are the reference it equals.
 """
 
 import math
@@ -75,10 +79,9 @@ def obj_sparsity(x, x_pt, schema):
 
 
 def obj_plausibility(x, train, schema, stats):
-    if len(train) == 0:
-        raise ConfigError("plausibility needs a non-empty training set")
-    scan = TrainGowerScan(schema, stats, [inst.values for inst in train])
-    return scan.min_mean_dist([_values_of(x)])[0]
+    genome = Genome(_values_of(x), schema, stats)
+    scan = TrainGowerScan(genome, [inst.values for inst in train])
+    return scan.min_mean_dist(genome.poi[None])[0]
 
 
 def obj_validity(p_hat):
@@ -187,88 +190,128 @@ def resilience_scores(x_cf, x_pt, model, schema, stats):
     return _walk_reports([x_cf_values], _values_of(x_pt), model, schema, stats)[0]
 
 
+class Genome:
+    """How candidates are held as float rows: a numeric feature as its
+    value, a categorical feature as an integer code into its code table.
+    A table starts with the feature's training categories, then the point
+    of interest's own value when training never saw it; encode gives any
+    other value the next code, so every encoded row decodes to itself.
+    Mutation draws only training-category codes."""
+
+    def __init__(self, x_pt, schema, stats):
+        self._codes = [
+            {v: c for c, v in enumerate(st.categories)} if feat.kind == CATEGORICAL else None
+            for feat, st in zip(schema, stats)
+        ]
+        self.tables = [None if codes is None else tuple(codes) for codes in self._codes]
+        # what the Gower scans normalize a numeric feature by
+        self.spans = [st.range if t is None else None for t, st in zip(self.tables, stats)]
+        self.poi = self.encode([tuple(x_pt)])[0]
+        actionable = [i for i, feat in enumerate(schema) if feat.actionable]
+        numeric = [i for i in actionable if schema[i].kind != CATEGORICAL]
+        categorical = [
+            i for i in actionable if schema[i].kind == CATEGORICAL and stats[i].categories
+        ]
+        self.actionable = np.array(actionable, dtype=np.intp)
+        self.numeric = np.array(numeric, dtype=np.intp)
+        self.categorical = np.array(categorical, dtype=np.intp)
+        # where each numeric and categorical column sits among the actionable ones
+        self.numeric_at = np.searchsorted(self.actionable, self.numeric)
+        self.categorical_at = np.searchsorted(self.actionable, self.categorical)
+        self.lower = np.array([stats[i].lower for i in numeric], dtype=float)
+        self.upper = np.array([stats[i].upper for i in numeric], dtype=float)
+        self.scale = 0.1 * (self.upper - self.lower)
+        self.integer = np.array([schema[i].kind == INTEGER for i in numeric], dtype=bool)
+        self.n_categories = np.array(
+            [len(stats[i].categories) for i in categorical], dtype=np.int64
+        )
+
+    def encode(self, rows):
+        """Value tuples as one (rows x features) float matrix."""
+        X = np.empty((len(rows), len(self.tables)))
+        for i, (codes, column) in enumerate(zip(self._codes, zip(*rows))):
+            if codes is not None:
+                coded = np.fromiter(map(codes.get, column), float, len(column))
+                if np.isnan(coded).any():  # a value without a code reads as NaN
+                    coded = [codes.setdefault(v, len(codes)) for v in column]
+                    self.tables[i] = tuple(codes)
+                column = coded
+            X[:, i] = column
+        return X
+
+    def decode(self, X):
+        """The rows of a float matrix as value tuples."""
+        columns = X.T.tolist()
+        for i, table in enumerate(self.tables):
+            if table is not None:
+                columns[i] = [table[c] for c in map(int, columns[i])]
+        return list(zip(*columns))
+
+
 # cells per (candidates x reference rows) matrix in one chunk of the kernel
 _CHUNK_CELLS = 1 << 15
 
 
-def _min_mean_gower(scan, batch):
-    """Mean Gower distance of each candidate in batch to its nearest
-    reference row of scan.
+def _min_mean_gower(scan, F):
+    """Mean Gower distance of each row of F, in the scan's genome codes,
+    to its nearest reference row of scan.
 
     Per-feature distances are added in schema order with gower_dist's
     arithmetic, so each value equals the scalar oracle bit for bit.
-    Categorical values are compared as the scan's integer codes; a value
-    the scan has no code for maps to -1 and mismatches every row.
+    Categorical values are compared as codes; a code no reference row
+    holds mismatches every row.
     """
-    cands = [
-        np.array([c.codes.get(row[c.index], -1) for row in batch], dtype=np.int64)
-        if c.codes is not None
-        else np.array([row[c.index] for row in batch], dtype=float)
-        for c in scan.columns
-    ]
-    out = np.empty(len(batch))
+    out = np.empty(len(F))
     step = max(1, _CHUNK_CELLS // scan.n)
-    for start in range(0, len(batch), step):
-        stop = min(start + step, len(batch))
-        total = np.zeros((stop - start, scan.n))
+    for start in range(0, len(F), step):
+        chunk = F[start : start + step]
+        total = np.zeros((len(chunk), scan.n))
         diff = np.empty_like(total)
-        for c, cand in zip(scan.columns, cands):
-            cand = cand[start:stop, None]
-            if c.codes is not None:
-                total += cand != c.values
+        for i, ref, span in scan.columns:
+            cand = chunk[:, i, None]
+            if span is None:
+                total += cand != ref
             else:
-                np.subtract(c.values, cand, out=diff)
+                np.subtract(ref, cand, out=diff)
                 np.abs(diff, out=diff)
-                diff /= c.span
+                diff /= span
                 np.minimum(diff, 1.0, out=diff)
                 total += diff
-        total.min(axis=1, out=out[start:stop])
+        total.min(axis=1, out=out[start : start + step])
     out /= scan.p
     return out.tolist()
 
 
-class _ScanColumn(NamedTuple):
-    """One feature of a TrainGowerScan. A categorical column holds int64
-    codes from codes, one {value: code} dict built from the training
-    categories and then the reference rows' own values, so a reference
-    value outside the training categories still matches itself. A
-    numeric column holds floats and the span it is normalized by."""
-
-    index: int
-    values: np.ndarray
-    codes: dict | None = None
-    span: float | None = None
-
-
 class TrainGowerScan:
     """Exhaustive nearest-neighbor Gower scan over fixed reference rows
-    (value tuples). Numeric features with a degenerate training range add
-    nothing and are left out."""
+    (value tuples), held as columns of genome's codes; min_mean_dist reads
+    candidates in the same codes. Numeric features with a degenerate
+    training range add nothing and are left out. No reference rows is a
+    ConfigError."""
 
-    def __init__(self, schema, stats, rows):
-        self.p = len(schema)
+    def __init__(self, genome, rows):
+        if len(rows) == 0:
+            raise ConfigError("plausibility needs a non-empty training set")
+        self.p = len(genome.tables)
         self.n = len(rows)
-        self.columns = []
-        for i, (feat, raw) in enumerate(zip(schema, zip(*rows))):
-            if feat.kind == CATEGORICAL:
-                values = dict.fromkeys((*stats[i].categories, *raw))
-                codes = {value: code for code, value in enumerate(values)}
-                col = np.fromiter(map(codes.__getitem__, raw), dtype=np.int64, count=self.n)
-                self.columns.append(_ScanColumn(i, col, codes=codes))
-            elif stats[i].range > 0:
-                col = np.array(raw, dtype=float)
-                self.columns.append(_ScanColumn(i, col, span=stats[i].range))
+        R = genome.encode(rows)
+        self.columns = [
+            (i, np.ascontiguousarray(R[:, i]), span)
+            for i, span in enumerate(genome.spans)
+            if span != 0
+        ]
 
-    def min_mean_dist(self, batch):
-        return _min_mean_gower(self, batch)
+    def min_mean_dist(self, F):
+        return _min_mean_gower(self, F)
 
 
 class EvalContext:
     """Fixed inputs of one optimization run plus a result cache.
 
-    Evaluation is pure, so vectors are cached by candidate feature values;
-    the cache may be shared by runs with the same point of interest, model,
-    and resilience setting.
+    genome is the one code table of the search's rows, both Gower scans
+    and the cache. Evaluation is pure, so vectors are cached by each coded
+    row's bytes; the cache may be shared by runs with the same point of
+    interest, model, and resilience setting.
     """
 
     def __init__(self, x_pt, model, train, stats, resilience=False):
@@ -278,42 +321,51 @@ class EvalContext:
         self.stats = stats
         self.schema = train.schema
         self.resilience = resilience
-        self.scan = TrainGowerScan(self.schema, stats, [inst.values for inst in train])
-        self.poi_scan = TrainGowerScan(self.schema, stats, [self.x_pt])
+        self.genome = Genome(self.x_pt, self.schema, stats)
+        self.scan = TrainGowerScan(self.genome, [inst.values for inst in train])
+        self.poi_scan = TrainGowerScan(self.genome, [self.x_pt])
         self.cache = {}
 
-    def gower_to_poi(self, batch):
-        return _min_mean_gower(self.poi_scan, batch)
+    def gower_to_poi(self, F):
+        return _min_mean_gower(self.poi_scan, F)
 
 
-def evaluate_population(rows, ctx):
-    """Objective vectors for a batch of candidates.
+def evaluate_population(X, ctx):
+    """Objective vectors for a batch of candidates, the rows of X in
+    ctx.genome's codes.
 
-    Uncached candidates are evaluated together: one probability batch, one
-    Gower kernel call each to the POI and to the training set, and, under
-    resilience, one class batch for the walks of every valid candidate.
+    Distinct uncached rows are evaluated together: one probability batch
+    on the rows decoded to values, one Gower kernel call each to the POI
+    and to the training set, o3 as one comparison with the POI's row, and,
+    under resilience, one class batch for the walks of every valid
+    candidate.
     """
-    keys = [tuple(_values_of(r)) for r in rows]
-    fresh = [key for key in dict.fromkeys(keys) if key not in ctx.cache]
+    # + 0.0 makes -0.0 and 0.0 one key, as they are one value
+    X = np.ascontiguousarray(X, dtype=float) + 0.0
+    keys = X.view(np.dtype((np.void, X.shape[1] * X.itemsize))).ravel().tolist()
+    # each distinct uncached key in first-occurrence order, with a row of it
+    row_of = dict(zip(keys, range(len(keys))))
+    fresh = {key: i for key, i in row_of.items() if key not in ctx.cache}
     if fresh:
-        probs = [float(p) for p in ctx.model.predict_proba_batch(fresh)]
-        to_poi = ctx.gower_to_poi(fresh)
-        to_train = ctx.scan.min_mean_dist(fresh)
-        reports = dict.fromkeys(fresh)
+        F = X[list(fresh.values())]
+        values = ctx.genome.decode(F)
+        probs = [float(p) for p in ctx.model.predict_proba_batch(values)]
+        to_poi = ctx.gower_to_poi(F)
+        to_train = ctx.scan.min_mean_dist(F)
+        changed = np.count_nonzero(F != ctx.genome.poi, axis=1).tolist()
         if ctx.resilience:
-            valid = [key for key, p_hat in zip(fresh, probs) if p_hat >= 0.5]
-            walked = _walk_reports(valid, ctx.x_pt, ctx.model, ctx.schema, ctx.stats)
-            reports.update(zip(valid, walked))
-        for key, p_hat, o2, o4 in zip(fresh, probs, to_poi, to_train):
-            report = reports[key]
-            o1 = obj_validity_resilient(p_hat, report) if ctx.resilience else obj_validity(p_hat)
-            ctx.cache[key] = ObjectiveVector(o1, o2, obj_sparsity(key, ctx.x_pt, ctx.schema), o4)
+            valid = [row for row, p_hat in zip(values, probs) if p_hat >= 0.5]
+            walked = iter(_walk_reports(valid, ctx.x_pt, ctx.model, ctx.schema, ctx.stats))
+            o1 = [obj_validity_resilient(p, next(walked) if p >= 0.5 else None) for p in probs]
+        else:
+            o1 = [obj_validity(p_hat) for p_hat in probs]
+        ctx.cache.update(zip(fresh, map(ObjectiveVector, o1, to_poi, changed, to_train)))
     return [ctx.cache[key] for key in keys]
 
 
 def evaluate(candidate, ctx):
-    """Objective vector for a single candidate (see evaluate_population)."""
-    return evaluate_population([candidate], ctx)[0]
+    """Objective vector of one candidate's values (see evaluate_population)."""
+    return evaluate_population(ctx.genome.encode([_values_of(candidate)]), ctx)[0]
 
 
 def evaluate_with_report(candidate, ctx):

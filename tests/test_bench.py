@@ -26,7 +26,16 @@ from lexcf.bench import (
     write_meta,
     write_records,
 )
-from lexcf.data import CATEGORICAL, CONTINUOUS, INTEGER, DatasetConfig, FeatureSchema
+from lexcf.data import (
+    CATEGORICAL,
+    CONTINUOUS,
+    INTEGER,
+    DatasetConfig,
+    FeatureSchema,
+    compute_feature_stats,
+    load_configured_dataset,
+    split_dataset,
+)
 from lexcf.ea import EAConfig, STRATEGIES
 from lexcf.errors import ConfigError, InvariantViolation
 from lexcf.selection import (
@@ -300,6 +309,51 @@ def test_run_experiment_golden_records():
     assert report.poi_count == 3
     blob = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in report.records)
     assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == GOLDEN_RECORDS_SHA256
+
+
+# sha256 of a logistic run's records on mixed features, whose one "z" row
+# falls in the test split: its point of interest carries a category that
+# training never saw. Pinned before the search evaluated coded rows; batch-
+# invariant logistic scores would move it deliberately, with a note
+GOLDEN_LOGISTIC_RECORDS_SHA256 = "bf5771c504307699277e99cd73834e47bf3baaec88693f43e860f46096d87972"
+
+
+def test_run_experiment_golden_logistic_records(tmp_path):
+    rng = np.random.default_rng(23)
+    lines = ["x,n,k,label", "0.500,1,z,0"]
+    for _ in range(47):
+        x, n, k = rng.uniform(0, 10), int(rng.integers(0, 11)), "abc"[rng.integers(3)]
+        lines.append("%.3f,%d,%s,%d" % (x, n, k, x + 0.5 * n + 2 * (k == "c") > 9))
+    (tmp_path / "data.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    schema = (
+        FeatureSchema("x", CONTINUOUS),
+        FeatureSchema("n", INTEGER),
+        FeatureSchema("k", CATEGORICAL, categories=("a", "b", "c", "z")),
+    )
+    ds_cfg = DatasetConfig(
+        csv_path=str(tmp_path / "data.csv"),
+        class_column="label",
+        positive_label="1",
+        schema=schema,
+        test_cap=1.0 / 3.0,
+        split_seed=1,
+        name="golden_logistic",
+    )
+    cfg = ExperimentConfig(
+        dataset=ds_cfg,
+        learner="logistic",
+        max_pois=3,
+        variants=VARIANTS,
+        master_seed=0,
+        ea=EAConfig(population_size=6, max_generations=4, seed=0),
+    )
+    report = run_experiment(cfg)
+    assert report.poi_count == 3
+    assert any("z" in sol["values"] for rec in report.records for sol in rec["solutions"])
+    train, _ = split_dataset(load_configured_dataset(ds_cfg), 1.0 / 3.0, 1)
+    assert "z" not in compute_feature_stats(train)[2].categories
+    blob = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in report.records)
+    assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == GOLDEN_LOGISTIC_RECORDS_SHA256
 
 
 def test_emit_report_formats_agree(small_report, tmp_path):

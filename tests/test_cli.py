@@ -464,6 +464,30 @@ def test_unreadable_input_exits_with_one_line(tmp_path, capsys, monkeypatch, fil
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "meta",
+    [
+        '{"variants": ["base"], "theta": NaN}',
+        '{"variants": ["base"], "theta": -1}',
+        '{"variants": ["base"], "theta": Infinity}',
+        '{"variants": ["base", "bogus"], "theta": 0.01}',
+        '{"variants": [["base"]], "theta": 0.01}',
+    ],
+    ids=["theta_nan", "theta_negative", "theta_infinite", "unknown_variant", "variant_not_a_name"],
+)
+def test_compare_refuses_meta_it_cannot_use(tmp_path, capsys, meta):
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    (runs / "records.ndjson").write_text(RECORD_LINE + "\n", encoding="utf-8")
+    (runs / "meta.json").write_text(meta, encoding="utf-8")
+    assert main(["compare", "--runs", str(runs)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "meta.json" in err[0]
+    # the same records compare with a usable meta.json
+    (runs / "meta.json").write_text('{"variants": ["base"], "theta": 0.01}', encoding="utf-8")
+    assert main(["compare", "--runs", str(runs)]) == 0
+
+
 def test_output_dir_is_relative_to_the_config(tmp_path, monkeypatch):
     sub = tmp_path / "sub"
     sub.mkdir()

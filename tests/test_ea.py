@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from lexcf.data import CATEGORICAL, CONTINUOUS, INTEGER, FeatureSchema, FeatureStats
 from lexcf.errors import ConfigError, InvariantViolation
-from lexcf.objectives import EvalContext
+from lexcf.objectives import EvalContext, evaluate
 from lexcf.ea import (
     EAConfig,
     GenerationTrace,
@@ -146,6 +146,14 @@ def test_genome_code_tables():
     assert X.tolist() == [[10.0, 2.0, 3.0, 0.5], [99.5, 0.0, 2.0, 0.5]]
     assert genome.decode(X) == rows
     assert genome.poi.tolist() == [10.0, 2.0, 3.0, 0.5]
+    # a value in neither training nor the POI gets the next code and
+    # decodes back; the codes given before stay
+    unseen = [(10.0, 2.0, "y", 0.5), (99.5, 0.0, "z", 0.5)]
+    X = genome.encode(unseen)
+    assert X[:, 2].tolist() == [4.0, 3.0]
+    assert genome.tables[2] == ("a", "b", "c", "z", "y")
+    assert genome.decode(X) == unseen
+    assert genome.encode(rows).tolist() == [[10.0, 2.0, 3.0, 0.5], [99.5, 0.0, 2.0, 0.5]]
 
 
 def test_crossover_gate():
@@ -417,7 +425,7 @@ def test_run_ea_small_and_odd_populations(rng, strategy, size):
     assert len(result.genealogy) == size * 7
     for cand in result.genealogy:
         check_candidate(cand.values, ctx.x_pt, ctx.schema, ctx.stats)
-        assert cand.objectives == ctx.cache[cand.values]
+        assert cand.objectives == evaluate(cand.values, ctx)
     assert result.solutions and all(s in result.population for s in result.solutions)
     assert run_ea(ctx, cfg) == result
 

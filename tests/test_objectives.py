@@ -14,6 +14,7 @@ from lexcf.data import (
     FeatureStats,
     compute_feature_stats,
 )
+from lexcf.ea import EAConfig, crossover, init_population, mutate
 from lexcf.errors import ConfigError, InvariantViolation
 from lexcf.model import (
     FixedLinearModel,
@@ -26,6 +27,7 @@ from lexcf.model import (
 from lexcf.objectives import (
     EvalContext,
     FeatureResilience,
+    Genome,
     ObjectiveVector,
     ResilienceReport,
     TrainGowerScan,
@@ -159,12 +161,20 @@ def test_plausibility_rejects_empty_train():
         obj_plausibility((1.0, 1.0, "a"), empty, MIXED_SCHEMA, MIXED_STATS)
 
 
+def test_eval_context_rejects_empty_train():
+    empty = make_dataset(MIXED_SCHEMA, [], [])
+    model = ConstantModel(MIXED_SCHEMA, 0.8)
+    with pytest.raises(ConfigError, match="non-empty training set"):
+        EvalContext((1.0, 1.0, "a"), model, empty, MIXED_STATS)
+
+
 def test_scan_skips_degenerate_span(rng):
     stats = make_stats([(0.0, 0.0), (0, 5), ("a", "b", "c")])
     train = _random_mixed_dataset(rng, 20)
     probe = (99.0, 2.0, "b")
     rows = [inst.values for inst in train]
-    got = TrainGowerScan(MIXED_SCHEMA, stats, rows).min_mean_dist([probe])[0]
+    genome = Genome(probe, MIXED_SCHEMA, stats)
+    got = TrainGowerScan(genome, rows).min_mean_dist(genome.encode([probe]))[0]
     assert got == _plausibility_oracle(probe, train, MIXED_SCHEMA, stats)
 
 
@@ -428,7 +438,7 @@ def test_forest_vectors_do_not_depend_on_the_batch():
     forest = train_random_forest(train, LearnerConfig("random_forest", {"ntree": 15}, seed=3))
     batch = EvalContext(ENCODED_POI, forest, train, stats, resilience=True)
     single = EvalContext(ENCODED_POI, forest, train, stats, resilience=True)
-    vectors = evaluate_population(keys, batch)
+    vectors = evaluate_population(batch.genome.encode(keys), batch)
     assert vectors == [evaluate(key, single) for key in keys]
     assert any(v.o1 < 0 for v in vectors) and any(v.o1 > 0 for v in vectors)
 
@@ -516,7 +526,7 @@ def test_evaluate_population_caches_and_dedups(rng):
     counter = CountingModel(ctx.model)
     ctx.model = counter
     cand = (6.0, 1.0, "b")
-    out = evaluate_population([cand] * 5, ctx)
+    out = evaluate_population(ctx.genome.encode([cand] * 5), ctx)
     assert counter.calls == 1 and counter.rows == 1
     assert len(set(out)) == 1
     evaluate(cand, ctx)
@@ -526,7 +536,7 @@ def test_evaluate_population_caches_and_dedups(rng):
 def test_evaluate_population_order_matches_input(rng):
     ctx, _ = _context(rng)
     cands = [(6.0, 1.0, "b"), (2.0, 1.0, "a"), (6.0, 1.0, "b")]
-    out = evaluate_population(cands, ctx)
+    out = evaluate_population(ctx.genome.encode(cands), ctx)
     assert out[0] == out[2]
     assert out[0] == evaluate(cands[0], ctx)
     assert out[1] == evaluate(cands[1], ctx)
@@ -548,12 +558,12 @@ def test_evaluate_population_batches_resilience_walks(rng):
     counter = CountingModel(ctx.model)
     ctx.model = counter
     cands = [(6.0, 1.0, "b"), (2.5, 4.0, "a"), (1.0, 1.0, "c")]
-    evaluate_population(cands, ctx)
+    evaluate_population(ctx.genome.encode(cands), ctx)
     # one probability batch plus one merged class batch for all walks
     assert counter.calls == 2
     for cand in cands:
         vec, report = evaluate_with_report(cand, ctx)
-        assert ctx.cache[cand] == vec
+        assert evaluate(cand, ctx) == vec
         assert report is not None
         assert vec.o1 == -report.mean
 
@@ -591,7 +601,7 @@ def test_evaluate_population_batch_equals_scalar_oracles(rng, monkeypatch, chunk
     batch += [tuple(r) for r in rows[:8]]
     for resilience in (False, True):
         ctx = EvalContext(x_pt, model, train, stats, resilience=resilience)
-        out = evaluate_population(batch, ctx)
+        out = evaluate_population(ctx.genome.encode(batch), ctx)
         assert len(out) == len(batch)
         for cand, vec in zip(batch, out):
             p_hat = model.predict_proba(cand)
@@ -640,8 +650,8 @@ def test_unseen_categories_match_scalar_oracles(rng, monkeypatch, two_rows_a_chu
         (-1.0, "e", 5.0),
     ]
     ctx = EvalContext(x_pt, model, train, stats)
-    assert ctx.gower_to_poi([x_pt]) == [0.0]
-    out = evaluate_population(batch, ctx)
+    assert ctx.gower_to_poi(ctx.genome.encode([x_pt])) == [0.0]
+    out = evaluate_population(ctx.genome.encode(batch), ctx)
     for cand, vec in zip(batch, out):
         assert vec.o2 == obj_distance(cand, x_pt, schema, stats)
         assert vec.o2 == sum(gower_dist(schema, stats, cand[i], x_pt[i], i) for i in range(3)) / 3
@@ -653,6 +663,54 @@ def test_unseen_categories_match_scalar_oracles(rng, monkeypatch, two_rows_a_chu
     assert out[4].o4 == 0.0
     # an unseen category mismatches every training row
     assert min(out[i].o4 for i in (0, 1, 2, 3, 6, 7)) >= 1.0 / 3
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    size=st.integers(2, 9),
+    probs=st.tuples(*[st.sampled_from([0.0, 0.3, 1.0])] * 3),
+    poi_k=st.sampled_from(["a", "d"]),
+    resilience=st.booleans(),
+)
+def test_coded_offspring_match_scalar_oracles(seed, size, probs, poi_k, resilience):
+    # valid while x + n >= 8; training never saw category d, and the
+    # zero-range feature z adds nothing
+    schema = (
+        FeatureSchema("x", CONTINUOUS),
+        FeatureSchema("n", INTEGER),
+        FeatureSchema("k", CATEGORICAL, categories=("a", "b", "c", "d")),
+        FeatureSchema("z", CONTINUOUS),
+    )
+    stats = make_stats([(0.0, 10.0), (0, 5), ("a", "b", "c"), (3.0, 3.0)])
+    rng = np.random.default_rng(seed)
+    rows = [
+        [rng.uniform(0, 10), float(rng.integers(0, 6)), "abc"[rng.integers(3)], 3.0]
+        for _ in range(25)
+    ]
+    train = make_dataset(schema, rows, [0] * 25)
+    model = FixedLinearModel(schema, {"x": 1.0, "n": 1.0}, intercept=-8.0)
+    x_pt = (2.0, 4.0, poi_k, 3.0)
+    ctx = EvalContext(x_pt, model, train, stats, resilience=resilience)
+    cfg = EAConfig(population_size=size, crossover_prob=probs[0], mutation_prob=probs[1],
+                   reset_prob=probs[2])
+    X = ctx.genome.encode(init_population(x_pt, schema, stats, cfg, rng))
+    for _ in range(3):
+        X = mutate(crossover(X, ctx.genome, cfg, rng), ctx.genome, cfg, rng)
+        out = evaluate_population(X, ctx)
+        for values, vec in zip(ctx.genome.decode(X), out):
+            p_hat = model.predict_proba(values)
+            if resilience and p_hat >= 0.5:
+                report = resilience_scores(values, x_pt, model, schema, stats)
+                o1 = obj_validity_resilient(p_hat, report)
+            else:
+                o1 = obj_validity(p_hat)
+            assert vec == (
+                o1,
+                obj_distance(values, x_pt, schema, stats),
+                obj_sparsity(values, x_pt, schema),
+                obj_plausibility(values, train, schema, stats),
+            )
 
 
 def test_base_objective_without_resilience_has_no_report(rng):
