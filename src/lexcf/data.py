@@ -1,9 +1,9 @@
 """Dataset ingestion, schemas, splitting, and training-set statistics.
 
-Feature values live in raw space throughout: continuous and integer
-features as floats, categorical features as strings. Models do their own
-encoding; everything else (objectives, constraints, mutation) works on
-the raw values defined here.
+Feature values live in raw space: continuous and integer features as
+floats, categorical features as strings. The search holds candidates in
+objectives.Genome's codes, which decode to these values, and models do
+their own encoding of either form.
 """
 
 import csv

@@ -7,9 +7,9 @@ survival, and what the run returns.
 
 A run holds each generation as one float matrix, a row per candidate in
 the evaluation context's Genome codes, next to its (n x 4) objective
-array; evaluate_population scores the coded rows themselves. Rows stay
-coded until the model reads them and the run returns: the final
-population is decoded once into the result's Candidates, and a debug run
+array; evaluate_population scores the coded rows themselves, and models
+read them through Model.predict_coded. Rows stay coded until the run
+returns: the final population is decoded once into the result's Candidates, and a debug run
 also decodes each generation for its genealogy and check_candidate.
 
 Random draws, all from the run's one generator:

@@ -3,9 +3,9 @@
 Two built-in learners (logistic regression, random forest), each one row
 of the LEARNERS table, plus a fixed-weight linear model built in code for
 deterministic tests. All models expose batched probability prediction
-over raw value tuples. Resilience walks also go through the encode step:
-they encode each walked candidate once and set one feature per walk row
-in the model's encoded space.
+over raw value tuples, and predict_coded over rows in a search Genome's
+codes: a model without an encoder reads them decoded, an encoded model
+maps the codes through the same encoder kernel as the tuples.
 """
 
 import json
@@ -44,23 +44,10 @@ class Model:
     def predict_proba_batch(self, rows):
         raise NotImplementedError
 
-    def encode(self, rows):
-        """rows (value tuples) in the form predict_encoded reads. A model
-        without an encoder reads the value tuples themselves."""
-        return rows
-
-    def predict_encoded(self, encoded):
-        """Probabilities of rows that encode or with_values returned."""
-        return self.predict_proba_batch(encoded)
-
-    def with_values(self, encoded, at, features, values):
-        """Rows encoded[at[r]], each with numeric schema feature
-        features[r] set to values[r]; at, features and values are
-        equal-length arrays."""
-        return [
-            encoded[k][:i] + (v,) + encoded[k][i + 1 :]
-            for k, i, v in zip(at.tolist(), features.tolist(), values.tolist())
-        ]
+    def predict_coded(self, X, genome):
+        """Probabilities of the rows of X, a float matrix in genome's codes
+        (objectives.Genome)."""
+        return self.predict_proba_batch(genome.decode(X))
 
     def predict_proba(self, values):
         return float(self.predict_proba_batch([values])[0])
@@ -112,31 +99,35 @@ class _Encoder:
                 columns.append(("num", float(min(vals)), float(max(vals))))
         return cls(columns)
 
-    def _scaled(self, j, vals):
-        """The encoded column of numeric feature j for the float array
-        vals: (vals - lo) / (hi - lo), or 0 when the range is empty."""
-        _, lo, hi = self.columns[j]
-        return (vals - lo) / (hi - lo) if hi > lo else np.zeros_like(vals)
+    def _matrix(self, n, columns):
+        """The encoded matrix of n rows given per feature: a numeric
+        feature's values, a categorical feature's category indices, where
+        -1 (an unknown token) selects the all-zero block."""
+        out = np.zeros((n, self.width))
+        for j, (spec, col, column) in enumerate(zip(self.columns, self.column_of, columns)):
+            if spec[0] == "cat":
+                out[:, col : col + len(spec[1])] = self._onehot[j][1].take(column, axis=0)
+            elif spec[2] > spec[1]:
+                out[:, col] = (np.asarray(column, dtype=float) - spec[1]) / (spec[2] - spec[1])
+        return out
 
     def transform(self, rows):
-        out = np.zeros((len(rows), self.width))
-        for j, (spec, col) in enumerate(zip(self.columns, self.column_of)):
-            if spec[0] == "num":
-                out[:, col] = self._scaled(j, np.array([row[j] for row in rows], dtype=float))
-            else:
-                codes, table = self._onehot[j]
-                idx = [codes.get(row[j], -1) for row in rows]
-                out[:, col : col + len(spec[1])] = table.take(idx, axis=0)
-        return out
+        """The encoded matrix of value tuples."""
+        columns = [[row[j] for row in rows] for j in range(len(self.columns))]
+        for j, (codes, _) in self._onehot.items():
+            columns[j] = [codes.get(v, -1) for v in columns[j]]
+        return self._matrix(len(rows), columns)
 
-    def with_values(self, encoded, at, features, values):
-        """Rows encoded[at], each with numeric feature features[r] set to
-        values[r], scaled as transform scales it."""
-        out = encoded[at]
-        for j in np.unique(features).tolist():
-            rows = np.flatnonzero(features == j)
-            out[rows, self.column_of[j]] = self._scaled(j, values[rows])
-        return out
+    def transform_coded(self, X, genome):
+        """transform(genome.decode(X)) without decoding: a numeric column of
+        X holds the values themselves, and a categorical code selects the
+        block of its value in genome.tables. The map is built per call, as
+        genome.encode may append codes."""
+        columns = list(X.T)
+        for j, (codes, _) in self._onehot.items():
+            index = np.array([codes.get(v, -1) for v in genome.tables[j]], dtype=np.intp)
+            columns[j] = index[columns[j].astype(np.intp)]
+        return self._matrix(len(X), columns)
 
     def to_spec(self):
         return [list(c) for c in self.columns]
@@ -144,16 +135,18 @@ class _Encoder:
     @classmethod
     def from_spec(cls, spec, schema):
         """The encoder a saved spec describes. It must hold one column per
-        schema feature, of the feature's kind: ["num", lo, hi], or ["cat",
-        categories] with the feature's own categories."""
+        schema feature, of the feature's kind: ["num", lo, hi] with finite
+        lo <= hi, or ["cat", categories] with the feature's own categories."""
         if not isinstance(spec, list) or len(spec) != len(schema):
             raise ModelFormatError("the encoder needs one column per schema feature")
         columns = []
         for entry, feat in zip(spec, schema):
             numeric = isinstance(entry, list) and len(entry) == 3 and entry[0] == "num"
+            # bounds are numbers, not booleans
+            numeric = numeric and {type(b) for b in entry[1:]} <= {int, float}
             if feat.kind == CATEGORICAL and entry == ["cat", list(feat.categories)]:
                 columns.append(("cat", feat.categories))
-            elif feat.kind != CATEGORICAL and numeric and np.isfinite(entry[1:]).all():
+            elif feat.kind != CATEGORICAL and numeric and -np.inf < entry[1] <= entry[2] < np.inf:
                 columns.append(("num", float(entry[1]), float(entry[2])))
             else:
                 raise ModelFormatError(
@@ -175,11 +168,8 @@ def _check_binary(train):
 class _EncodedModel(Model):
     """A model that reads rows through its _Encoder, self.encoder."""
 
-    def encode(self, rows):
-        return self.encoder.transform(rows)
-
-    def with_values(self, encoded, at, features, values):
-        return self.encoder.with_values(encoded, at, features, values)
+    def predict_coded(self, X, genome):
+        return self.predict_encoded(self.encoder.transform_coded(X, genome))
 
 
 class LogisticModel(_EncodedModel):
@@ -201,7 +191,7 @@ class LogisticModel(_EncodedModel):
             raise ModelFormatError("logistic weights and bias must be finite numbers")
 
     def predict_proba_batch(self, rows):
-        return self.predict_encoded(self.encode(rows))
+        return self.predict_encoded(self.encoder.transform(rows))
 
     def predict_encoded(self, encoded):
         return _sigmoid(encoded @ self.weights + self.bias)
@@ -401,6 +391,8 @@ def _check_tree(k, tree, width):
             raise ModelFormatError(
                 "tree %d: child index out of range or not after its parent" % k
             )
+    if not np.isfinite(tree.threshold).all():
+        raise ModelFormatError("tree %d: split thresholds must be finite numbers" % k)
     if np.any((tree.value != 0) & (tree.value != 1)):
         raise ModelFormatError("tree %d: node values must be 0 or 1" % k)
 
@@ -467,7 +459,7 @@ class RandomForestModel(_EncodedModel):
         ) = _flatten_forest(trees, encoder.width)
 
     def predict_proba_batch(self, rows):
-        return self.predict_encoded(self.encode(rows))
+        return self.predict_encoded(self.encoder.transform(rows))
 
     def predict_encoded(self, encoded):
         votes = np.empty(encoded.shape[0], dtype=np.int64)
@@ -708,5 +700,5 @@ def load_model(path):
         raise ModelFormatError("schema fingerprint mismatch in %s" % path)
     try:
         return _learner(learner).model.from_params(schema, params)
-    except (KeyError, TypeError, ValueError, ConfigError, ModelFormatError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ConfigError, ModelFormatError) as exc:
         raise ModelFormatError("corrupt model file %s: %s" % (path, exc)) from None

@@ -6,8 +6,9 @@ distance to the point of interest. o3: count of changed features. o4:
 Gower distance to the nearest training instance.
 
 evaluate_population scores candidates as rows in a Genome's codes, the
-form they keep from variation on; they are decoded to value tuples only
-for the model. The scalar obj_* functions are the reference it equals.
+form they keep from variation on; the model reads them through
+Model.predict_coded, resilience walks included. The scalar obj_*
+functions and resilience_scores are the reference it equals.
 """
 
 import math
@@ -95,13 +96,12 @@ def obj_validity(p_hat):
 def obj_validity_resilient(p_hat, report):
     """Extended validity: valid candidates score 0 minus their mean
     resilience, invalid ones keep the base distance to [0.5, 1]."""
-    if not 0.0 <= p_hat <= 1.0:
-        raise InvariantViolation("probability %r outside [0, 1]" % p_hat)
-    if p_hat >= 0.5:
-        if report is None:
-            raise InvariantViolation("valid candidate needs a resilience report")
-        return 0.0 - report.mean
-    return 0.5 - p_hat
+    distance = obj_validity(p_hat)
+    if distance > 0:
+        return distance
+    if report is None:
+        raise InvariantViolation("valid candidate needs a resilience report")
+    return 0.0 - report.mean
 
 
 def resilience_step(x_cf_i, x_pt_i, bound, is_integer):
@@ -122,28 +122,28 @@ def resilience_step(x_cf_i, x_pt_i, bound, is_integer):
     return step, max(1, steps_max)
 
 
-def _walk_reports(keys, x_pt, model, schema, stats):
-    """Resilience reports of valid candidates (value tuples), in one pass.
+def _walk_reports(F, genome, model, schema, stats):
+    """Resilience walks of valid candidates, the rows of F in genome's codes.
 
-    Every changed numeric feature of every key is walked toward the bound
-    it moves away from x_pt by, with resilience_step's steps clamped at
-    that bound; a feature at or beyond a bound gets an empty walk. All
-    walk rows, key-major and then feature-minor, are built in the model's
-    encoded space from each key's encoded row and classified in one
-    batch, and each walk scores the share of its steps before its first
-    negative one, or 1 when it has no steps.
+    Every changed numeric feature of every row is walked toward the bound
+    it moves away from genome.poi by, with resilience_step's steps clamped
+    at that bound; a feature at or beyond a bound gets an empty walk. A
+    walk row is its candidate's row with the walked column set. All walk
+    rows, row-major and then feature-minor, are classified in one
+    predict_coded batch, and each walk scores the share of its steps
+    before its first negative one, or 1 when it has no steps.
+
+    Returns the walks as arrays (candidate, feature, step, steps, kept,
+    score) and each candidate's mean score, summed as ResilienceReport's.
     """
-    numeric = [i for i, feat in enumerate(schema) if feat.kind != CATEGORICAL]
+    numeric = np.array([i for i, feat in enumerate(schema) if feat.kind != CATEGORICAL], np.intp)
     is_int = np.array([schema[i].kind == INTEGER for i in numeric], dtype=bool)
     lower = np.array([stats[i].lower for i in numeric], dtype=float)
     upper = np.array([stats[i].upper for i in numeric], dtype=float)
-    values = np.array([[key[i] for i in numeric] for key in keys], dtype=float)
-    values = values.reshape(len(keys), len(numeric))
-    poi = np.array([x_pt[i] for i in numeric], dtype=float)
-    # one walk per changed numeric feature, key-major then feature-minor
-    key_of, col = np.nonzero(values != poi)
-    feature = np.array(numeric, dtype=np.int64)[col]
-    x, pt, lo, hi = values[key_of, col], poi[col], lower[col], upper[col]
+    # one walk per changed numeric feature, row-major then feature-minor
+    key_of, col = np.nonzero(F[:, numeric] != genome.poi[numeric])
+    feature = numeric[col]
+    x, pt, lo, hi = F[key_of, feature], genome.poi[feature], lower[col], upper[col]
     inside = (lo < x) & (x < hi)
     # resilience_step's arithmetic on the walks with steps; np.round
     # rounds half to even, as round does
@@ -164,16 +164,20 @@ def _walk_reports(keys, x_pt, model, schema, stats):
     v = np.where(step[walk] > 0, np.minimum(v, hi[walk]), np.maximum(v, lo[walk]))
     kept = n.copy()
     if len(walk):
-        rows = model.with_values(model.encode(keys), key_of[walk], feature[walk], v)
-        negative = ~(model.predict_encoded(rows) >= 0.5)
+        rows = F[key_of[walk]]
+        rows[np.arange(len(walk)), feature[walk]] = v
+        negative = ~(model.predict_coded(rows, genome) >= 0.5)
         # each walk keeps the steps before its first negative one
         first = np.where(negative, s - 1, n[walk])
         kept[n > 0] = np.minimum.reduceat(first, firsts[n > 0])
     score = np.divide(kept, n, out=np.ones(len(n)), where=n > 0)
-    columns = (feature, step, n, kept, score)
-    walks = list(map(FeatureResilience, *(c.tolist() for c in columns)))
-    ends = np.cumsum(np.bincount(key_of, minlength=len(keys))).tolist()
-    return [ResilienceReport(tuple(walks[a:b])) for a, b in zip([0, *ends], ends)]
+    # Python's sum adds the numeric columns left to right, so each row's
+    # scores add in walk order; the zeros of unwalked features add nothing
+    grid = np.zeros((len(F), len(numeric)))
+    grid[key_of, col] = score
+    count = np.bincount(key_of, minlength=len(F))
+    mean = np.divide(sum(grid.T, np.zeros(len(F))), count, out=np.zeros(len(F)), where=count > 0)
+    return (key_of, feature, step, n, kept, score), mean
 
 
 def resilience_scores(x_cf, x_pt, model, schema, stats):
@@ -187,7 +191,9 @@ def resilience_scores(x_cf, x_pt, model, schema, stats):
     x_cf_values = tuple(_values_of(x_cf))
     if model.predict_class(x_cf_values) != POSITIVE:
         raise InvariantViolation("resilience is defined only for valid counterfactuals")
-    return _walk_reports([x_cf_values], _values_of(x_pt), model, schema, stats)[0]
+    genome = Genome(_values_of(x_pt), schema, stats)
+    walks, _ = _walk_reports(genome.encode([x_cf_values]), genome, model, schema, stats)
+    return ResilienceReport(tuple(map(FeatureResilience, *(c.tolist() for c in walks[1:]))))
 
 
 class Genome:
@@ -334,11 +340,11 @@ def evaluate_population(X, ctx):
     """Objective vectors for a batch of candidates, the rows of X in
     ctx.genome's codes.
 
-    Distinct uncached rows are evaluated together: one probability batch
-    on the rows decoded to values, one Gower kernel call each to the POI
-    and to the training set, o3 as one comparison with the POI's row, and,
-    under resilience, one class batch for the walks of every valid
-    candidate.
+    Distinct uncached rows are evaluated together: one predict_coded batch
+    on the coded rows, o1 as one array expression over its probabilities,
+    one Gower kernel call each to the POI and to the training set, o3 as
+    one comparison with the POI's row, and, under resilience, one
+    predict_coded batch for the walks of every valid candidate.
     """
     # + 0.0 makes -0.0 and 0.0 one key, as they are one value
     X = np.ascontiguousarray(X, dtype=float) + 0.0
@@ -348,18 +354,19 @@ def evaluate_population(X, ctx):
     fresh = {key: i for key, i in row_of.items() if key not in ctx.cache}
     if fresh:
         F = X[list(fresh.values())]
-        values = ctx.genome.decode(F)
-        probs = [float(p) for p in ctx.model.predict_proba_batch(values)]
+        p = np.asarray(ctx.model.predict_coded(F, ctx.genome), dtype=float)
+        outside = ~((0.0 <= p) & (p <= 1.0))  # NaN too
+        if outside.any():
+            raise InvariantViolation("probability %r outside [0, 1]" % float(p[outside][0]))
+        o1 = np.where(p >= 0.5, 0.0, 0.5 - p)
+        if ctx.resilience:
+            valid = np.flatnonzero(p >= 0.5)
+            _, mean = _walk_reports(F[valid], ctx.genome, ctx.model, ctx.schema, ctx.stats)
+            o1[valid] = 0.0 - mean
         to_poi = ctx.gower_to_poi(F)
         to_train = ctx.scan.min_mean_dist(F)
         changed = np.count_nonzero(F != ctx.genome.poi, axis=1).tolist()
-        if ctx.resilience:
-            valid = [row for row, p_hat in zip(values, probs) if p_hat >= 0.5]
-            walked = iter(_walk_reports(valid, ctx.x_pt, ctx.model, ctx.schema, ctx.stats))
-            o1 = [obj_validity_resilient(p, next(walked) if p >= 0.5 else None) for p in probs]
-        else:
-            o1 = [obj_validity(p_hat) for p_hat in probs]
-        ctx.cache.update(zip(fresh, map(ObjectiveVector, o1, to_poi, changed, to_train)))
+        ctx.cache.update(zip(fresh, map(ObjectiveVector, o1.tolist(), to_poi, changed, to_train)))
     return [ctx.cache[key] for key in keys]
 
 

@@ -680,6 +680,8 @@ FOREST_CORRUPTIONS = {
     "feature_at_width": lambda tree, width: _set(tree, "feature", True, width),
     "leaf_value_2": lambda tree, width: _set(tree, "value", False, 2),
     "leaf_value_half": lambda tree, width: _set(tree, "value", False, 0.5),
+    "threshold_nan": lambda tree, width: _set(tree, "threshold", True, float("nan")),
+    "threshold_infinite": lambda tree, width: _set(tree, "threshold", True, float("inf")),
 }
 
 
@@ -729,6 +731,8 @@ ENCODER_CORRUPTIONS = {
     "cat_for_continuous": lambda enc: enc.__setitem__(0, ["cat", ["a", "b"]]),
     "column_missing": lambda enc: enc.pop(),
     "column_extra": lambda enc: enc.append(["num", 0.0, 1.0]),
+    "num_bounds_reversed": lambda enc: enc.__setitem__(0, ["num", 5.0, 1.0]),
+    "num_bound_boolean": lambda enc: enc.__setitem__(0, ["num", True, 2.0]),
 }
 
 

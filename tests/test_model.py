@@ -8,6 +8,7 @@ from lexcf.data import (
     CONTINUOUS,
     INTEGER,
     FeatureSchema,
+    compute_feature_stats,
     generate_synthetic,
     split_dataset,
 )
@@ -29,6 +30,7 @@ from lexcf.model import (
     train_random_forest,
     tune_random_search,
 )
+from lexcf.objectives import Genome
 
 from conftest import make_dataset, numeric_schema
 
@@ -201,6 +203,49 @@ def test_encoder_transform_matches_per_cell_oracle():
     start = sum(spans[:cat])
     assert not encoder.transform([unknown])[0, start : start + spans[cat]].any()
     assert encoder.transform([rows[0]])[0, start : start + spans[cat]].sum() == 1.0
+
+
+# "d" is declared first but never trained on, so the encoder's category
+# order differs from the genome's, which puts "d" after the training codes
+CODED_SCHEMA = (
+    FeatureSchema("k", CATEGORICAL, categories=("d", "a", "b", "c")),
+    FeatureSchema("n", INTEGER),
+    FeatureSchema("x", CONTINUOUS),
+    FeatureSchema("z", CONTINUOUS),
+)
+
+
+def test_predict_coded_equals_the_tuple_path():
+    rng = np.random.default_rng(11)
+    rows, labels = [], []
+    for _ in range(150):
+        k, n, x = str(rng.choice(["a", "b", "c"])), float(rng.integers(0, 11)), rng.uniform(-1, 1)
+        rows.append((k, n, float(x), 3.0))  # z has a zero training range
+        labels.append(int(n / 10 + x + (k == "c") > 0.9))
+    train = make_dataset(CODED_SCHEMA, rows, labels)
+    genome = Genome(("d", 4.0, 0.1, 3.0), CODED_SCHEMA, compute_feature_stats(train))
+    assert genome.tables[0] == ("a", "b", "c", "d")
+    queries = _query_rows(CODED_SCHEMA, train, 300, seed=3) + [("zzz", 4.0, 0.1, 3.0)]
+    X = genome.encode(queries)
+    assert genome.tables[0] == ("a", "b", "c", "d", "zzz")  # neither declared nor seen
+    models = (
+        train_logistic(train, LearnerConfig("logistic", {"epochs": 50})),
+        train_random_forest(train, LearnerConfig("random_forest", {"ntree": 10}, seed=2)),
+        FixedLinearModel(CODED_SCHEMA, {"n": 0.3, "x": 1.2, "z": 0.5}, -1.0),
+    )
+    for batch in (X[:0], X[-1:], X[:20], X):
+        rows = genome.decode(batch)
+        for model in models:
+            got = model.predict_coded(batch, genome)
+            assert got.shape == (len(batch),)
+            assert np.array_equal(got, model.predict_proba_batch(rows))
+        for model in models[:2]:
+            encoded = model.encoder.transform_coded(batch, genome)
+            assert np.array_equal(encoded, model.encoder.transform(rows))
+    # "d" selects the encoder's first column; "zzz" the all-zero block
+    encoder = models[0].encoder
+    assert not encoder.transform_coded(X[-1:], genome)[0, :4].any()
+    assert encoder.transform_coded(genome.poi[None], genome)[0, :4].tolist() == [1, 0, 0, 0]
 
 
 def _query_rows(schema, train, n, seed):
@@ -465,6 +510,16 @@ def test_load_model_rejects_corruption(tmp_path):
     with pytest.raises(ModelFormatError):
         load_model(str(path))
 
+    forest = train_random_forest(ds, LearnerConfig("random_forest", {"ntree": 2}))
+    save_model(forest, str(good))
+    forest_payload = json.loads(good.read_text(encoding="utf-8"))
+    for threshold in (float("nan"), float("inf")):
+        bad_tree = json.loads(json.dumps(forest_payload))
+        bad_tree["params"]["trees"][1]["threshold"][0] = threshold
+        path.write_text(json.dumps(bad_tree), encoding="utf-8")
+        with pytest.raises(ModelFormatError, match="tree 1: split thresholds must be finite"):
+            load_model(str(path))
+
     bad_name = json.loads(json.dumps(payload))
     bad_name["schema"][0][0] = 5
     path.write_text(json.dumps(bad_name), encoding="utf-8")
@@ -473,11 +528,27 @@ def test_load_model_rejects_corruption(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "column",
-    [["cat", ["a", "b"]], ["cat", ["c", "b", "a"]], ["num", 0.0, 1.0]],
-    ids=["categories_missing_one", "categories_reordered", "num_for_categorical"],
+    "index, column",
+    [
+        (2, ["cat", ["a", "b"]]),
+        (2, ["cat", ["c", "b", "a"]]),
+        (2, ["num", 0.0, 1.0]),
+        (0, ["num", 5.0, 1.0]),
+        (0, ["num", True, 2.0]),
+        (0, ["num", 0.0, float("inf")]),
+        (0, ["num", 0, 10**400]),  # an integer beyond float range
+    ],
+    ids=[
+        "categories_missing_one",
+        "categories_reordered",
+        "num_for_categorical",
+        "num_bounds_reversed",
+        "num_bound_boolean",
+        "num_bound_infinite",
+        "num_bound_beyond_float",
+    ],
 )
-def test_load_model_rejects_encoder_that_disagrees_with_schema(tmp_path, column):
+def test_load_model_rejects_encoder_that_disagrees_with_schema(tmp_path, index, column):
     ds = generate_synthetic(60, seed=1, n_continuous=2, n_categorical=1)
     for model in (
         train_logistic(ds, LearnerConfig("logistic", {"epochs": 10})),
@@ -487,7 +558,8 @@ def test_load_model_rejects_encoder_that_disagrees_with_schema(tmp_path, column)
         save_model(model, str(good))
         payload = json.loads(good.read_text(encoding="utf-8"))
         assert payload["params"]["encoder"][2] == ["cat", ["a", "b", "c"]]
-        payload["params"]["encoder"][2] = column
+        assert payload["params"]["encoder"][0][0] == "num"
+        payload["params"]["encoder"][index] = column
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ModelFormatError, match="corrupt model file"):

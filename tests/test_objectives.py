@@ -317,6 +317,21 @@ def _walk_oracle(key, x_pt, model, schema, stats):
     return ResilienceReport(tuple(features))
 
 
+def _walk_reports_of(keys, x_pt, model, schema, stats):
+    """_walk_reports on keys (value tuples), coded through a Genome, as one
+    ResilienceReport per key; each key's mean must equal its report's."""
+    genome = Genome(x_pt, schema, stats)
+    (key_of, *columns), mean = _walk_reports(genome.encode(keys), genome, model, schema, stats)
+    assert np.all(np.diff(key_of) >= 0)  # key-major
+    walks = list(map(FeatureResilience, *(c.tolist() for c in columns)))
+    reports = [
+        ResilienceReport(tuple(w for w, k in zip(walks, key_of.tolist()) if k == i))
+        for i in range(len(keys))
+    ]
+    assert mean.tolist() == [report.mean for report in reports]
+    return reports
+
+
 @st.composite
 def _walk_batches(draw):
     """A schema, its stats, a POI, a box model and a batch of keys. Bounds
@@ -365,7 +380,7 @@ def _walk_batches(draw):
 def test_walk_reports_match_stepwise_oracle(batch):
     schema, stats, x_pt, model, keys = batch
     recorder = RecordingModel(model)
-    reports = _walk_reports(keys, x_pt, recorder, schema, stats)
+    reports = _walk_reports_of(keys, x_pt, recorder, schema, stats)
     assert recorder.calls <= 1  # every walk row of the batch in one call
     assert reports == [_walk_oracle(key, x_pt, model, schema, stats) for key in keys]
     # the rows come key-major, then feature-minor, each walk inside its bounds
@@ -418,11 +433,11 @@ def test_walk_reports_on_encoded_models_match_stepwise_oracle():
     logistic = LogisticModel(ENCODED_SCHEMA, _Encoder.fit(train), weights, -1.6)
     for model in (forest, logistic):
         recorder = RecordingModel(model)
-        expected = _walk_reports(keys, ENCODED_POI, recorder, ENCODED_SCHEMA, stats)
+        expected = _walk_reports_of(keys, ENCODED_POI, recorder, ENCODED_SCHEMA, stats)
         assert expected == [
             _walk_oracle(key, ENCODED_POI, model, ENCODED_SCHEMA, stats) for key in keys
         ]
-        assert _walk_reports(keys, ENCODED_POI, model, ENCODED_SCHEMA, stats) == expected
+        assert _walk_reports_of(keys, ENCODED_POI, model, ENCODED_SCHEMA, stats) == expected
         # partial walks, and more walk rows than one forest chunk
         assert any(0 < f.score < 1 for report in expected for f in report.features)
         assert len(recorder.seen) > 256
@@ -431,6 +446,21 @@ def test_walk_reports_on_encoded_models_match_stepwise_oracle():
     # flip its class
     probs = logistic.predict_proba_batch(recorder.seen)
     assert np.abs(probs - 0.5).min() > 1e-9
+
+
+def test_resilient_validity_sums_walk_scores_in_walk_order():
+    # walks of 10 steps of 5 from 50 keep 1, 2 and 3 steps: scores 0.1,
+    # 0.2 and 0.3, whose float sum depends on the order of addition
+    schema = numeric_schema(3)
+    stats = make_stats([(0.0, 100.0)] * 3)
+    model = BoxModel(schema, {0: (-math.inf, 57.0), 1: (-math.inf, 62.0), 2: (-math.inf, 67.0)})
+    train = make_dataset(schema, [[0.0] * 3, [100.0] * 3], [0, 1])
+    ctx = EvalContext((0.0,) * 3, model, train, stats, resilience=True)
+    report = resilience_scores((50.0,) * 3, ctx.x_pt, model, schema, stats)
+    assert [f.score for f in report.features] == [0.1, 0.2, 0.3]
+    assert (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+    assert report.mean == ((0.1 + 0.2) + 0.3) / 3
+    assert evaluate((50.0,) * 3, ctx).o1 == 0.0 - report.mean
 
 
 def test_forest_vectors_do_not_depend_on_the_batch():
@@ -483,6 +513,17 @@ def test_resilience_first_flip_stops_counting():
     report = resilience_scores((50.0,), (0.0,), model, schema, stats)
     assert report.features[0].steps_successful == 0
     assert report.mean == 0.0
+
+
+def test_evaluate_population_rejects_probability_outside_unit_interval():
+    schema = numeric_schema(1)
+    train = make_dataset(schema, [[0.0], [10.0]], [0, 1])
+    stats = make_stats([(0.0, 10.0)])
+    for p in (1.5, -0.1, float("nan")):
+        for resilience in (False, True):
+            ctx = EvalContext((1.0,), ConstantModel(schema, p), train, stats, resilience)
+            with pytest.raises(InvariantViolation, match=r"outside \[0, 1\]"):
+                evaluate_population(ctx.genome.encode([(1.0,), (2.0,)]), ctx)
 
 
 def test_resilience_rejects_invalid_candidate():
