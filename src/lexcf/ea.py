@@ -5,11 +5,14 @@ features are never touched; every value the loop introduces is clamped to
 the training bounds. The two strategies differ only in parent selection,
 survival, and what the run returns.
 
-A run holds each generation as one float matrix, a row per candidate in
-the evaluation context's Genome codes, next to its (n x 4) objective
-array; evaluate_population scores the coded rows themselves, and models
-read them through Model.predict_coded. Rows stay coded until the run
-returns: the final population is decoded once into the result's Candidates, and a debug run
+A run holds each generation as one float matrix X, a row per candidate
+in the evaluation context's Genome codes, next to its (n x 4) objective
+array V; evaluate_population scores the coded rows themselves, and models
+read them through Model.predict_coded. Selection reads V and returns
+indices, with which the loop indexes X and the survival pool. Rows stay
+coded until the run returns: the lexicographic final pick is made among
+the coded rows, and the final population is decoded once into the
+result's Candidates, whose objective vectors are V's rows. A debug run
 also decodes each generation for its genealogy and check_candidate.
 
 Random draws, all from the run's one generator:
@@ -41,7 +44,7 @@ import numpy as np
 
 from .data import CATEGORICAL, INTEGER, check_fields
 from .errors import ConfigError, InvariantViolation
-from .objectives import Genome, evaluate_population  # noqa: F401 (re-exported)
+from .objectives import ObjectiveVector, evaluate_population
 from .selection import (
     DISTANCE_BEFORE_SPARSITY,
     SPARSITY_BEFORE_DISTANCE,
@@ -49,6 +52,7 @@ from .selection import (
     crowded_tournament_select,
     final_select_lex,
     first_front_size,
+    first_occurrences,
     lex_survival_select,
     lex_tournament_select,
     nondominated_sort,
@@ -102,8 +106,8 @@ class EAConfig:
                 raise ConfigError("%s must lie in [0, 1]" % name)
         if self.strategy not in STRATEGIES:
             raise ConfigError("strategy must be one of %s" % (STRATEGIES,))
-        if not self.theta >= 0 or not 1 <= self.k <= self.population_size:
-            raise ConfigError("need theta >= 0, 1 <= k <= population_size")
+        if not 0 <= self.theta < float("inf") or not 1 <= self.k <= self.population_size:
+            raise ConfigError("need finite theta >= 0, 1 <= k <= population_size")
 
 
 class GenerationTrace(NamedTuple):
@@ -260,20 +264,11 @@ def check_candidate(values, x_pt, schema, stats):
 
 def _dedup_pad(rows, size):
     """Indices of the distinct rows of a matrix, each row's first occurrence
-    in row order, then the repeated rows in row order as padding if the
-    distinct rows no longer fill a population of size.
-
-    Equal rows are adjacent after a stable sort by every column (lexsort
-    keeps row order among them, so the first of a run is the first
-    occurrence); rows compare as floats, so -0.0 equals 0.0 as in the
-    value tuples. np.unique(rows, axis=0) finds the same rows at about
-    five times the cost.
-    """
-    order = np.lexsort(rows.T)
-    ordered = rows[order]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    distinct, repeated = np.sort(order[first]), np.sort(order[~first])
+    (selection.first_occurrences) in row order, then the repeated rows in
+    row order as padding if the distinct rows no longer fill a population
+    of size."""
+    first = first_occurrences(rows)
+    distinct, repeated = first.nonzero()[0], (~first).nonzero()[0]
     return np.concatenate((distinct, repeated[: max(0, size - distinct.size)]))
 
 
@@ -314,7 +309,7 @@ def run_ea(ctx, cfg):
     trace = [snapshot(0, fronts)]
     for gen in range(1, cfg.max_generations + 1):
         if cfg.strategy == PARETO:
-            parents = crowded_tournament_select(X, n, rng, fronts, V=V)
+            parents = X[crowded_tournament_select(V, n, rng, fronts)]
         else:
             parents = lex_tournament_select(params, X, rng, V=V)
         offspring = mutate(crossover(parents, genome, cfg, rng), genome, cfg, rng)
@@ -326,20 +321,20 @@ def run_ea(ctx, cfg):
         pool_V = np.concatenate((V, np.array(vectors, dtype=float)))
         pool = _dedup_pad(pool_X, n)
         if cfg.strategy == PARETO:
-            rows, fronts = nsga2_select(pool, n, V=pool_V[pool])
+            kept, fronts = nsga2_select(pool_V[pool], n)
         else:
-            rows = lex_survival_select(pool, n, ordering, cfg.theta, V=pool_V[pool])
+            kept = lex_survival_select(pool_V[pool], n, ordering, cfg.theta)
+        rows = pool[kept]
         X, V = pool_X[rows], pool_V[rows]
         born = np.concatenate((born, np.full(len(offspring), gen)))[rows]
         trace.append(snapshot(gen, fronts))
 
-    # the survivors' vectors are all cached
-    vectors = evaluate_population(X, ctx)
+    vectors = [ObjectiveVector(o1, o2, int(o3), o4) for o1, o2, o3, o4 in V.tolist()]
     population = tuple(map(Candidate, genome.decode(X), vectors, born.tolist()))
     if cfg.strategy == PARETO:
         solutions = tuple(population[i] for i in fronts[0])
     else:
-        solutions = (final_select_lex(population, ordering, cfg.theta, rng),)
+        solutions = (population[final_select_lex(X, V, ordering, cfg.theta, rng)],)
     return EAResult(
         solutions=solutions,
         generations_executed=cfg.max_generations,

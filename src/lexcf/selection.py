@@ -9,13 +9,13 @@ All objectives are minimized. An objective ordering is a permutation of
 the objective indices (0..3); validity-first orderings differ in whether
 distance or sparsity is compared next.
 
-Every routine that looks at a whole population or pool works on one
-(n x 4) float array of its objectives: the dominance matrix, crowding
-distances and the lexicographic winnow are array operations over it. A
-caller that already holds that array passes it as V; the population is
-then only indexed, so it may be any array of rows (the evolutionary loop
-passes its feature rows, or pool row numbers) and the picks come back as
-an array.
+Every routine that looks at a whole population or pool takes V, the
+(n x 4) float array of its objectives (or anything np.asarray turns into
+one), and returns indices into its rows: the dominance matrix, crowding
+distances and the lexicographic winnow are array operations over V, and
+the caller indexes its own rows with the picks. lex_tournament_select
+alone returns the victors themselves, and also takes a list of
+Candidates.
 
 A tournament call draws all its entrants at once. With n members and N
 rounds, two entrants per round are a = rng.integers(n, size=N) and
@@ -27,7 +27,6 @@ survivor at position int(u * t), in entrant order. The crowded
 tournament needs no tie draw.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +52,8 @@ class LexParams:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.n < 1 or self.k < 1 or self.theta < 0:
-            raise ConfigError("need n >= 1, k >= 1, theta >= 0")
+        if self.n < 1 or self.k < 1 or not 0 <= self.theta < float("inf"):
+            raise ConfigError("need n >= 1, k >= 1, finite theta >= 0")
         if sorted(self.ordering) != [0, 1, 2, 3]:
             raise ConfigError("ordering must be a permutation of objectives 0..3")
 
@@ -78,24 +77,6 @@ def lex_compare(a, b, ordering, theta):
             if abs(va[j] - vb[j]) > th:
                 return FIRST_BETTER if va[j] < vb[j] else SECOND_BETTER
     return TIE
-
-
-def _objective_matrix(items):
-    """The items' objective vectors as the rows of one (n x 4) float array;
-    an array passes through as the objective array itself."""
-    if isinstance(items, np.ndarray):
-        return items
-    values = itertools.chain.from_iterable(map(_vector_of, items))
-    return np.fromiter(values, dtype=float, count=4 * len(items)).reshape(-1, 4)
-
-
-def _pick(population, idx):
-    """The members at the given indices: an array for an array population,
-    otherwise a list."""
-    idx = np.asarray(idx, dtype=np.intp)
-    if isinstance(population, np.ndarray):
-        return population[idx]
-    return [population[i] for i in idx.tolist()]
 
 
 def _pair_entrants(n, rounds, rng):
@@ -139,15 +120,6 @@ def _lex_survivors(cols, idx, theta):
     return idx
 
 
-def _tournament_round(cols, idx, theta, rng):
-    """One tournament round: the lexicographic survivors, and only then a
-    random victor among perfect ties."""
-    survivors = _lex_survivors(cols, idx, theta)
-    if survivors.size == 1:
-        return int(survivors[0])
-    return int(survivors[int(rng.integers(survivors.size))])
-
-
 def _pair_outcomes(A, B, theta):
     """lex_compare of column j of A with column j of B, for every j at once;
     A and B hold objectives in priority order (4 x rounds)."""
@@ -163,16 +135,11 @@ def _pair_outcomes(A, B, theta):
     return outcome
 
 
-def _lex_best(cols, theta):
-    """Deterministic winner of a tournament round over every participant:
-    the lexicographic survivors, perfect ties resolved to the smallest
-    index."""
-    return int(_lex_survivors(cols, np.arange(cols.shape[1]), theta)[0])
-
-
 def lex_tournament_select(params, population, rng=None, V=None):
     """Run params.n tournament rounds of size params.k over the population
-    and return the victors; victors across rounds may repeat.
+    and return the victors; victors across rounds may repeat. The
+    population is a list of vectors or Candidates, returned as a list, or
+    an array of rows whose objectives V holds, returned as an array.
 
     A round keeps the entrants that survive a theta pass over the
     objectives in priority order and then an exact pass; on a perfect tie
@@ -186,44 +153,63 @@ def lex_tournament_select(params, population, rng=None, V=None):
         raise ConfigError("tournament size %d exceeds population %d" % (k, n))
     if rng is None:
         rng = np.random.default_rng(params.seed)
-    cols = _priority_columns(_objective_matrix(population) if V is None else V, params.ordering)
+    if V is None:
+        V = np.array([_vector_of(item) for item in population], dtype=float)
+    cols = _priority_columns(V, params.ordering)
     if k == 2:
         a, b = _pair_entrants(n, rounds, rng)
         u = rng.random(rounds)
         outcome = _pair_outcomes(cols[:, a], cols[:, b], theta)
         decided = np.where(outcome == FIRST_BETTER, a, b)
-        return _pick(population, np.where(outcome == TIE, np.where(u < 0.5, a, b), decided))
-    entrants = np.argsort(rng.random((rounds, n)), axis=1)[:, :k]
-    u = rng.random(rounds).tolist()
-    winners = []
-    for idx, draw in zip(entrants, u):
-        survivors = _lex_survivors(cols, idx, theta)
-        winners.append(survivors[int(draw * survivors.size)])
-    return _pick(population, winners)
+        picks = np.where(outcome == TIE, np.where(u < 0.5, a, b), decided)
+    else:
+        entrants = np.argsort(rng.random((rounds, n)), axis=1)[:, :k]
+        picks = []
+        for idx, draw in zip(entrants, rng.random(rounds).tolist()):
+            survivors = _lex_survivors(cols, idx, theta)
+            picks.append(survivors[int(draw * survivors.size)])
+    if isinstance(population, np.ndarray):
+        return population[picks]
+    return [population[i] for i in picks]
 
 
-def final_select_lex(last_population, ordering, theta, rng=None):
-    """Pick the single returned solution: deduplicate by feature values, then
-    run one tournament round over every distinct individual."""
-    if not last_population:
+def first_occurrences(rows):
+    """Mask of each row's first occurrence in a matrix, in row order. Rows
+    compare as floats, so -0.0 equals 0.0 as in the value tuples.
+
+    Equal rows are adjacent after a stable sort by every column (lexsort
+    keeps row order among them, so the first of a run is the first
+    occurrence). np.unique(rows, axis=0) finds the same rows at about five
+    times the cost.
+    """
+    order = np.lexsort(rows.T)
+    ordered = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    mask = np.zeros(len(rows), dtype=bool)
+    mask[order[first]] = True
+    return mask
+
+
+def final_select_lex(rows, V, ordering, theta, rng):
+    """Pick the single returned solution: the index, among rows, of the
+    victor of one tournament round over the distinct rows (each row's first
+    occurrence), whose objectives are V's rows. Only a perfect tie draws:
+    one rng.integers over the tied rows, in row order."""
+    if not len(rows):
         raise InvariantViolation("cannot select from an empty population")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    distinct = []
-    seen = set()
-    for cand in last_population:
-        key = tuple(getattr(cand, "values", cand))
-        if key not in seen:
-            seen.add(key)
-            distinct.append(cand)
-    cols = _priority_columns(_objective_matrix(distinct), ordering)
-    return distinct[_tournament_round(cols, np.arange(len(distinct)), theta, rng)]
+    cols = _priority_columns(np.asarray(V, dtype=float), ordering)
+    survivors = _lex_survivors(cols, first_occurrences(rows).nonzero()[0], theta)
+    if survivors.size == 1:
+        return int(survivors[0])
+    return int(survivors[int(rng.integers(survivors.size))])
 
 
-def lex_best_index(population, ordering, theta):
-    """Deterministic winner of a full-population tournament round (no random
-    tie-break: perfect ties resolve to the smallest index)."""
-    return _lex_best(_priority_columns(_objective_matrix(population), ordering), theta)
+def lex_best_index(V, ordering, theta):
+    """Deterministic winner of a tournament round over every row of V: the
+    lexicographic survivors, perfect ties resolved to the smallest index."""
+    cols = _priority_columns(np.asarray(V, dtype=float), ordering)
+    return int(_lex_survivors(cols, np.arange(cols.shape[1]), theta)[0])
 
 
 def pareto_dominates(a, b):
@@ -268,23 +254,26 @@ def _peel(dom):
         current = (counts == 0).nonzero()[0]
 
 
-def nondominated_sort(population):
-    """Partition into fronts: index lists, front 0 dominated by nobody, each
-    later front nondominated once earlier fronts are removed. The
-    population may be given as its (n x 4) objective array."""
-    return list(_peel(_dominance_matrix(_objective_matrix(population))))
+def nondominated_sort(V):
+    """Partition the rows of V into fronts: index lists, front 0 dominated
+    by nobody, each later front nondominated once earlier fronts are
+    removed."""
+    return list(_peel(_dominance_matrix(np.asarray(V, dtype=float))))
 
 
-def first_front_size(population):
-    """How many members no other member dominates: the size of front 0,
-    counted without peeling the later fronts. The population may be given
-    as its (n x 4) objective array."""
-    dom = _dominance_matrix(_objective_matrix(population))
+def first_front_size(V):
+    """How many rows of V no other row dominates: the size of front 0,
+    counted without peeling the later fronts."""
+    dom = _dominance_matrix(np.asarray(V, dtype=float))
     return int(np.count_nonzero(~dom.any(axis=0)))
 
 
-def _crowding(V):
-    """Crowding distance of each row of V, a front's objective array."""
+def crowding_distance(V):
+    """Diversity score of each row of V, a front's objective array, as an
+    array; boundary rows are infinite, interior ones accumulate normalized
+    gaps between their sorted neighbors. Objectives constant across the
+    front contribute nothing."""
+    V = np.asarray(V, dtype=float)
     n = len(V)
     if n <= 2:
         return np.full(n, np.inf)
@@ -302,60 +291,56 @@ def _crowding(V):
     return dist
 
 
-def crowding_distance(front):
-    """Diversity score per front member; boundary candidates are infinite,
-    interior ones accumulate normalized gaps between their sorted neighbors.
-    Objectives constant across the front contribute nothing."""
-    return _crowding(_objective_matrix(front)).tolist()
-
-
-def nsga2_select(pool, target_size, V=None):
-    """Survival fill: whole fronts in rank order, the straddling front cut by
-    descending crowding distance (index ascending on exact ties). Returns
-    the survivors, front by front, and their fronts as runs of consecutive
-    indices, equal to nondominated_sort(survivors): whatever dominates a
-    survivor in the pool lies in an earlier, whole front."""
-    if not 1 <= target_size <= len(pool):
-        raise ConfigError("target size %d outside [1, %d]" % (target_size, len(pool)))
-    V = _objective_matrix(pool) if V is None else V
+def nsga2_select(V, target_size):
+    """Survival fill over the pool whose objectives are V's rows: whole
+    fronts in rank order, the straddling front cut by descending crowding
+    distance (index ascending on exact ties). Returns the survivors' index
+    list, front by front, and their fronts as runs of consecutive positions
+    in that list, equal to nondominated_sort(V[survivors]): whatever
+    dominates a survivor in the pool lies in an earlier, whole front."""
+    V = np.asarray(V, dtype=float)
+    if not 1 <= target_size <= len(V):
+        raise ConfigError("target size %d outside [1, %d]" % (target_size, len(V)))
     chosen, fronts = [], []
     for front in _peel(_dominance_matrix(V)):
         room = target_size - len(chosen)
         if len(front) > room:
-            cd = _crowding(V[front]).tolist()
+            cd = crowding_distance(V[front]).tolist()
             ranked = sorted(range(len(front)), key=lambda t: (-cd[t], front[t]))
             front = [front[t] for t in ranked[:room]]
         fronts.append(list(range(len(chosen), len(chosen) + len(front))))
         chosen.extend(front)
         if len(chosen) == target_size:
             break
-    return _pick(pool, chosen), fronts
+    return chosen, fronts
 
 
-def crowded_tournament_select(population, n, rng, fronts=None, V=None):
-    """NSGA-II parent selection: n binary tournaments, all drawn at once (see
-    the module docstring), each decided by front rank, then crowding
-    distance, then the smaller index. fronts, when given, is
-    nondominated_sort(population), already computed."""
-    size = len(population)
+def crowded_tournament_select(V, n, rng, fronts=None):
+    """NSGA-II parent selection over the rows of V: n binary tournaments,
+    all drawn at once (see the module docstring), each decided by front
+    rank, then crowding distance, then the smaller index. Returns the
+    victors' index array. fronts, when given, is nondominated_sort(V),
+    already computed."""
+    V = np.asarray(V, dtype=float)
+    size = len(V)
     if size < 2:
         raise ConfigError("need at least two candidates for binary tournaments")
-    V = _objective_matrix(population) if V is None else V
     if fronts is None:
         fronts = _peel(_dominance_matrix(V))
     rank = np.zeros(size, dtype=np.int64)
     crowd = np.zeros(size)
     for r, front in enumerate(fronts):
         rank[front] = r
-        crowd[front] = _crowding(V[front])
+        crowd[front] = crowding_distance(V[front])
     a, b = _pair_entrants(size, n, rng)
     by_crowd = np.where(crowd[a] != crowd[b], np.where(crowd[a] > crowd[b], a, b), np.minimum(a, b))
-    winners = np.where(rank[a] != rank[b], np.where(rank[a] < rank[b], a, b), by_crowd)
-    return _pick(population, winners)
+    return np.where(rank[a] != rank[b], np.where(rank[a] < rank[b], a, b), by_crowd)
 
 
-def lex_survival_select(pool, target_size, ordering, theta, V=None):
-    """Survival for the lexicographic path; it draws no random numbers.
+def lex_survival_select(V, target_size, ordering, theta):
+    """Survival for the lexicographic path over the pool whose objectives
+    are V's rows; it draws no random numbers and returns the survivors'
+    index list.
 
     The deterministic tournament winner over the whole pool (a theta pass,
     an exact pass if more than one survives, then the smallest index) is
@@ -365,17 +350,17 @@ def lex_survival_select(pool, target_size, ordering, theta, V=None):
     whole-pool crowding distance, index ascending on ties, until
     target_size members are kept.
     """
-    if target_size > len(pool):
-        raise ConfigError("target size %d exceeds pool %d" % (target_size, len(pool)))
-    V = _objective_matrix(pool) if V is None else V
-    cd = _crowding(V).tolist()
+    V = np.asarray(V, dtype=float)
+    if target_size > len(V):
+        raise ConfigError("target size %d exceeds pool %d" % (target_size, len(V)))
+    cd = crowding_distance(V).tolist()
     cols = _priority_columns(V, ordering)
-    best = _lex_best(cols, theta)
+    best = lex_best_index(V, ordering, theta)
     ranked = [best]
-    alive = np.ones(len(pool), dtype=bool)
+    alive = np.ones(len(V), dtype=bool)
     alive[best] = False
     while len(ranked) < target_size:
         group = _winnow(cols, alive.nonzero()[0], theta)
         alive[group] = False
         ranked.extend(sorted(group.tolist(), key=lambda i: (-cd[i], i)))
-    return _pick(pool, ranked[:target_size])
+    return ranked[:target_size]

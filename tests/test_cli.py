@@ -558,7 +558,9 @@ FUZZ_CSV = [["num0", "count", "color", "label"]] + [
     ["%.1f" % (0.5 * i), str(i % 4), ("red", "blue")[i % 2], str(int(i >= 6))] for i in range(12)
 ]
 # replacements: no large numbers, so every run stays small
-FUZZ_ALPHABET = ['""', "x", "-1", "0", "2.5", ".nan", "true", "null", "[1]", "{a: 1}", "nope.yaml"]
+FUZZ_ALPHABET = [
+    '""', "x", "-1", "0", "2.5", ".nan", ".inf", "true", "null", "[1]", "{a: 1}", "nope.yaml"
+]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -573,6 +575,7 @@ FUZZ_ALPHABET = ['""', "x", "-1", "0", "2.5", ".nan", "true", "null", "[1]", "{a
 @example(target="csv", value="nope.yaml")
 @example(target="split_seed", value="-1")
 @example(target="theta", value=".nan")
+@example(target="theta", value=".inf")
 def test_bench_survives_one_replaced_scalar(target, value):
     slots = {**FUZZ_SLOTS, target: value} if isinstance(target, str) else FUZZ_SLOTS
     rows = [list(row) for row in FUZZ_CSV]
@@ -588,8 +591,14 @@ def test_bench_survives_one_replaced_scalar(target, value):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = main(["bench", "--config", os.path.join(root, "exp.yaml"),
                        "--out", os.path.join(root, "out")])
+            # what bench writes, compare reads
+            compared = [
+                main(["compare", "--runs", os.path.join(root, "out"), "--mode", mode])
+                for mode in ("pareto", "lex") if rc == 0
+            ]
     assert rc in (0, 2, 3, 4)
     assert len(err.getvalue().splitlines()) == (0 if rc == 0 else 1)
+    assert compared == ([0, 0] if rc == 0 else [])
 
 
 def _scalar_paths(node, path=()):

@@ -5,11 +5,10 @@ from hypothesis import strategies as st
 
 from lexcf.data import CATEGORICAL, CONTINUOUS, INTEGER, FeatureSchema, FeatureStats
 from lexcf.errors import ConfigError, InvariantViolation
-from lexcf.objectives import EvalContext, evaluate
+from lexcf.objectives import EvalContext, Genome, ObjectiveVector, evaluate
 from lexcf.ea import (
     EAConfig,
     GenerationTrace,
-    Genome,
     LEX_DISTANCE_FIRST,
     LEX_SPARSITY_FIRST,
     PARETO,
@@ -65,8 +64,9 @@ def test_ea_config_validation():
         EAConfig(crossover_prob=1.5)
     with pytest.raises(ConfigError):
         EAConfig(strategy="random_walk")
-    with pytest.raises(ConfigError):
-        EAConfig(theta=-0.1)
+    for theta in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="finite theta"):
+            EAConfig(theta=theta)
     with pytest.raises(ConfigError, match="population_size"):
         EAConfig(population_size=4, k=5)
     assert EAConfig(population_size=4, k=4).k == 4
@@ -355,7 +355,7 @@ def test_run_ea_pareto_returns_front_zero(rng):
     ctx = _context(rng)
     cfg = EAConfig(population_size=12, max_generations=8, strategy=PARETO, seed=3)
     result = run_ea(ctx, cfg)
-    front = nondominated_sort(result.population)[0]
+    front = nondominated_sort([c.objectives for c in result.population])[0]
     assert list(result.solutions) == [result.population[i] for i in front]
     for s in result.solutions:
         assert not any(pareto_dominates(o.objectives, s.objectives) for o in result.population)
@@ -390,7 +390,7 @@ def test_run_ea_trace_reflects_population(rng):
     assert last.mean_o2 == pytest.approx(
         np.mean([c.objectives[1] for c in result.population])
     )
-    assert last.front_size == len(nondominated_sort(result.population)[0])
+    assert last.front_size == len(nondominated_sort([c.objectives for c in result.population])[0])
 
 
 def test_run_ea_debug_genealogy(rng):
@@ -423,9 +423,12 @@ def test_run_ea_small_and_odd_populations(rng, strategy, size):
     assert len(result.population) == size and len(result.trace) == 7
     # the initial population, then one offspring per parent each generation
     assert len(result.genealogy) == size * 7
-    for cand in result.genealogy:
+    # every vector a run hands back, rebuilt from its objective array or
+    # not, is the candidate's evaluation, with an int sparsity count
+    for cand in result.genealogy + result.population + result.solutions:
         check_candidate(cand.values, ctx.x_pt, ctx.schema, ctx.stats)
         assert cand.objectives == evaluate(cand.values, ctx)
+        assert type(cand.objectives) is ObjectiveVector and type(cand.objectives.o3) is int
     assert result.solutions and all(s in result.population for s in result.solutions)
     assert run_ea(ctx, cfg) == result
 

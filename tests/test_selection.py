@@ -101,8 +101,9 @@ def test_lex_compare_antisymmetric(a, b, theta):
 def test_lex_params_validation():
     with pytest.raises(ConfigError):
         LexParams(0, 2, 0.01, DISTANCE_BEFORE_SPARSITY)
-    with pytest.raises(ConfigError):
-        LexParams(1, 2, -0.5, DISTANCE_BEFORE_SPARSITY)
+    for theta in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="finite theta"):
+            LexParams(1, 2, theta, DISTANCE_BEFORE_SPARSITY)
     with pytest.raises(ConfigError):
         LexParams(1, 2, 0.01, (0, 1, 2))
     with pytest.raises(ConfigError):
@@ -168,29 +169,35 @@ def test_tournament_victor_count_and_membership():
 
 
 def test_final_select_dedups_by_values():
-    # five copies of one solution and one distinct better one: the round runs
-    # over two distinct candidates and picks the better deterministically
-    dup = Cand((1.0, 2.0), vec4(0.1, 0.1, 1, 0.1))
-    best = Cand((3.0, 4.0), vec4(0.0, 0.0, 1, 0.1))
-    pop = [dup, dup, dup, best, dup, dup]
-    got = final_select_lex(pop, DISTANCE_BEFORE_SPARSITY, 0.01, np.random.default_rng(0))
-    assert got is best
+    # five copies of one coded row and one distinct better one: the round
+    # runs over two distinct rows and picks the better deterministically
+    dup, best = [1.0, 2.0], [3.0, 4.0]
+    rows = np.array([dup, dup, dup, best, dup, dup])
+    V = [vec4(0.1, 0.1, 1, 0.1)] * 3 + [vec4(0.0, 0.0, 1, 0.1)] + [vec4(0.1, 0.1, 1, 0.1)] * 2
+    rng = np.random.default_rng(0)
+    assert final_select_lex(rows, V, DISTANCE_BEFORE_SPARSITY, 0.01, rng) == 3
+    # a deterministic pick draws nothing
+    assert rng.random() == np.random.default_rng(0).random()
 
 
 def test_final_select_perfect_tie_samples_among_distinct():
-    twin_a = Cand(("a",), vec4(0.0, 0.1, 1, 0.2))
-    twin_b = Cand(("b",), vec4(0.0, 0.1, 1, 0.2))
-    picks = {
-        final_select_lex([twin_a, twin_b], DISTANCE_BEFORE_SPARSITY, 0.01,
-                         np.random.default_rng(seed)).values
-        for seed in range(20)
-    }
-    assert picks == {("a",), ("b",)}
+    # rows 0 and 2 are one row (-0.0 equals 0.0); a perfect tie draws among
+    # the first occurrences, rows 0 and 1, with one rng.integers
+    rows = np.array([[0.0, 1.0], [1.0, 1.0], [-0.0, 1.0]])
+    V = [vec4(0.0, 0.1, 1, 0.2)] * 3
+    picks = set()
+    for seed in range(20):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        pick = final_select_lex(rows, V, DISTANCE_BEFORE_SPARSITY, 0.01, rng)
+        assert pick == int(twin.integers(2)) and rng.random() == twin.random()
+        picks.add(pick)
+    assert picks == {0, 1}
 
 
 def test_final_select_empty_population():
     with pytest.raises(InvariantViolation):
-        final_select_lex([], DISTANCE_BEFORE_SPARSITY, 0.01)
+        final_select_lex(np.empty((0, 2)), np.empty((0, 4)), DISTANCE_BEFORE_SPARSITY, 0.01,
+                         np.random.default_rng(0))
 
 
 def test_pareto_dominates_basic():
@@ -252,13 +259,13 @@ def test_nondominated_sort_duplicates_share_front():
 
 
 def test_nondominated_sort_empty():
-    assert nondominated_sort([]) == []
+    assert nondominated_sort(np.empty((0, 4))) == []
 
 
 def test_crowding_distance_small_fronts():
-    assert crowding_distance([]) == []
-    assert crowding_distance([vec4(0, 0, 0, 0)]) == [float("inf")]
-    assert crowding_distance(LADDER[:2]) == [float("inf")] * 2
+    assert crowding_distance(np.empty((0, 4))).tolist() == []
+    assert crowding_distance([vec4(0, 0, 0, 0)]).tolist() == [float("inf")]
+    assert crowding_distance(LADDER[:2]).tolist() == [float("inf")] * 2
 
 
 def test_crowding_distance_hand_computed():
@@ -273,7 +280,7 @@ def test_crowding_distance_skips_constant_objectives():
     # all objectives constant: nobody accumulates anything, nobody is nan
     front = [vec4(1, 1, 1, 1)] * 4
     cd = crowding_distance(front)
-    assert cd == [0.0] * 4
+    assert cd.tolist() == [0.0] * 4
 
 
 def test_crowding_distance_boundary_always_infinite():
@@ -286,11 +293,11 @@ def test_crowding_distance_boundary_always_infinite():
 def test_nsga2_select_whole_fronts_then_cut():
     pool = LADDER + [vec4(5, 5, 0, 5)]  # last one dominated by all of LADDER
     got, fronts = nsga2_select(pool, 5)
-    assert got == pool  # both fronts fit exactly
+    assert [pool[i] for i in got] == pool  # both fronts fit exactly
     assert fronts == [[0, 1, 2, 3], [4]]
     cut, fronts = nsga2_select(pool, 3)
     # boundary members survive first, then the lower-index interior one
-    assert cut == [pool[0], pool[3], pool[1]]
+    assert [pool[i] for i in cut] == [pool[0], pool[3], pool[1]]
     assert fronts == [[0, 1, 2]]
 
 
@@ -298,7 +305,7 @@ def test_nsga2_select_errors_and_identity():
     for target in (0, 5):
         with pytest.raises(ConfigError):
             nsga2_select(LADDER, target)
-    assert nsga2_select(LADDER, 4) == (LADDER, [[0, 1, 2, 3]])
+    assert nsga2_select(LADDER, 4) == ([0, 1, 2, 3], [[0, 1, 2, 3]])
 
 
 @settings(max_examples=60)
@@ -320,7 +327,7 @@ def test_nsga2_select_size_and_membership(data):
     got, _ = nsga2_select(pool, target)
     assert len(got) == target
     pool_left = list(pool)
-    for item in got:
+    for item in [pool[i] for i in got]:
         assert item in pool_left
         pool_left.remove(item)
 
@@ -328,15 +335,17 @@ def test_nsga2_select_size_and_membership(data):
 def test_crowded_tournament_rank_dominates_everything():
     best = vec4(0, 0, 0, 0)
     worse = vec4(1, 1, 1, 1)
-    victors = crowded_tournament_select([worse, best], 20, np.random.default_rng(2))
-    assert victors == [best] * 20
+    pool = [worse, best]
+    victors = crowded_tournament_select(pool, 20, np.random.default_rng(2))
+    assert [pool[i] for i in victors] == [best] * 20
 
 
 def test_crowded_tournament_prefers_spread_within_front():
     x = vec4(0, 4, 0, 0)
     y = vec4(1, 1, 0, 0)  # interior, finite crowding
     z = vec4(4, 0, 0, 0)
-    victors = crowded_tournament_select([x, y, z], 30, np.random.default_rng(5))
+    pool = [x, y, z]
+    victors = [pool[i] for i in crowded_tournament_select(pool, 30, np.random.default_rng(5))]
     assert y not in victors
     assert set(map(tuple, victors)) <= {tuple(x), tuple(z)}
 
@@ -355,9 +364,9 @@ def test_lex_survival_keeps_deterministic_best_first():
         vec4(0.4, 5.0, 0, 0.0),
     ]
     got = lex_survival_select(pool, 3, DISTANCE_BEFORE_SPARSITY, 0.01)
-    assert got == [pool[0], pool[1], pool[2]]
+    assert [pool[i] for i in got] == [pool[0], pool[1], pool[2]]
     full = lex_survival_select(pool, 5, DISTANCE_BEFORE_SPARSITY, 0.01)
-    assert sorted(map(tuple, full)) == sorted(map(tuple, pool))
+    assert sorted(pool[i] for i in full) == sorted(map(tuple, pool))
 
 
 def test_lex_survival_orders_theta_group_by_crowding():
@@ -370,7 +379,7 @@ def test_lex_survival_orders_theta_group_by_crowding():
     got = lex_survival_select(pool, 3, DISTANCE_BEFORE_SPARSITY, 0.01)
     # best first, then the theta-tied group by descending whole-pool crowding
     # (infinite-crowding members precede the interior one, index breaks ties)
-    assert got == [pool[0], pool[2], pool[3]]
+    assert [pool[i] for i in got] == [pool[0], pool[2], pool[3]]
 
 
 def test_lex_survival_respects_ordering_argument():
@@ -378,8 +387,8 @@ def test_lex_survival_respects_ordering_argument():
     b = vec4(0.0, 0.0, 2, 0.0)
     got1 = lex_survival_select([a, b], 1, DISTANCE_BEFORE_SPARSITY, 0.01)
     got2 = lex_survival_select([a, b], 1, SPARSITY_BEFORE_DISTANCE, 0.01)
-    assert got1 == [b]
-    assert got2 == [a]
+    assert got1 == [1]  # b
+    assert got2 == [0]  # a
 
 
 def test_lex_survival_target_exceeds_pool():
@@ -451,7 +460,8 @@ def _oracle_tournament(params, population, rng):
 def _oracle_crowded_tournament(population, rounds, rng):
     rank, crowd = {}, {}
     for r, front in enumerate(_oracle_sort(population)):
-        for i, cd in zip(front, crowding_distance([population[i] for i in front])):
+        front_V = np.array([population[i].objectives for i in front])
+        for i, cd in zip(front, crowding_distance(front_V).tolist()):
             rank[i], crowd[i] = r, cd
     victors = []
     for pair in _oracle_entrants(len(population), 2, rounds, rng):
@@ -462,7 +472,7 @@ def _oracle_crowded_tournament(population, rounds, rng):
 
 def _oracle_survival(pool, target_size, ordering, theta):
     vectors = [c.objectives for c in pool]
-    cd = crowding_distance(pool)
+    cd = crowding_distance(vectors).tolist()
     best = min(_oracle_lex_survivors(range(len(pool)), vectors, ordering, theta))
     ranked = [best]
     remaining = [i for i in range(len(pool)) if i != best]
@@ -513,24 +523,22 @@ def test_array_kernels_match_sort_oracles(data):
     ordering = data.draw(st.sampled_from([DISTANCE_BEFORE_SPARSITY, SPARSITY_BEFORE_DISTANCE]))
     seed = data.draw(st.integers(0, 2**16))
 
-    fronts = _oracle_sort(pool)
-    assert nondominated_sort(pool) == fronts
-    assert first_front_size(pool) == len(fronts[0])
-
-    best = min(_oracle_lex_survivors(range(n), [c.objectives for c in pool], ordering, theta))
-    assert lex_best_index(pool, ordering, theta) == best
-    target = data.draw(st.integers(1, n))
-    assert lex_survival_select(pool, target, ordering, theta) == _oracle_survival(
-        pool, target, ordering, theta
-    )
-
-    # a caller holding the objective array gets the same picks as indices
-    V = np.array([c.objectives for c in pool], dtype=float)
+    vecs = [c.objectives for c in pool]
+    V = np.array(vecs, dtype=float)
     ids = np.arange(n)
-    survivors = lex_survival_select(ids, target, ordering, theta, V=V)
+    fronts = _oracle_sort(pool)
+    assert nondominated_sort(V) == fronts
+    assert first_front_size(V) == len(fronts[0])
+
+    best = min(_oracle_lex_survivors(range(n), vecs, ordering, theta))
+    assert lex_best_index(V, ordering, theta) == best
+    target = data.draw(st.integers(1, n))
+    survivors = lex_survival_select(V, target, ordering, theta)
     assert [pool[i] for i in survivors] == _oracle_survival(pool, target, ordering, theta)
-    survivors, fronts_given = nsga2_select(ids, target, V=V)
-    assert ([pool[i] for i in survivors], fronts_given) == nsga2_select(pool, target)
+
+    # the list of vectors, turned into the objective array, gives the same picks
+    assert lex_survival_select(vecs, target, ordering, theta) == survivors
+    assert nsga2_select(vecs, target) == nsga2_select(V, target)
 
     for k in (1, 2, 3):
         if k > n:
@@ -543,21 +551,27 @@ def test_array_kernels_match_sort_oracles(data):
         picks = lex_tournament_select(params, ids, np.random.default_rng(seed), V=V)
         assert [pool[i] for i in picks] == victors
 
+    rows = np.array([c.values for c in pool], dtype=float)
     rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = final_select_lex(pool, ordering, theta, rng_new)
-    vecs = [c.objectives for c in pool]
-    assert got == pool[_oracle_round(list(range(n)), vecs, ordering, theta, rng_old)]
+    got = final_select_lex(rows, V, ordering, theta, rng_new)
+    assert got == _oracle_round(list(range(n)), vecs, ordering, theta, rng_old)
+    assert rng_new.random() == rng_old.random()
+    # rows that repeat enter the round once, at their first occurrence
+    distinct = [i for i in range(n) if vecs[i] not in vecs[:i]]
+    rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = final_select_lex(V, V, ordering, theta, rng_new)
+    assert got == _oracle_round(distinct, vecs, ordering, theta, rng_old)
     assert rng_new.random() == rng_old.random()
 
     if n >= 2:
         rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
-        victors = crowded_tournament_select(pool, 25, rng_new)
-        assert victors == _oracle_crowded_tournament(pool, 25, rng_old)
+        picks = crowded_tournament_select(V, 25, rng_new)
+        assert [pool[i] for i in picks] == _oracle_crowded_tournament(pool, 25, rng_old)
         assert rng_new.random() == rng_old.random()
-        given_fronts = crowded_tournament_select(pool, 25, np.random.default_rng(seed), fronts)
-        assert given_fronts == victors
-        picks = crowded_tournament_select(ids, 25, np.random.default_rng(seed), fronts, V=V)
-        assert [pool[i] for i in picks] == victors
+        given_fronts = crowded_tournament_select(V, 25, np.random.default_rng(seed), fronts)
+        assert given_fronts.tolist() == picks.tolist()
+        from_list = crowded_tournament_select(vecs, 25, np.random.default_rng(seed), fronts)
+        assert from_list.tolist() == picks.tolist()
 
 
 @settings(max_examples=200, deadline=None)
@@ -591,5 +605,5 @@ def test_nsga2_select_fronts_equal_sort_of_survivors(data):
     pool = data.draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=40))
     target = data.draw(st.integers(1, len(pool)))
     survivors, fronts = nsga2_select(pool, target)
-    assert fronts == nondominated_sort(survivors)
+    assert fronts == nondominated_sort([pool[i] for i in survivors])
     assert [i for front in fronts for i in front] == list(range(target))
