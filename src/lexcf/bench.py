@@ -62,6 +62,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if isinstance(self.ea, dict):
+            # run_experiment and run_paired set these per run
+            fixed = sorted(self.ea.keys() & {"seed", "strategy", "resilience"})
+            if fixed:
+                raise ConfigError(
+                    "ea section cannot set %s: runs take their seeds from master_seed, "
+                    "resilience from variants, and every strategy runs" % fixed[0]
+                )
             self.ea = config_from(EAConfig, self.ea, "ea section")
         check_fields(self)
         if self.max_pois < 1:

@@ -24,6 +24,7 @@ from .bench import (
 )
 from .data import (
     CATEGORICAL,
+    INTEGER,
     NEGATIVE,
     compute_feature_stats,
     load_configured_dataset,
@@ -118,13 +119,21 @@ def _cmd_explain(args):
                 "  (valid)" if o1 <= 0 else "  (invalid)",
             )
         )
-        for i, feat in enumerate(ds_cfg.schema):
-            if cand.values[i] != poi[i]:
-                if feat.kind == CATEGORICAL:
-                    print("    %s: %s -> %s" % (feat.name, poi[i], cand.values[i]))
-                else:
-                    print("    %s: %g -> %g" % (feat.name, poi[i], cand.values[i]))
+        for feat, old, new in zip(ds_cfg.schema, poi, cand.values):
+            if new != old:
+                print("    %s: %s -> %s" % (feat.name, _shown(old, feat), _shown(new, feat)))
     return 0
+
+
+def _shown(value, feat):
+    """A feature value as explain prints it: a category as it is, an
+    integral integer-feature value as an integer, and any other number as
+    its shortest round-trip repr, so distinct values print distinctly."""
+    if feat.kind == CATEGORICAL:
+        return value
+    if feat.kind == INTEGER and float(value).is_integer():
+        return int(value)
+    return repr(float(value))
 
 
 def _cmd_bench(args):

@@ -15,11 +15,16 @@ the coded rows, and the final population is decoded once into the
 result's Candidates, whose objective vectors are V's rows. A debug run
 also decodes each generation for its genealogy and check_candidate.
 
-Random draws, all from the run's one generator:
+Random draws, all from the run's one generator, with n the population
+size and A the number of actionable features:
 
-- init_population draws per individual, as described there.
-- Each generation, with n the population size and A the number of
-  actionable features:
+- init_population draws rng.integers(1, m + 1, size=n), the subset sizes
+  over the m mutable features, then rng.random((n, m)), whose ranks pick
+  the subsets, then rng.uniform(lower, upper, size=(n, numeric)) and
+  rng.integers(choices, size=(n, categorical)), choices counting each
+  feature's training categories other than the point of interest's (at
+  least 1).
+- Each generation:
   1. parent selection draws n rounds of entrants at once, and the
      lexicographic tournament its tie draws (selection's module
      docstring gives the order);
@@ -134,65 +139,35 @@ class EAResult:
     genealogy: tuple | None = field(default=None)
 
 
-def _mutable_indices(schema, stats):
-    """Actionable features that can actually take a different value."""
-    indices = []
-    for i, feat in enumerate(schema):
-        if not feat.actionable:
-            continue
-        if feat.kind == CATEGORICAL:
-            if len(stats[i].categories) > 1:
-                indices.append(i)
-        elif stats[i].range > 0:
-            indices.append(i)
-    return indices
-
-
-def _sample_value(feat, st, rng, exclude=None):
-    if feat.kind == CATEGORICAL:
-        pool = [c for c in st.categories if c != exclude] or list(st.categories)
-        return pool[int(rng.integers(len(pool)))]
-    v = rng.uniform(st.lower, st.upper)
-    if feat.kind == INTEGER:
-        v = float(round(v))
-    return float(min(max(v, st.lower), st.upper))
-
-
-def init_population(x_pt, schema, stats, cfg, rng):
-    """Copies of the point of interest with a random non-empty subset of the
-    mutable actionable features resampled; every individual differs from
-    the point of interest in at least one feature."""
-    x_pt = tuple(getattr(x_pt, "values", x_pt))
-    mutable = _mutable_indices(schema, stats)
-    if not any(f.actionable for f in schema):
-        raise ConfigError("no actionable features to mutate")
-    if not mutable:
+def init_population(genome, cfg, rng):
+    """The initial population as coded rows: copies of the point of interest,
+    each with a random non-empty subset of the mutable features drawn anew.
+    A feature is mutable when it is actionable and training holds a value
+    other than the point of interest's. A numeric draw is uniform in the
+    training bounds (integers rounded) and takes the other bound when it
+    lands on the point of interest's value; a categorical draw is uniform
+    over the training categories other than the point of interest's. So no
+    row equals the point of interest."""
+    g, n = genome, cfg.population_size
+    poi, code = g.poi[g.numeric], g.poi[g.categorical]
+    known = code < g.n_categories
+    choices = g.n_categories - known
+    moves = (g.lower < g.upper) | (poi != g.lower)
+    mutable = np.union1d(g.numeric[moves], g.categorical[choices > 0])
+    if not mutable.size:
         raise ConfigError("no actionable feature can take a different value")
-    population = []
-    for _ in range(cfg.population_size):
-        values = None
-        for _attempt in range(100):
-            size = int(rng.integers(1, len(mutable) + 1))
-            subset = rng.choice(mutable, size=size, replace=False)
-            trial = list(x_pt)
-            for i in sorted(int(t) for t in subset):
-                trial[i] = _sample_value(schema[i], stats[i], rng, exclude=x_pt[i])
-            if tuple(trial) != x_pt:
-                values = tuple(trial)
-                break
-        if values is None:
-            # integer-heavy schemas can keep resampling the original values;
-            # force one feature to a definitely-different value
-            i = mutable[0]
-            trial = list(x_pt)
-            st = stats[i]
-            if schema[i].kind == CATEGORICAL:
-                trial[i] = next(c for c in st.categories if c != x_pt[i])
-            else:
-                trial[i] = st.lower if x_pt[i] != st.lower else st.upper
-            values = tuple(trial)
-        population.append(values)
-    return population
+    sizes = rng.integers(1, mutable.size + 1, size=n)
+    ranks = rng.random((n, mutable.size)).argsort(axis=1).argsort(axis=1)
+    drawn = np.zeros((n, g.poi.size), dtype=bool)
+    drawn[:, mutable] = ranks < sizes[:, None]
+    new = np.tile(g.poi, (n, 1))
+    values = rng.uniform(g.lower, g.upper, size=(n, g.numeric.size))
+    # + 0.0 turns a rounded -0.0 into 0.0, as mutate does
+    values[:, g.integer] = np.round(values[:, g.integer]) + 0.0
+    new[:, g.numeric] = np.where(values == poi, np.where(poi == g.lower, g.upper, g.lower), values)
+    picks = rng.integers(np.maximum(choices, 1), size=(n, g.categorical.size))
+    new[:, g.categorical] = picks + (known & (picks >= code))
+    return np.where(drawn, new, g.poi)
 
 
 def crossover(parents, genome, cfg, rng):
@@ -291,7 +266,7 @@ def run_ea(ctx, cfg):
             check_candidate(values, ctx.x_pt, ctx.schema, ctx.stats)
 
     # the population: coded rows X, objective array V, birth generations
-    X = genome.encode(init_population(ctx.x_pt, ctx.schema, ctx.stats, cfg, rng))
+    X = init_population(genome, cfg, rng)
     vectors = evaluate_population(X, ctx)
     V, born = np.array(vectors, dtype=float), np.zeros(n, dtype=np.int64)
     if cfg.debug:

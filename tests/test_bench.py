@@ -278,8 +278,10 @@ def test_run_experiment_deterministic():
 
 
 # sha256 of the golden run's records, one canonical JSON line each; a
-# deliberate change to the search's draw order updates it with a note
-GOLDEN_RECORDS_SHA256 = "4dcde0dbd06abd2c30c0e770cf0e820047b95142ca833dfebf52fc38a4b741ff"
+# deliberate change to the search's draw order updates it with a note.
+# Re-pinned when init_population became one array draw over the Genome's
+# columns, which changed the initial population's draws
+GOLDEN_RECORDS_SHA256 = "ad39c4ac99e1b163c6290089984bd414defd19488c9b23b4abd3f7cb4c252fe2"
 
 
 def test_run_experiment_golden_records():
@@ -317,8 +319,10 @@ def test_run_experiment_golden_records():
 # sha256 of a logistic run's records on mixed features, whose one "z" row
 # falls in the test split: its point of interest carries a category that
 # training never saw. Pinned before the search evaluated coded rows; batch-
-# invariant logistic scores would move it deliberately, with a note
-GOLDEN_LOGISTIC_RECORDS_SHA256 = "bf5771c504307699277e99cd73834e47bf3baaec88693f43e860f46096d87972"
+# invariant logistic scores would move it deliberately, with a note.
+# Re-pinned when init_population became one array draw over the Genome's
+# columns, which changed the initial population's draws
+GOLDEN_LOGISTIC_RECORDS_SHA256 = "1ab433951775fbb930ece5199378d87ae71b4344d52b225663a614563248e7d2"
 
 
 def test_run_experiment_golden_logistic_records(tmp_path):
@@ -362,8 +366,8 @@ def test_run_experiment_golden_logistic_records(tmp_path):
 def test_resilience_raises_the_validity_of_returned_solutions():
     """Claim (b) on a logistic model, seeded as the acceptance benchmark:
     resilient validity is at least base validity for lex, and par's share
-    of valid solutions rises. 8 points measured lex1 75% -> 100%, lex2
-    87.5% -> 100% and par 26.25% -> 50%."""
+    of valid solutions rises. 8 points measured lex1 62.5% -> 100%, lex2
+    75% -> 100% and par 16.25% -> 48.125%."""
     dataset = generate_synthetic(450, 7, n_continuous=6, n_integer=2)
     train, test = split_dataset(dataset, test_cap=1.0 / 3.0, seed=7)
     stats = compute_feature_stats(train)

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 from lexcf import bench, cli
 from lexcf.cli import main
 from lexcf.data import NEGATIVE, load_configured_dataset, load_dataset_config, split_dataset
+from lexcf.ea import Candidate, EAResult
 from lexcf.errors import ModelFormatError, TrainingError
 from lexcf.model import LearnerConfig, load_model, save_model, train_model
+from lexcf.objectives import ObjectiveVector
 
 DATASET_YAML = """
 name: clisynth
@@ -130,6 +132,34 @@ def test_explain_by_index(workspace, capsys):
     assert "1 solution(s)" in out
     assert "o1=" in out and "o4=" in out
     assert "->" in out  # at least one feature diff is printed
+
+
+def test_explain_prints_distinct_values_distinctly(tmp_path, capsys, monkeypatch):
+    # %g would print both continuous values alike, and the integer in
+    # exponent form
+    data = str(tmp_path / "ds.yaml")
+    with open(data, "w", encoding="utf-8") as handle:
+        handle.write(
+            DATASET_YAML.replace("continuous: 3}", "continuous: 2, integer: 1}").replace(
+                "{name: num2, kind: continuous}", "{name: int0, kind: integer}"
+            )
+        )
+    model = str(tmp_path / "model.json")
+    assert main(["train", "--data", data, "--learner", "logistic", "--out", model]) == 0
+    ds_cfg = load_dataset_config(data)
+    _, test = split_dataset(load_configured_dataset(ds_cfg), ds_cfg.test_cap, ds_cfg.split_seed)
+    index, poi = next(
+        (i, inst.values) for i, inst in enumerate(test.instances)
+        if load_model(model).predict_class(inst.values) == NEGATIVE
+    )
+    values = (poi[0] + 1e-9, poi[1], 1234567.0)
+    cand = Candidate(values, ObjectiveVector(0.0, 0.1, 2, 0.1), 1)
+    monkeypatch.setattr(cli, "run_ea", lambda ctx, cfg: EAResult((cand,), 1, (cand,), ()))
+    capsys.readouterr()
+    assert main(["explain", "--model", model, "--data", data, "--poi", str(index)]) == 0
+    out = capsys.readouterr().out
+    assert "num0: %r -> %r\n" % (poi[0], values[0]) in out
+    assert "int0: %d -> 1234567\n" % poi[2] in out and "num1" not in out
 
 
 def test_explain_inline_json_list(workspace, capsys):
@@ -345,6 +375,9 @@ CSV_ROWS = "num0,count,label\n0.5,1,0\n1.5,2,1\n2.5,3,0\n3.5,4,1\n4.5,5,0\n5.5,6
         ("tune_trials: 3\nea: {population_size: 4, k: 5}\n", "1.5,2,1", 2, "population_size"),
         ("variants: []\n", "1.5,2,1", 2, "variants"),
         ("tune_trials: -4\n", "1.5,2,1", 2, "tune_trials"),
+        ("ea: {seed: 99}\n", "1.5,2,1", 2, "master_seed"),
+        ("ea: {strategy: par}\n", "1.5,2,1", 2, "strategy"),
+        ("ea: {resilience: true}\n", "1.5,2,1", 2, "variants"),
     ],
     ids=[
         "top_level_key",
@@ -382,6 +415,9 @@ CSV_ROWS = "num0,count,label\n0.5,1,0\n1.5,2,1\n2.5,3,0\n3.5,4,1\n4.5,5,0\n5.5,6
         "k_above_population_before_tuning",
         "variants_empty",
         "tune_trials_negative",
+        "ea_seed",
+        "ea_strategy",
+        "ea_resilience",
     ],
 )
 def test_bench_malformed_input_exits_with_one_line(

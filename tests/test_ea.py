@@ -20,7 +20,7 @@ from lexcf.ea import (
     run_ea,
     run_paired,
 )
-from lexcf.ea import _child_seed, _dedup_pad, _mutable_indices, _sample_value
+from lexcf.ea import _child_seed, _dedup_pad
 from lexcf.selection import nondominated_sort, pareto_dominates
 
 from conftest import ThresholdModel, make_dataset, make_stats, numeric_schema
@@ -78,38 +78,56 @@ def test_ea_config_validation():
     assert EAConfig(seed=np.int64(3), theta=np.float64(0.5)).seed == 3
 
 
-def test_mutable_indices_skip_degenerate_features():
+def test_init_population_draws_only_mutable_features(rng):
+    # a feature is drawn when it is actionable and training holds a value
+    # other than the POI's
     schema = (
         FeatureSchema("a", CONTINUOUS),
         FeatureSchema("b", CONTINUOUS, actionable=False),
-        FeatureSchema("c", CONTINUOUS),                      # zero range
+        FeatureSchema("c", CONTINUOUS),                      # zero range, POI on it
         FeatureSchema("d", CATEGORICAL, categories=("x", "y")),
-        FeatureSchema("e", CATEGORICAL, categories=("x", "y")),  # one observed
+        FeatureSchema("e", CATEGORICAL, categories=("x", "y")),  # POI the one observed
+        FeatureSchema("f", CATEGORICAL, categories=("x", "y"), actionable=False),
     )
-    stats = make_stats([(0, 1), (0, 1), (3, 3), ("x", "y"), ("x",)])
-    assert _mutable_indices(schema, stats) == [0, 3]
+    stats = make_stats([(0, 1), (0, 1), (3, 3), ("x", "y"), ("x",), ("x", "y")])
+    poi = (0.5, 0.5, 3.0, "x", "x", "x")
+    genome = Genome(poi, schema, stats)
+    X = init_population(genome, EAConfig(population_size=200), rng)
+    changed = X != genome.poi
+    assert changed.any(axis=1).all()
+    assert changed[:, [0, 3]].any(axis=0).all() and not changed[:, [1, 2, 4, 5]].any()
 
 
-def test_sample_value_bounds_and_exclusion(rng):
-    feat = FeatureSchema("n", INTEGER)
-    st = make_stats([(0, 5)])[0]
-    for _ in range(50):
-        v = _sample_value(feat, st, rng)
-        assert 0.0 <= v <= 5.0 and v == int(v)
-    cat = FeatureSchema("k", CATEGORICAL, categories=("a", "b"))
-    cst = make_stats([("a", "b")])[0]
-    for _ in range(20):
-        assert _sample_value(cat, cst, rng, exclude="a") == "b"
-    # exclusion is best-effort: a single category falls back to itself
-    one = make_stats([("a",)])[0]
-    assert _sample_value(cat, one, rng, exclude="a") == "a"
+def test_init_population_draw_kinds(rng):
+    # integer draws are integral and inside the bounds, and a categorical
+    # draw never repeats the POI's category
+    cfg = EAConfig(population_size=200)
+    for values in GENOME.decode(init_population(GENOME, cfg, rng)):
+        assert values[1] == int(values[1]) and 0 <= values[1] <= 5
+        check_candidate(values, X_PT, SCHEMA, STATS)
+    for poi, other in (("a", "b"), ("b", "a")):
+        genome = Genome((poi,), (SCHEMA[2],), make_stats([("a", "b")]))
+        assert genome.decode(init_population(genome, cfg, rng)) == [(other,)] * 200
+
+
+def test_init_population_moves_what_mutate_can_move(rng):
+    # a single training category the POI does not hold, and a zero range
+    # the POI sits off, are each one value the search can take
+    cfg = EAConfig(population_size=5, mutation_prob=1.0, reset_prob=0.0)
+    for feat, stats, poi, moved in (
+        (FeatureSchema("k", CATEGORICAL, categories=("a", "b")), [("a",)], "b", "a"),
+        (FeatureSchema("z", INTEGER), [(3, 3)], 5.0, 3.0),
+    ):
+        genome = Genome((poi,), (feat,), make_stats(stats))
+        assert genome.decode(init_population(genome, cfg, rng)) == [(moved,)] * 5
+        assert genome.decode(mutate(genome.poi[None], genome, cfg, rng)) == [(moved,)]
 
 
 def test_init_population_differs_and_respects_constraints(rng):
     cfg = EAConfig(population_size=30)
-    pop = init_population(X_PT, SCHEMA, STATS, cfg, rng)
-    assert len(pop) == 30
-    for values in pop:
+    X = init_population(GENOME, cfg, rng)
+    assert X.shape == (30, 4)
+    for values in GENOME.decode(X):
         assert values != X_PT
         assert values[3] == X_PT[3]  # non-actionable untouched
         check_candidate(values, X_PT, SCHEMA, STATS)
@@ -121,17 +139,45 @@ def test_init_population_requires_mutable_feature(rng):
         FeatureSchema(f.name, f.kind, False, f.categories) for f in SCHEMA
     )
     with pytest.raises(ConfigError):
-        init_population(X_PT, frozen, STATS, cfg, rng)
+        init_population(Genome(X_PT, frozen, STATS), cfg, rng)
     degenerate = (FeatureSchema("x", CONTINUOUS),)
     with pytest.raises(ConfigError):
-        init_population((1.0,), degenerate, make_stats([(1, 1)]), cfg, rng)
+        init_population(Genome((1.0,), degenerate, make_stats([(1, 1)])), cfg, rng)
 
 
 def test_init_population_deterministic():
     cfg = EAConfig()
-    a = init_population(X_PT, SCHEMA, STATS, cfg, np.random.default_rng(4))
-    b = init_population(X_PT, SCHEMA, STATS, cfg, np.random.default_rng(4))
-    assert a == b
+    a = init_population(GENOME, cfg, np.random.default_rng(4))
+    b = init_population(GENOME, cfg, np.random.default_rng(4))
+    assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("poi", [X_PT, (10.0, 0.0, "z", 0.5)])
+def test_init_draws_follow_documented_order(poi):
+    # init_population makes exactly the draws ea's docstring lists and
+    # applies them feature by feature as this loop does; the mutable
+    # features are x, n and k
+    genome, n = Genome(poi, SCHEMA, STATS), 60
+    got = init_population(genome, EAConfig(population_size=n), np.random.default_rng(3))
+
+    rng = np.random.default_rng(3)
+    sizes, ranks = rng.integers(1, 4, size=n), rng.random((n, 3))
+    values = rng.uniform([0.0, 0.0], [100.0, 5.0], size=(n, 2))
+    pool = [c for c in STATS[2].categories if c != poi[2]]
+    picks = rng.integers([len(pool)], size=(n, 1))
+    rows = []
+    for r in range(n):
+        row = list(poi)
+        for i in sorted(range(3), key=lambda i: ranks[r, i])[: sizes[r]]:
+            if i == 2:
+                row[i] = pool[picks[r, 0]]
+                continue
+            v = float(round(values[r, i])) if i == 1 else values[r, i]
+            if v == poi[i]:  # a draw on the POI's value takes the other bound
+                v = STATS[i].upper if poi[i] == STATS[i].lower else STATS[i].lower
+            row[i] = v
+        rows.append(tuple(row))
+    assert genome.decode(got) == rows
 
 
 def test_genome_code_tables():
@@ -288,7 +334,25 @@ def test_offspring_pass_check_candidate(problem, probs, seed):
                    reset_prob=probs[2])
     genome = Genome(poi, schema, stats)
     rng = np.random.default_rng(seed)
-    rows = genome.encode([poi] * size)
+    # the initial rows change only features that are actionable and have a
+    # training value other than the POI's, and never equal the POI
+    mutable = [
+        feat.actionable and (
+            any(c != x for c in st.categories) if feat.kind == CATEGORICAL
+            else st.lower < st.upper or x != st.lower
+        )
+        for feat, st, x in zip(schema, stats, poi)
+    ]
+    if any(mutable):
+        rows = init_population(genome, cfg, rng)
+        for values in genome.decode(rows):
+            check_candidate(values, poi, schema, stats)
+            changed = [a != b for a, b in zip(values, poi)]
+            assert any(changed) and all(m for m, c in zip(mutable, changed) if c)
+    else:
+        with pytest.raises(ConfigError):
+            init_population(genome, cfg, rng)
+        rows = genome.encode([poi] * size)
     for _ in range(4):
         rows = mutate(crossover(rows, genome, cfg, rng), genome, cfg, rng)
         assert rows.shape == (size, len(schema))

@@ -735,7 +735,7 @@ def test_coded_offspring_match_scalar_oracles(seed, size, probs, poi_k, resilien
     ctx = EvalContext(x_pt, model, train, stats, resilience=resilience)
     cfg = EAConfig(population_size=size, crossover_prob=probs[0], mutation_prob=probs[1],
                    reset_prob=probs[2])
-    X = ctx.genome.encode(init_population(x_pt, schema, stats, cfg, rng))
+    X = init_population(ctx.genome, cfg, rng)
     for _ in range(3):
         X = mutate(crossover(X, ctx.genome, cfg, rng), ctx.genome, cfg, rng)
         out = evaluate_population(X, ctx)
