@@ -6,6 +6,11 @@ deterministic tests. All models expose batched probability prediction
 over raw value tuples, and predict_coded over rows in a search Genome's
 codes: a model without an encoder reads them decoded, an encoded model
 maps the codes through the same encoder kernel as the tuples.
+
+The random forest scores trees of at most 64 leaves by leaf bitmasks
+and deeper trees by a level-by-level traversal; both reach the same leaf
+as a walk down the tree. Their tables are rebuilt whenever a forest is
+trained or loaded, so saved models hold only the trees.
 """
 
 import json
@@ -367,16 +372,22 @@ def _grow_tree(X, y, rng, mtry, max_depth, min_leaf):
     return _Tree(feature, threshold, left, right, value)
 
 
-# Rows routed through the forest together. Large resilience-walk batches
-# go in chunks of this many rows, so the (rows, trees) position matrix
-# stays in cache and peak memory stays bounded.
+# Rows scored together. Large resilience-walk batches go in chunks of this
+# many rows, so a chunk's (rows, trees) arrays of leaf masks or node
+# positions stay in cache and peak memory stays bounded.
 _CHUNK_ROWS = 256
+
+# A tree with at most this many leaves is scored by leaf bitmasks: one
+# uint64 per (row, tree) holds the leaves a row can still reach.
+_MASK_LEAVES = 64
+_ALL_LEAVES = np.uint64(2**64 - 1)
 
 
 def _check_tree(k, tree, width):
     """Reject node arrays that cannot describe a CART tree. Children must
     come after their parent, as _grow_tree appends them; that also rules
-    out cycles."""
+    out cycles. Every node but the root is the child of exactly one
+    split, so the nodes form one tree."""
     n = len(tree.feature)
     ints = (tree.feature, tree.left, tree.right, tree.value)
     if n == 0 or any(a.shape != (n,) for a in ints + (tree.threshold,)):
@@ -386,30 +397,28 @@ def _check_tree(k, tree, width):
     if np.any((tree.feature < -1) | (tree.feature >= width)):
         raise ModelFormatError("tree %d: split feature index outside [0, %d)" % (k, width))
     parents = np.flatnonzero(tree.feature >= 0)
-    for child in (tree.left[parents], tree.right[parents]):
-        if np.any((child <= parents) | (child >= n)):
-            raise ModelFormatError(
-                "tree %d: child index out of range or not after its parent" % k
-            )
+    children = np.concatenate([tree.left[parents], tree.right[parents]])
+    if np.any((children <= np.tile(parents, 2)) | (children >= n)):
+        raise ModelFormatError("tree %d: child index out of range or not after its parent" % k)
+    if np.any(np.bincount(children, minlength=n)[1:] != 1):
+        raise ModelFormatError(
+            "tree %d: every node but the root must be the child of exactly one split" % k
+        )
     if not np.isfinite(tree.threshold).all():
         raise ModelFormatError("tree %d: split thresholds must be finite numbers" % k)
     if np.any((tree.value != 0) & (tree.value != 1)):
         raise ModelFormatError("tree %d: node values must be 0 or 1" % k)
 
 
-def _flatten_forest(trees, width):
+def _flatten_forest(trees):
     """One node table for all trees: (feature, threshold, children, value,
-    roots, depth).
+    roots, levels).
 
     Node i of the table has its left child at children[2i] and its right
-    child at children[2i + 1]. A leaf's children are the leaf itself, so
-    `depth` routing steps from the roots put every row at its leaf in
-    every tree.
+    child at children[2i + 1]; a leaf's children are the leaf itself.
+    levels[d] holds the split nodes at depth d, so len(levels) routing
+    steps from the roots put every row at its leaf in every tree.
     """
-    if not trees:
-        raise ModelFormatError("a forest needs at least one tree")
-    for k, tree in enumerate(trees):
-        _check_tree(k, tree, width)
     sizes = [len(t.feature) for t in trees]
     roots = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.int64)
     feature = np.concatenate([t.feature for t in trees])
@@ -426,21 +435,123 @@ def _flatten_forest(trees, width):
     leaves = np.flatnonzero(is_leaf)
     children[leaves] = leaves[:, None]
     feature[leaves] = 0  # any in-row column: a leaf's both children are itself
-    depth = 0
+    levels = []
     frontier = roots[~is_leaf[roots]]
     while len(frontier):
-        frontier = np.unique(children[frontier])
+        levels.append(frontier)
+        frontier = children[frontier].ravel()
         frontier = frontier[~is_leaf[frontier]]
-        depth += 1
-    return feature, threshold, children.ravel(), value, roots, depth
+    return feature, threshold, children.ravel(), value, roots, levels
+
+
+def _mask_tables(trees):
+    """Leaf-bitmask tables (QuickScorer) for trees of at most _MASK_LEAVES
+    leaves: (cuts, lookup, table, positive).
+
+    A tree's leaves are numbered left to right, leaf i as bit i. A split's
+    mask clears the bits of its left subtree's leaves, a contiguous run:
+    the leaves a row cannot reach once it goes right there. The lowest
+    bit left in the AND of the masks of every split a row goes right at
+    is its leaf.
+
+    cuts lists each split column, its sorted distinct thresholds and its
+    offset. A value x goes right at the splits with threshold < x, the
+    first searchsorted(thresholds, x, "left") of them; a NaN sorts after
+    every threshold and goes right, as in a walk down the tree. That
+    count plus the offset is x's position. The trees go in blocks of at
+    most 64, one uint64 word per tree; lookup[b] maps a position to the
+    row of table that holds, per tree of block b, the AND of the masks of
+    the splits x goes right at on that column. positive[b] marks each
+    tree's positive leaves. A block has at most 64 * 63 + width rows of
+    64 words, about 2.1 MB."""
+    feature, threshold, children, value, roots, levels = _flatten_forest(trees)
+    left, right = children[0::2], children[1::2]
+    # leaves under each node, then the number of its leftmost leaf
+    size = (left == np.arange(len(left))).astype(np.int64)
+    for nodes in reversed(levels):
+        size[nodes] = size[left[nodes]] + size[right[nodes]]
+    first = np.zeros_like(size)
+    for nodes in levels:
+        first[left[nodes]] = first[nodes]
+        first[right[nodes]] = first[nodes] + size[left[nodes]]
+    one = np.uint64(1)
+    bit = one << first.astype(np.uint64)
+    mask = ~(((one << size[left].astype(np.uint64)) - one) * bit)
+    tree = np.repeat(np.arange(len(trees)), [len(t.feature) for t in trees])
+    block, word = np.divmod(tree, 64)
+    splits = np.flatnonzero(size > 1)
+    columns, column_of = np.unique(feature[splits], return_inverse=True)
+    cuts = [np.unique(threshold[splits[column_of == j]]) for j in range(len(columns))]
+    runs = np.array([len(c) + 1 for c in cuts], dtype=np.int64)
+    offsets = np.cumsum(runs) - runs
+    column_at = np.repeat(np.arange(len(cuts)), runs)
+    # each split's position: that of the values just above its threshold
+    position = np.zeros(len(size), dtype=np.int64)
+    for j, (c, off) in enumerate(zip(cuts, offsets)):
+        on = splits[column_of == j]
+        position[on] = off + 1 + np.searchsorted(c, threshold[on])
+    lookups, tables = [], []
+    # the words past the last block's last tree stay all ones and vote 0
+    width = min(64, len(trees))
+    base = 0
+    for b in range(block[-1] + 1):
+        nodes = splits[block[splits] == b]
+        nodes = nodes[np.argsort(position[nodes], kind="stable")]
+        # a row per split, in position order, and before each column's
+        # splits a row for the values below them all
+        rows = np.arange(len(nodes)) + column_at[position[nodes]] + 1
+        table = np.full((len(nodes) + len(cuts), width), _ALL_LEAVES)
+        table[rows, word[nodes]] = mask[nodes]
+        lookup = np.searchsorted(position[nodes], np.arange(len(column_at)), "right") + column_at
+        for lo, hi in zip(lookup[offsets], [*lookup[offsets[1:]], len(table)]):
+            np.bitwise_and.accumulate(table[lo:hi], axis=0, out=table[lo:hi])
+        lookups.append(lookup + base)
+        tables.append(table)
+        base += len(table)
+    leaves = np.flatnonzero((size == 1) & (value == 1))
+    positive = np.zeros((len(lookups), width), dtype=np.uint64)
+    np.bitwise_or.at(positive, (block[leaves], word[leaves]), bit[leaves])
+    cuts = list(zip(columns.tolist(), cuts, offsets.tolist()))
+    return cuts, np.stack(lookups), np.concatenate(tables), positive
+
+
+def _mask_votes(chunk, cuts, lookup, table, positive):
+    """Positive votes per row of chunk from the _mask_tables tables."""
+    values = chunk.T.copy()  # searchsorted runs faster on contiguous values
+    # (blocks, rows, words): the leaves each row can still reach
+    reach = np.full((len(positive), len(chunk), positive.shape[1]), _ALL_LEAVES)
+    for column, thresholds, offset in cuts:
+        at = offset + np.searchsorted(thresholds, values[column])
+        reach &= table.take(lookup.take(at, axis=1), axis=0)
+    # the lowest bit left is the row's leaf
+    return np.count_nonzero(reach & (~reach + np.uint64(1)) & positive[:, None], axis=(0, 2))
+
+
+def _routed_votes(chunk, flat):
+    """Positive votes per row of chunk from a _flatten_forest table, every
+    row routed through every tree one level at a time."""
+    feature, threshold, children, value, roots, levels = flat
+    cells = chunk.ravel()
+    row_start = (np.arange(len(chunk)) * chunk.shape[1])[:, None]
+    pos = np.broadcast_to(roots, (len(chunk), len(roots)))
+    for _ in levels:
+        go_right = ~(cells[row_start + feature[pos]] <= threshold[pos])
+        pos = children[2 * pos + go_right]
+    return value[pos].sum(axis=1)
 
 
 class RandomForestModel(_EncodedModel):
     """Bagged CART trees; probability is the fraction of positive votes.
 
-    The trees are flattened once, at construction, into one node table;
-    prediction routes every row through all trees together, one
-    vectorized step per tree level.
+    When the model is built, trained or loaded, trees of at most
+    _MASK_LEAVES leaves go into leaf-bitmask tables (_mask_tables), in
+    blocks of up to 64 trees, and the deeper ones into one node table
+    (_flatten_forest). Neither is saved, so the model format holds only
+    the trees. Prediction scores _CHUNK_ROWS rows at a time: the bitmask
+    tables cost one binary search per split column and one table lookup
+    and AND per column and block, and the node table routes every row
+    through its trees together, one vectorized step per tree level. Both
+    give each (row, tree) the leaf a walk down the tree reaches.
     """
 
     learner_name = "random_forest"
@@ -449,29 +560,26 @@ class RandomForestModel(_EncodedModel):
         self.schema = tuple(schema)
         self.encoder = encoder
         self.trees = trees
-        (
-            self._feature,
-            self._threshold,
-            self._children,
-            self._value,
-            self._roots,
-            self._depth,
-        ) = _flatten_forest(trees, encoder.width)
+        if not trees:
+            raise ModelFormatError("a forest needs at least one tree")
+        for k, tree in enumerate(trees):
+            _check_tree(k, tree, encoder.width)
+        shallow = [t for t in trees if np.count_nonzero(t.feature < 0) <= _MASK_LEAVES]
+        deep = [t for t in trees if np.count_nonzero(t.feature < 0) > _MASK_LEAVES]
+        self._masks = _mask_tables(shallow) if shallow else None
+        self._deep = _flatten_forest(deep) if deep else None
 
     def predict_proba_batch(self, rows):
         return self.predict_encoded(self.encoder.transform(rows))
 
     def predict_encoded(self, encoded):
-        votes = np.empty(encoded.shape[0], dtype=np.int64)
+        votes = np.zeros(encoded.shape[0], dtype=np.int64)
         for start in range(0, encoded.shape[0], _CHUNK_ROWS):
             chunk = encoded[start : start + _CHUNK_ROWS]
-            cells = chunk.ravel()
-            row_start = (np.arange(chunk.shape[0]) * chunk.shape[1])[:, None]
-            pos = np.broadcast_to(self._roots, (chunk.shape[0], len(self._roots)))
-            for _ in range(self._depth):
-                go_right = ~(cells[row_start + self._feature[pos]] <= self._threshold[pos])
-                pos = self._children[2 * pos + go_right]
-            votes[start : start + chunk.shape[0]] = self._value[pos].sum(axis=1)
+            if self._masks is not None:
+                votes[start : start + _CHUNK_ROWS] += _mask_votes(chunk, *self._masks)
+            if self._deep is not None:
+                votes[start : start + _CHUNK_ROWS] += _routed_votes(chunk, self._deep)
         return votes / len(self.trees)
 
     def to_params(self):

@@ -715,6 +715,19 @@ def _set(tree, key, internal, value):
     tree[key][_first_node(tree, internal)] = value
 
 
+def _add_orphan_subtree(tree):
+    """Append a split and its two leaves that no node points to."""
+    n = len(tree["feature"])
+    for key, values in (
+        ("feature", [0, -1, -1]),
+        ("threshold", [0.5, 0.0, 0.0]),
+        ("left", [n + 1, -1, -1]),
+        ("right", [n + 2, -1, -1]),
+        ("value", [0, 0, 1]),
+    ):
+        tree[key].extend(values)
+
+
 # each corrupts tree 0 of a saved forest, given the encoder width
 FOREST_CORRUPTIONS = {
     "ragged_arrays": lambda tree, width: tree["threshold"].pop(),
@@ -722,6 +735,10 @@ FOREST_CORRUPTIONS = {
     "child_not_after_parent": lambda tree, width: _set(
         tree, "right", True, _first_node(tree, True)
     ),
+    "children_the_same": lambda tree, width: _set(
+        tree, "right", True, tree["left"][_first_node(tree, True)]
+    ),
+    "orphan_subtree": lambda tree, width: _add_orphan_subtree(tree),
     "feature_at_width": lambda tree, width: _set(tree, "feature", True, width),
     "leaf_value_2": lambda tree, width: _set(tree, "value", False, 2),
     "leaf_value_half": lambda tree, width: _set(tree, "value", False, 0.5),

@@ -15,6 +15,7 @@ from lexcf.data import (
 from lexcf.errors import ConfigError, ModelFormatError, TrainingError
 from lexcf.model import (
     _CHUNK_ROWS,
+    _MASK_LEAVES,
     _Encoder,
     LEARNERS,
     FixedLinearModel,
@@ -151,9 +152,10 @@ def test_random_forest_respects_max_depth():
 
 
 def _per_tree_proba(model, rows):
-    """Oracle for the flattened forest: the per-tree, per-level traversal
-    it replaced, kept here only as a reference."""
-    X = model.encoder.transform(rows)
+    """Oracle for the forest's kernels: the per-tree, per-level traversal
+    they replaced, kept here only as a reference. rows are value tuples or
+    an encoded matrix."""
+    X = rows if isinstance(rows, np.ndarray) else model.encoder.transform(rows)
     votes = np.zeros(X.shape[0], dtype=np.int64)
     for tree in model.trees:
         pos = np.zeros(X.shape[0], dtype=np.int64)
@@ -278,18 +280,27 @@ def _assert_matches_per_tree_oracle(model, train, seed):
         assert np.array_equal(got, _per_tree_proba(model, batch)), size
 
 
+MIXED_COLUMNS = {"n_continuous": 2, "n_integer": 1, "n_categorical": 2}
+
+
 @pytest.mark.parametrize(
-    "columns, params",
+    "rows, columns, params",
     [
-        ({"n_continuous": 4}, {"ntree": 25}),
-        ({"n_continuous": 2, "n_integer": 1, "n_categorical": 2}, {"ntree": 15}),
-        ({"n_continuous": 4}, {"ntree": 12, "max_depth": 1}),
+        (160, {"n_continuous": 4}, {"ntree": 25}),
+        (160, MIXED_COLUMNS, {"ntree": 15}),
+        (160, {"n_continuous": 4}, {"ntree": 12, "max_depth": 1}),
+        (600, MIXED_COLUMNS, {}),
     ],
-    ids=["continuous", "categorical_onehot", "max_depth_1"],
+    ids=["continuous", "categorical_onehot", "max_depth_1", "shallow_and_deep"],
 )
-def test_flat_forest_matches_per_tree_oracle(columns, params):
-    ds = generate_synthetic(160, seed=6, **columns)
+def test_flat_forest_matches_per_tree_oracle(rows, columns, params):
+    ds = generate_synthetic(rows, seed=6, **columns)
     model = train_random_forest(ds, LearnerConfig("random_forest", params, seed=3))
+    leaves = [np.count_nonzero(tree.feature < 0) for tree in model.trees]
+    assert min(leaves) <= _MASK_LEAVES
+    # the default forest on 600 rows runs both kernels; 39 of its 100
+    # trees have more than 64 leaves
+    assert (max(leaves) > _MASK_LEAVES) == (rows == 600)
     _assert_matches_per_tree_oracle(model, ds, seed=1)
 
 
@@ -327,6 +338,66 @@ def test_flat_forest_matches_oracle_on_threshold_ties():
         tuple(float(rng.choice(thresholds[j])) for j in range(3)) for _ in range(600)
     ]
     assert np.array_equal(model.predict_proba_batch(queries), _per_tree_proba(model, queries))
+
+
+def _random_tree(rng, leaves, width):
+    """A tree grown by splitting a random leaf until it has the given
+    number of leaves. Thresholds lie on a grid of twentieths, so splits
+    share thresholds within and across trees."""
+    feature, threshold, left, right = [-1], [0.0], [-1], [-1]
+    open_leaves = [0]
+    while len(open_leaves) < leaves:
+        node = open_leaves.pop(int(rng.integers(len(open_leaves))))
+        feature[node] = int(rng.integers(width))
+        threshold[node] = int(rng.integers(21)) / 20
+        left[node], right[node] = len(feature), len(feature) + 1
+        open_leaves += [len(feature), len(feature) + 1]
+        feature += [-1, -1]
+        threshold += [0.0, 0.0]
+        left += [-1, -1]
+        right += [-1, -1]
+    return _Tree(feature, threshold, left, right, rng.integers(2, size=len(feature)))
+
+
+def _assert_encoded_matches_oracle(trees, width, seed):
+    """Encoded rows go straight to predict_encoded: cells on the split
+    grid (exact ties), next to it, far outside it, NaN and infinite."""
+    model = RandomForestModel(numeric_schema(width), _Encoder([("num", 0.0, 1.0)] * width), trees)
+    rng = np.random.default_rng(seed)
+    n = max(FLAT_BATCH_SIZES)
+    cells = np.concatenate(
+        [
+            np.arange(21) / 20,
+            np.nextafter(np.arange(21) / 20, np.inf),
+            np.nextafter(np.arange(21) / 20, -np.inf),
+            [np.nan, np.inf, -np.inf, -5.0, 5.0],
+        ]
+    )
+    X = rng.choice(cells, size=(n, width))
+    assert np.isnan(X).any() and np.isinf(X).any()
+    for size in FLAT_BATCH_SIZES:
+        got = model.predict_encoded(X[:size])
+        assert got.shape == (size,)
+        assert np.array_equal(got, _per_tree_proba(model, X[:size])), size
+    return model
+
+
+def test_forest_kernels_meet_at_64_leaves():
+    rng = np.random.default_rng(21)
+    trees = [_random_tree(rng, 64, 5), _random_tree(rng, 65, 5), _random_tree(rng, 1, 5)]
+    model = _assert_encoded_matches_oracle(trees, 5, seed=1)
+    # the 64-leaf and the single-leaf tree are scored by bitmasks, the
+    # 65-leaf tree by the level traversal
+    assert model._masks[3].shape == (1, 2)
+    assert len(model._deep[4]) == 1
+
+
+def test_forest_bitmasks_span_several_blocks():
+    rng = np.random.default_rng(22)
+    trees = [_random_tree(rng, int(rng.integers(1, 65)), 4) for _ in range(150)]
+    model = _assert_encoded_matches_oracle(trees, 4, seed=2)
+    assert model._masks[3].shape == (3, 64)
+    assert model._deep is None
 
 
 def test_flat_forest_matches_oracle_after_save_load(tmp_path):
