@@ -228,9 +228,7 @@ def run_experiment(cfg):
     """Train the model, sample points of interest, run every strategy and
     variant on each, and fold the raw records into report aggregates."""
     dataset = load_configured_dataset(cfg.dataset)
-    train, test = split_dataset(
-        dataset, cfg.dataset.test_cap, cfg.dataset.split_seed
-    )
+    train, test = split_dataset(dataset, cfg.dataset.test_cap, cfg.dataset.split_seed)
     stats = compute_feature_stats(train)
     model, learner_cfg = build_model(
         train,
@@ -304,9 +302,11 @@ def _is_record(rec):
 
 
 def read_records(path):
-    """The records of a records.ndjson file, one JSON object a line; a line
-    that holds no run record is a DataError naming it."""
-    records = []
+    """The records of a records.ndjson file, one JSON object a line. A line
+    that holds no run record, names an unknown strategy or variant, or
+    repeats the (variant, strategy, poi) of an earlier line is a DataError
+    naming it."""
+    records = {}
     for number, line in enumerate(read_text(path, DataError).split("\n"), 1):
         if not line.strip():
             continue
@@ -316,8 +316,14 @@ def read_records(path):
             rec = None
         if not _is_record(rec):
             raise DataError("%s line %d is not a run record" % (path, number))
-        records.append(rec)
-    return records
+        for key, known in (("strategy", STRATEGIES), ("variant", VARIANTS)):
+            if rec[key] not in known:
+                raise DataError("%s line %d: unknown %s %r" % (path, number, key, rec[key]))
+        run = (rec["variant"], rec["strategy"], rec["poi"])
+        if run in records:
+            raise DataError("%s line %d repeats the %s %s run at poi %d" % ((path, number) + run))
+        records[run] = rec
+    return list(records.values())
 
 
 def markdown_lines(header, rows):

@@ -30,6 +30,7 @@ from .data import (
     load_configured_dataset,
     load_dataset_config,
     parse_value,
+    reject_unknown_keys,
     schema_fingerprint,
     split_dataset,
 )
@@ -73,6 +74,7 @@ def _parse_poi(spec, test, schema):
     except json.JSONDecodeError as exc:
         raise ConfigError("--poi must be a test row index or inline JSON: %s" % exc) from None
     if isinstance(raw, dict):
+        reject_unknown_keys(raw, {f.name for f in schema}, "inline poi")
         missing = [f.name for f in schema if f.name not in raw]
         if missing:
             raise ConfigError("inline poi is missing features: %s" % missing)
@@ -108,17 +110,8 @@ def _cmd_explain(args):
     )
     for rank, cand in enumerate(result.solutions):
         o1, o2, o3, o4 = cand.objectives
-        print(
-            "[%d] o1=%.4f o2=%.4f o3=%d o4=%.4f%s"
-            % (
-                rank,
-                o1,
-                o2,
-                o3,
-                o4,
-                "  (valid)" if o1 <= 0 else "  (invalid)",
-            )
-        )
+        verdict = "valid" if o1 <= 0 else "invalid"
+        print("[%d] o1=%.4f o2=%.4f o3=%d o4=%.4f  (%s)" % (rank, o1, o2, o3, o4, verdict))
         for feat, old, new in zip(ds_cfg.schema, poi, cand.values):
             if new != old:
                 print("    %s: %s -> %s" % (feat.name, _shown(old, feat), _shown(new, feat)))
@@ -149,16 +142,10 @@ def _cmd_bench(args):
     write_meta(report, cfg.output_dir)
     print("%d points of interest; reports in %s" % (report.poi_count, cfg.output_dir))
     for variant in report.variants:
-        cells = report.aggregates["validity"][variant]
+        micro = [report.aggregates["validity"][variant][s]["micro"] for s in STRATEGIES]
         summary = ", ".join(
-            "%s %s"
-            % (
-                s,
-                "n/a"
-                if cells[s]["micro"] is None
-                else "%.1f%% valid" % (100 * cells[s]["micro"]),
-            )
-            for s in STRATEGIES
+            "%s %s" % (s, "n/a" if m is None else "%.1f%% valid" % (100 * m))
+            for s, m in zip(STRATEGIES, micro)
         )
         print("  %s: %s" % (variant, summary))
     return 0

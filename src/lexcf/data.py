@@ -217,10 +217,10 @@ def load_dataset(
 def split_dataset(ds, test_cap=500, seed=0):
     """Split into (train, test) with a seeded unstratified shuffle.
 
-    An integer test_cap caps the test size at min(test_cap, n // 3); a
-    float test_cap is itself used as the fraction. The cap rule keeps
-    a fixed 500-row test pool for large datasets while smaller ones fall
-    back to a one-third split.
+    An integral test_cap, an int or a float such as 150.0, caps the test
+    size at min(test_cap, n // 3); any other float is itself used as the
+    fraction. The cap rule keeps a fixed 500-row test pool for large
+    datasets while smaller ones fall back to a one-third split.
     """
     n = len(ds)
     if n < 2:
@@ -256,8 +256,8 @@ def compute_feature_stats(train):
     for i, feat in enumerate(train.schema):
         column = [inst.values[i] for inst in train.instances]
         if feat.kind == CATEGORICAL:
-            observed = [c for c in feat.categories if c in set(column)]
-            stats.append(FeatureStats(categories=tuple(observed)))
+            seen = set(column)
+            stats.append(FeatureStats(categories=tuple(c for c in feat.categories if c in seen)))
         else:
             stats.append(FeatureStats(lower=float(min(column)), upper=float(max(column))))
     return tuple(stats)

@@ -87,6 +87,10 @@ class Candidate:
 
 @dataclass(frozen=True)
 class EAConfig:
+    """One evolutionary run's settings. k (tournament size) and theta act
+    only on lex1 and lex2: a par run's parent tournament is always binary
+    and crowded, and its survival has no tolerance."""
+
     population_size: int = 20
     max_generations: int = 50
     crossover_prob: float = 0.7

@@ -237,11 +237,10 @@ class Genome:
         X = np.empty((len(rows), len(self.tables)))
         for i, (codes, column) in enumerate(zip(self._codes, zip(*rows))):
             if codes is not None:
-                coded = np.fromiter(map(codes.get, column), float, len(column))
-                if np.isnan(coded).any():  # a value without a code reads as NaN
-                    coded = [codes.setdefault(v, len(codes)) for v in column]
+                known = len(codes)
+                column = [codes.setdefault(v, len(codes)) for v in column]
+                if len(codes) > known:
                     self.tables[i] = tuple(codes)
-                column = coded
             X[:, i] = column
         return X
 
@@ -316,8 +315,8 @@ class EvalContext:
 
     genome is the one code table of the search's rows, both Gower scans
     and the cache. Evaluation is pure, so vectors are cached by each coded
-    row's bytes; the cache may be shared by runs with the same point of
-    interest, model, and resilience setting.
+    row's key (row_keys); the cache may be shared by runs with the same
+    point of interest, model, and resilience setting.
     """
 
     def __init__(self, x_pt, model, train, stats, resilience=False):
@@ -336,6 +335,14 @@ class EvalContext:
         return _min_mean_gower(self.poi_scan, F)
 
 
+def row_keys(X):
+    """The search's one rule for equal coded rows: each row's bytes after
+    + 0.0, which makes -0.0 and 0.0 one value. NaN never reaches a coded
+    row, so rows with equal keys are exactly rows equal as floats."""
+    X = np.ascontiguousarray(X, dtype=float) + 0.0
+    return X.view(np.dtype((np.void, X.shape[1] * X.itemsize))).ravel().tolist()
+
+
 def evaluate_population(X, ctx):
     """Objective vectors for a batch of candidates, the rows of X in
     ctx.genome's codes.
@@ -346,14 +353,13 @@ def evaluate_population(X, ctx):
     one comparison with the POI's row, and, under resilience, one
     predict_coded batch for the walks of every valid candidate.
     """
-    # + 0.0 makes -0.0 and 0.0 one key, as they are one value
-    X = np.ascontiguousarray(X, dtype=float) + 0.0
-    keys = X.view(np.dtype((np.void, X.shape[1] * X.itemsize))).ravel().tolist()
+    keys = row_keys(X)
     # each distinct uncached key in first-occurrence order, with a row of it
     row_of = dict(zip(keys, range(len(keys))))
     fresh = {key: i for key, i in row_of.items() if key not in ctx.cache}
     if fresh:
-        F = X[list(fresh.values())]
+        # the rows as their keys hold them, -0.0 read as 0.0
+        F = np.asarray(X, dtype=float)[list(fresh.values())] + 0.0
         p = np.asarray(ctx.model.predict_coded(F, ctx.genome), dtype=float)
         outside = ~((0.0 <= p) & (p <= 1.0))  # NaN too
         if outside.any():

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvariantViolation
+from .objectives import row_keys
 
 FIRST_BETTER = -1
 TIE = 0
@@ -174,20 +175,13 @@ def lex_tournament_select(params, population, rng=None, V=None):
 
 
 def first_occurrences(rows):
-    """Mask of each row's first occurrence in a matrix, in row order. Rows
-    compare as floats, so -0.0 equals 0.0 as in the value tuples.
-
-    Equal rows are adjacent after a stable sort by every column (lexsort
-    keeps row order among them, so the first of a run is the first
-    occurrence). np.unique(rows, axis=0) finds the same rows at about five
-    times the cost.
-    """
-    order = np.lexsort(rows.T)
-    ordered = rows[order]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    mask = np.zeros(len(rows), dtype=bool)
-    mask[order[first]] = True
+    """Mask of each row's first occurrence in a matrix, in row order; rows
+    are equal when their objectives.row_keys are."""
+    keys = row_keys(rows)
+    # read backwards, each key's last entry is its first occurrence
+    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    mask = np.zeros(len(keys), dtype=bool)
+    mask[list(first.values())] = True
     return mask
 
 

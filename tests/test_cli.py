@@ -259,6 +259,17 @@ def test_explain_poi_wrong_width(workspace, capsys):
     assert "3 feature values" in capsys.readouterr().err
 
 
+def test_explain_poi_unknown_feature_name(workspace, capsys):
+    names = ["num0", "num1", "num2", "nmu0"]
+    poi = json.dumps(dict(zip(names, list(workspace["poi_values"]) + [9])))
+    rc = main(
+        ["explain", "--model", workspace["model"], "--data", workspace["data"], "--poi", poi]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "inline poi" in err[0] and "nmu0" in err[0]
+
+
 @pytest.fixture(scope="module")
 def bench_out(workspace):
     out = str(workspace["root"] / "bench")
@@ -522,6 +533,27 @@ def test_compare_refuses_meta_it_cannot_use(tmp_path, capsys, meta):
     # the same records compare with a usable meta.json
     (runs / "meta.json").write_text('{"variants": ["base"], "theta": 0.01}', encoding="utf-8")
     assert main(["compare", "--runs", str(runs)]) == 0
+
+
+@pytest.mark.parametrize(
+    "change, says",
+    [
+        ({"strategy": "lex3"}, "unknown strategy 'lex3'"),
+        ({"variant": "basic"}, "unknown variant 'basic'"),
+        ({"solutions": []}, "repeats the base par run at poi 0"),
+    ],
+    ids=["unknown_strategy", "unknown_variant", "repeated_run"],
+)
+def test_compare_refuses_records_it_cannot_use(tmp_path, capsys, change, says):
+    # a second record with one field changed
+    second = json.dumps({**json.loads(RECORD_LINE), **change})
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    (runs / "records.ndjson").write_text(RECORD_LINE + "\n" + second + "\n", encoding="utf-8")
+    (runs / "meta.json").write_text('{"variants": ["base"], "theta": 0.01}', encoding="utf-8")
+    assert main(["compare", "--runs", str(runs)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "records.ndjson line 2" in err[0] and says in err[0]
 
 
 def test_output_dir_is_relative_to_the_config(tmp_path, monkeypatch):

@@ -202,6 +202,27 @@ def test_genome_code_tables():
     assert genome.encode(rows).tolist() == [[10.0, 2.0, 3.0, 0.5], [99.5, 0.0, 2.0, 0.5]]
 
 
+def test_genome_encode_appends_new_categories_in_first_seen_order():
+    genome = Genome(X_PT, SCHEMA, STATS)
+    rows = [
+        (1.0, 0.0, "b", 0.5),
+        (2.0, 1.0, "q", 0.5),
+        (3.0, 2.0, "a", 0.5),
+        (4.0, 3.0, "p", 0.5),
+        (5.0, 4.0, "q", 0.5),
+    ]
+    X = genome.encode(rows)
+    # known categories keep their codes; q and p take the next two codes,
+    # in the order the batch first shows them
+    assert X[:, 2].tolist() == [1.0, 3.0, 0.0, 4.0, 3.0]
+    assert genome.tables[2] == ("a", "b", "c", "q", "p")
+    assert genome.decode(X) == rows
+    # a batch of known values alone leaves the table as it is
+    table = genome.tables[2]
+    assert genome.encode(rows[:3]).tolist() == X[:3].tolist()
+    assert genome.tables[2] is table
+
+
 def test_crossover_gate():
     cfg = EAConfig(crossover_prob=0.0)
     parents = _rows((1.0, 2.0, "a", 0.5), (9.0, 4.0, "c", 0.5), (5.0, 1.0, "b", 0.5))

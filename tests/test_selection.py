@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexcf.errors import ConfigError, InvariantViolation
+from lexcf.objectives import row_keys
 from lexcf.selection import (
     DISTANCE_BEFORE_SPARSITY,
     FIRST_BETTER,
@@ -18,6 +19,7 @@ from lexcf.selection import (
     crowding_distance,
     final_select_lex,
     first_front_size,
+    first_occurrences,
     lex_best_index,
     lex_compare,
     lex_survival_select,
@@ -192,6 +194,23 @@ def test_final_select_perfect_tie_samples_among_distinct():
         assert pick == int(twin.integers(2)) and rng.random() == twin.random()
         picks.add(pick)
     assert picks == {0, 1}
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_first_occurrences_and_row_keys_match_float_oracle(data):
+    # small integer-valued rows with repeats, and signed zeros
+    n, p = data.draw(st.integers(0, 12)), data.draw(st.integers(1, 4))
+    cells = st.sampled_from([0.0, -0.0, 1.0, 2.0, -3.0])
+    rows = np.array(data.draw(st.lists(st.lists(cells, min_size=p, max_size=p), min_size=n,
+                                       max_size=n)), dtype=float).reshape(n, p)
+    # brute force: a row is a first occurrence when no earlier row equals
+    # it as floats (so -0.0 == 0.0)
+    equal = [[bool((rows[i] == rows[j]).all()) for j in range(n)] for i in range(n)]
+    oracle = [not any(equal[i][:i]) for i in range(n)]
+    assert first_occurrences(rows).tolist() == oracle
+    keys = row_keys(rows)
+    assert [[keys[i] == keys[j] for j in range(n)] for i in range(n)] == equal
 
 
 def test_final_select_empty_population():
