@@ -199,7 +199,9 @@ class LogisticModel(_EncodedModel):
         return self.predict_encoded(self.encoder.transform(rows))
 
     def predict_encoded(self, encoded):
-        return _sigmoid(encoded @ self.weights + self.bias)
+        # einsum sums each C-order row alone: the same bits at any batch size
+        scores = np.einsum("ij,j->i", np.ascontiguousarray(encoded), self.weights)
+        return _sigmoid(scores + self.bias)
 
     def to_params(self):
         return {

@@ -280,6 +280,22 @@ def _assert_matches_per_tree_oracle(model, train, seed):
         assert np.array_equal(got, _per_tree_proba(model, batch)), size
 
 
+@pytest.mark.parametrize(
+    "learner, params", [("logistic", {"epochs": 50}), ("random_forest", {"ntree": 15})]
+)
+def test_encoded_scores_do_not_depend_on_the_batch(learner, params):
+    # a row scores the same bits alone as in any batch, so a candidate's
+    # objective vector depends on its row alone, as the evaluation cache
+    # assumes
+    ds = generate_synthetic(300, seed=4, n_continuous=9, n_integer=3, n_categorical=3)
+    model = train_model(ds, LearnerConfig(learner, params, seed=2))
+    rows = _query_rows(model.schema, ds, max(FLAT_BATCH_SIZES), seed=5)
+    X = model.encoder.transform(rows)
+    alone = np.array([model.predict_encoded(row[None])[0] for row in X])
+    for size in FLAT_BATCH_SIZES:
+        assert np.array_equal(model.predict_encoded(X[:size]), alone[:size]), size
+
+
 MIXED_COLUMNS = {"n_continuous": 2, "n_integer": 1, "n_categorical": 2}
 
 

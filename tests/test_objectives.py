@@ -441,9 +441,8 @@ def test_walk_reports_on_encoded_models_match_stepwise_oracle():
         # partial walks, and more walk rows than one forest chunk
         assert any(0 < f.score < 1 for report in expected for f in report.features)
         assert len(recorder.seen) > 256
-    # one row scored alone and in a batch may differ in its last bits; no
-    # walk row of the logistic model lies near enough to 0.5 for that to
-    # flip its class
+    # no walk row of the logistic model lies near enough to 0.5 for a
+    # last-bit difference in its score to flip its class
     probs = logistic.predict_proba_batch(recorder.seen)
     assert np.abs(probs - 0.5).min() > 1e-9
 
