@@ -358,8 +358,7 @@ def evaluate_population(X, ctx):
     row_of = dict(zip(keys, range(len(keys))))
     fresh = {key: i for key, i in row_of.items() if key not in ctx.cache}
     if fresh:
-        # the rows as their keys hold them, -0.0 read as 0.0
-        F = np.asarray(X, dtype=float)[list(fresh.values())] + 0.0
+        F = np.asarray(X, dtype=float)[list(fresh.values())]
         p = np.asarray(ctx.model.predict_coded(F, ctx.genome), dtype=float)
         outside = ~((0.0 <= p) & (p <= 1.0))  # NaN too
         if outside.any():
