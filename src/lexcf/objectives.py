@@ -82,7 +82,7 @@ def obj_sparsity(x, x_pt, schema):
 def obj_plausibility(x, train, schema, stats):
     genome = Genome(_values_of(x), schema, stats)
     scan = TrainGowerScan(genome, [inst.values for inst in train])
-    return scan.min_mean_dist(genome.poi[None])[0]
+    return _min_mean_gower(scan, genome.poi[None])[0]
 
 
 def obj_validity(p_hat):
@@ -253,46 +253,71 @@ class Genome:
         return list(zip(*columns))
 
 
-# cells per (candidates x reference rows) matrix in one chunk of the kernel
-_CHUNK_CELLS = 1 << 15
+# cells per (candidates x reference rows) matrix in one chunk of the
+# kernel, which holds one such matrix per summed feature
+_CHUNK_CELLS = 1 << 13
+
+
+def _gower_sums(F, cols, spans, ref):
+    """Gower sums of each row of F, in genome codes, to each reference
+    row, a column of ref (features x rows): a (rows x reference rows)
+    matrix.
+
+    cols are the summed features in schema order, and spans their
+    normalizers. Per-feature distances are added in schema order with
+    gower_dist's arithmetic, so each cell equals the scalar oracle's sum
+    bit for bit. A categorical feature has span 1: its codes are whole
+    numbers, so min(|a - b|, 1) is exactly the mismatch indicator, and a
+    code no reference row holds mismatches every row.
+    """
+    diff = np.subtract(ref[:, None, :], F[:, cols].T[:, :, None])
+    np.abs(diff, out=diff)
+    diff /= spans[:, None, None]
+    np.minimum(diff, 1.0, out=diff)
+    total = np.zeros(diff.shape[1:])
+    for term in diff:
+        total += term
+    return total
+
+
+def _min_gower_sums(scan, F, lo, hi):
+    """Each row of F's least Gower sum to reference rows lo..hi-1 of
+    scan, in chunks of at most _CHUNK_CELLS cells."""
+    out = np.empty(len(F))
+    ref = scan.ref[:, lo:hi]
+    step = max(1, _CHUNK_CELLS // (hi - lo))
+    for start in range(0, len(F), step):
+        rows = slice(start, start + step)
+        _gower_sums(F[rows], scan.cols, scan.spans, ref).min(axis=1, out=out[rows])
+    return out
 
 
 def _min_mean_gower(scan, F):
     """Mean Gower distance of each row of F, in the scan's genome codes,
-    to its nearest reference row of scan.
-
-    Per-feature distances are added in schema order with gower_dist's
-    arithmetic, so each value equals the scalar oracle bit for bit.
-    Categorical values are compared as codes; a code no reference row
-    holds mismatches every row.
-    """
-    out = np.empty(len(F))
-    step = max(1, _CHUNK_CELLS // scan.n)
-    for start in range(0, len(F), step):
-        chunk = F[start : start + step]
-        total = np.zeros((len(chunk), scan.n))
-        diff = np.empty_like(total)
-        for i, ref, span in scan.columns:
-            cand = chunk[:, i, None]
-            if span is None:
-                total += cand != ref
-            else:
-                np.subtract(ref, cand, out=diff)
-                np.abs(diff, out=diff)
-                diff /= span
-                np.minimum(diff, 1.0, out=diff)
-                total += diff
-        total.min(axis=1, out=out[start : start + step])
-    out /= scan.p
-    return out.tolist()
+    to its nearest reference row of scan: the exhaustive scan over every
+    reference row, which TrainGowerScan.min_mean_dist equals."""
+    return (_min_gower_sums(scan, F, 0, scan.n) / scan.p).tolist()
 
 
 class TrainGowerScan:
-    """Exhaustive nearest-neighbor Gower scan over fixed reference rows
-    (value tuples), held as columns of genome's codes; min_mean_dist reads
+    """Nearest-neighbor Gower scan over fixed reference rows (value
+    tuples), held as columns of genome's codes; min_mean_dist reads
     candidates in the same codes. Numeric features with a degenerate
     training range add nothing and are left out. No reference rows is a
-    ConfigError."""
+    ConfigError.
+
+    The scan prunes with genome.poi as a pivot (LAESA's metric search
+    with one pivot). Each summed term, min(|a - b| / span, 1) or a
+    category mismatch, is a metric, so their sum d is one, and
+    d(c, r) >= d(poi, r) - d(c, poi). The reference rows are sorted once
+    by d(poi, r), the pivot column. A candidate c takes an upper bound
+    U(c) from the m rows nearest the POI, and its nearest row r then has
+    d(poi, r) <= U(c) + d(c, poi): only the rows up to that bound, plus
+    the rounding margin below, can hold it. Every cell is still summed
+    in schema order by _gower_sums, and the minimum over a set that holds
+    the nearest row is the exhaustive minimum, so min_mean_dist equals
+    _min_mean_gower bit for bit.
+    """
 
     def __init__(self, genome, rows):
         if len(rows) == 0:
@@ -300,23 +325,65 @@ class TrainGowerScan:
         self.p = len(genome.tables)
         self.n = len(rows)
         R = genome.encode(rows)
-        self.columns = [
-            (i, np.ascontiguousarray(R[:, i]), span)
-            for i, span in enumerate(genome.spans)
-            if span != 0
-        ]
+        self.cols = np.array([i for i, span in enumerate(genome.spans) if span != 0], np.intp)
+        self.spans = np.array(
+            [1.0 if genome.spans[i] is None else genome.spans[i] for i in self.cols]
+        )
+        self.poi_ref = genome.poi[self.cols, None]
+        pivot = self.to_poi(R)
+        order = np.argsort(pivot, kind="stable")
+        self.pivot = pivot[order]
+        self.ref = np.ascontiguousarray(R[order][:, self.cols].T)
+        self.m = min(self.n, max(8, math.isqrt(self.n - 1) + 1))
+        # Rounding margin of the bound. A computed term is within 2u + u^2
+        # (u the unit roundoff, eps / 2) of its exact value: the
+        # subtraction and the division each round once, and min(., 1) and
+        # a mismatch add no error. A computed sum of q terms, each at most
+        # 1, adds at most u * (2 + ... + q) < q(q + 1)u / 2 of summation
+        # error, so it is within e = (q^2 + 5q)eps / 4 + q u^2 of the
+        # exact sum. The test d(poi, r) <= U(c) + d(c, poi) compares three
+        # computed sums (3e) through two rounded additions of values below
+        # 2q + 1 (under (2q + 1)eps), which a margin of 3(q^2 + 2q)eps
+        # covers with room to spare.
+        q = len(self.cols)
+        self.margin = 3 * (q * q + 2 * q) * np.finfo(float).eps
 
-    def min_mean_dist(self, F):
-        return _min_mean_gower(self, F)
+    def to_poi(self, F):
+        """Gower sum of each row of F to the POI, p times its o2."""
+        return _gower_sums(F, self.cols, self.spans, self.poi_ref)[:, 0]
+
+    def min_mean_dist(self, F, to_poi=None):
+        """Mean Gower distance of each row of F to its nearest reference
+        row. to_poi, the rows' Gower sums to the POI, is computed when
+        absent.
+
+        Rows m..n-1 are scanned for a candidate only up to its bound and
+        only when its upper bound is above 0; candidates are grouped by
+        the power of two of their prefix length, so each group scans one
+        prefix no longer than twice its shortest member's.
+        """
+        if to_poi is None:
+            to_poi = self.to_poi(F)
+        best = _min_gower_sums(self, F, 0, self.m)
+        reach = np.searchsorted(self.pivot, best + to_poi + self.margin, "right")
+        todo = np.flatnonzero((reach > self.m) & (best > 0))
+        group = np.frexp(reach[todo])[1]
+        for g in np.unique(group):
+            rows = todo[group == g]
+            far = _min_gower_sums(self, F[rows], self.m, reach[rows].max())
+            best[rows] = np.minimum(best[rows], far)
+        best /= self.p
+        return best.tolist()
 
 
 class EvalContext:
     """Fixed inputs of one optimization run plus a result cache.
 
-    genome is the one code table of the search's rows, both Gower scans
-    and the cache. Evaluation is pure, so vectors are cached by each coded
+    genome is the one code table of the search's rows, the Gower scan and
+    the cache. Evaluation is pure, so vectors are cached by each coded
     row's key (row_keys); the cache may be shared by runs with the same
-    point of interest, model, and resilience setting.
+    point of interest, model, and resilience setting. A point of interest
+    with a non-finite numeric value is a ConfigError.
     """
 
     def __init__(self, x_pt, model, train, stats, resilience=False):
@@ -327,12 +394,19 @@ class EvalContext:
         self.schema = train.schema
         self.resilience = resilience
         self.genome = Genome(self.x_pt, self.schema, stats)
+        bad = np.flatnonzero(~np.isfinite(self.genome.poi))
+        if len(bad):
+            i = bad[0]
+            raise ConfigError(
+                "point of interest value %r of feature %r is not finite"
+                % (self.x_pt[i], self.schema[i].name)
+            )
         self.scan = TrainGowerScan(self.genome, [inst.values for inst in train])
-        self.poi_scan = TrainGowerScan(self.genome, [self.x_pt])
         self.cache = {}
 
     def gower_to_poi(self, F):
-        return _min_mean_gower(self.poi_scan, F)
+        """Gower sum of each row of F to the POI, p times its o2."""
+        return self.scan.to_poi(F)
 
 
 def row_keys(X):
@@ -349,9 +423,10 @@ def evaluate_population(X, ctx):
 
     Distinct uncached rows are evaluated together: one predict_coded batch
     on the coded rows, o1 as one array expression over its probabilities,
-    one Gower kernel call each to the POI and to the training set, o3 as
-    one comparison with the POI's row, and, under resilience, one
-    predict_coded batch for the walks of every valid candidate.
+    one Gower pass to the POI, whose sums are p times o2 and bound the
+    pruned scan to the training set (TrainGowerScan), o3 as one
+    comparison with the POI's row, and, under resilience, one predict_coded
+    batch for the walks of every valid candidate.
     """
     keys = row_keys(X)
     # each distinct uncached key in first-occurrence order, with a row of it
@@ -369,9 +444,10 @@ def evaluate_population(X, ctx):
             _, mean = _walk_reports(F[valid], ctx.genome, ctx.model, ctx.schema, ctx.stats)
             o1[valid] = 0.0 - mean
         to_poi = ctx.gower_to_poi(F)
-        to_train = ctx.scan.min_mean_dist(F)
+        to_train = ctx.scan.min_mean_dist(F, to_poi)
+        o2 = (to_poi / ctx.scan.p).tolist()
         changed = np.count_nonzero(F != ctx.genome.poi, axis=1).tolist()
-        ctx.cache.update(zip(fresh, map(ObjectiveVector, o1.tolist(), to_poi, changed, to_train)))
+        ctx.cache.update(zip(fresh, map(ObjectiveVector, o1.tolist(), o2, changed, to_train)))
     return [ctx.cache[key] for key in keys]
 
 

@@ -1,9 +1,10 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexcf.data import (
@@ -176,6 +177,126 @@ def test_scan_skips_degenerate_span(rng):
     genome = Genome(probe, MIXED_SCHEMA, stats)
     got = TrainGowerScan(genome, rows).min_mean_dist(genome.encode([probe]))[0]
     assert got == _plausibility_oracle(probe, train, MIXED_SCHEMA, stats)
+
+
+_SCAN_KINDS = {
+    # (kind, actionable, categories, stats bounds): numerics of span 8, a
+    # zero-span numeric and a categorical column whose training split
+    # holds a, b and c
+    "num": (CONTINUOUS, True, (), (0.0, 8.0)),
+    "fixed": (INTEGER, False, (), (0.0, 8.0)),
+    "flat": (CONTINUOUS, True, (), (3.0, 3.0)),
+    "cat": (CATEGORICAL, True, tuple("abcde"), ("a", "b", "c")),
+}
+
+
+def _scan_value(rng, kind, grid, wide):
+    """One cell: on the grid, numerics are whole numbers, so every Gower
+    sum is exact and equal sums tie; wide cells leave the training range
+    (numerics) or hold categories training never saw."""
+    if kind == "cat":
+        return str(rng.choice(list("abcde" if wide else "abc")))
+    if kind == "flat":
+        return float(rng.integers(1, 6)) if wide else 3.0
+    lo, hi = (-4, 12) if wide else (0, 8)
+    return float(rng.integers(lo, hi + 1)) if grid else float(rng.uniform(lo, hi))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from(sorted(_SCAN_KINDS)), min_size=1, max_size=5),
+    n=st.integers(1, 150),
+    duplicates=st.integers(0, 20),
+    size=st.integers(1, 40),
+    grid=st.booleans(),
+    chunk_cells=st.sampled_from([None, 1, 50]),
+)
+@example(seed=0, kinds=["flat", "flat"], n=40, duplicates=0, size=5, grid=True, chunk_cells=None)
+@example(seed=1, kinds=["num", "cat"], n=6, duplicates=2, size=9, grid=True, chunk_cells=1)
+def test_pruned_scan_equals_exhaustive_scan(seed, kinds, n, duplicates, size, grid, chunk_cells):
+    rng = np.random.default_rng(seed)
+    schema = tuple(
+        FeatureSchema("%s%d" % (k, j), *_SCAN_KINDS[k][:3]) for j, k in enumerate(kinds)
+    )
+    stats = make_stats([_SCAN_KINDS[k][3] for k in kinds])
+    rows = [tuple(_scan_value(rng, k, grid, False) for k in kinds) for _ in range(n)]
+    rows += [rows[i] for i in rng.integers(0, n, duplicates)]
+    x_pt = tuple(_scan_value(rng, k, grid, rng.random() < 0.3) for k in kinds)
+    # candidates move a few cells of the POI to a training row's or a new value
+    batch = []
+    for _ in range(size):
+        row = rows[rng.integers(len(rows))]
+        cand = []
+        for j, k in enumerate(kinds):
+            pick = rng.random()
+            cand.append(
+                x_pt[j] if pick < 0.4 else row[j] if pick < 0.8
+                else _scan_value(rng, k, grid, True)
+            )
+        batch.append(tuple(cand))
+    train = make_dataset(schema, rows)
+    genome = Genome(x_pt, schema, stats)
+    scan = TrainGowerScan(genome, rows)
+    F = genome.encode(batch)
+    with mock.patch.object(objectives, "_CHUNK_CELLS", chunk_cells or objectives._CHUNK_CELLS):
+        got = scan.min_mean_dist(F)
+        assert scan.min_mean_dist(F, scan.to_poi(F)) == got
+        assert got == objectives._min_mean_gower(scan, F)
+    assert got == [_plausibility_oracle(cand, train, schema, stats) for cand in batch]
+    # the pivot sums are p times o2
+    assert (scan.to_poi(F) / len(schema)).tolist() == [
+        obj_distance(cand, x_pt, schema, stats) for cand in batch
+    ]
+
+
+def test_pruned_scan_skips_rows_beyond_the_bound(rng, monkeypatch):
+    train = _random_mixed_dataset(rng, 400)
+    x_pt = train.instances[0].values
+    genome = Genome(x_pt, MIXED_SCHEMA, MIXED_STATS)
+    scan = TrainGowerScan(genome, [inst.values for inst in train])
+    batch = [(x_pt[0] + rng.uniform(-0.5, 0.5), x_pt[1], x_pt[2]) for _ in range(30)]
+    F = genome.encode(batch)
+    cells = []
+    kernel = objectives._gower_sums
+
+    def counting(F, cols, spans, ref):
+        cells.append(len(F) * ref.shape[1])
+        return kernel(F, cols, spans, ref)
+
+    monkeypatch.setattr(objectives, "_gower_sums", counting)
+    got = scan.min_mean_dist(F)
+    # near the POI, a candidate's bound leaves out most training rows
+    assert sum(cells) < 0.25 * len(batch) * scan.n
+    assert got == [_plausibility_oracle(cand, train, MIXED_SCHEMA, MIXED_STATS) for cand in batch]
+
+
+def test_pruned_scan_margin_keeps_a_row_rounding_pushes_past_the_bound():
+    # c lies between the POI and r, so d(poi, r) = d(c, r) + d(c, poi)
+    # exactly, but the computed d(poi, r) rounds above the computed sum;
+    # the row near the POI bounds c's distance just above d(c, r)
+    schema = numeric_schema(1)
+    stats = make_stats([(0.0, 3.0)])
+    poi, c, r = 0.0010369144513182249, 0.22038200467042368, 0.4141416159830818
+    near = 0.02662239335776553
+    rows = [(poi - (r - poi) / 2,)] * 8 + [(near,), (r,)]
+    genome = Genome((poi,), schema, stats)
+    scan = TrainGowerScan(genome, rows)
+    F = genome.encode([(c,)])
+    expected = [gower_dist(schema, stats, c, r, 0)]
+    assert scan.min_mean_dist(F) == objectives._min_mean_gower(scan, F) == expected
+    scan.margin = 0.0
+    assert scan.min_mean_dist(F) != expected
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_eval_context_refuses_non_finite_poi(rng, value):
+    train = _random_mixed_dataset(rng, 10)
+    model = ConstantModel(MIXED_SCHEMA, 0.8)
+    for x_pt in ((value, 1.0, "a"), (1.0, value, "a")):
+        with pytest.raises(ConfigError, match="not finite") as info:
+            EvalContext(x_pt, model, train, MIXED_STATS)
+        assert "\n" not in str(info.value)
 
 
 def test_obj_validity_values():
