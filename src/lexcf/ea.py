@@ -13,7 +13,19 @@ indices, with which the loop indexes X and the survival pool. Rows stay
 coded until the run returns: the lexicographic final pick is made among
 the coded rows, and the final population is decoded once into the
 result's Candidates, whose objective vectors are V's rows. A debug run
-also decodes each generation for its genealogy and check_candidate.
+also decodes each generation for its genealogy, and checks its rows
+with violating_rows, passing the rows it flags to check_candidate.
+
+A run is a generator (_search) that yields each batch of rows it needs
+scored, the initial population and then each generation's offspring,
+and is sent their objective vectors. One loop (_lockstep) advances
+runs in lockstep: run_ea drives one run, and run_paired drives par,
+lex1 and lex2 together, scoring the three batches of each generation
+with one evaluate_population call and handing each run its slice. Each
+run keeps its own generator and draw order, and a row's objectives do
+not depend on its batch (its forest votes, logistic score and Gower
+sums come out the same bits in any batch, and the context's cache holds
+pure values), so a lockstep run returns exactly what it returns alone.
 
 Random draws, all from the run's one generator, with n the population
 size and A the number of actionable features:
@@ -251,9 +263,32 @@ def _dedup_pad(rows, size):
     return np.concatenate((distinct, repeated[: max(0, size - distinct.size)]))
 
 
-def run_ea(ctx, cfg):
-    """One full evolutionary run of exactly cfg.max_generations
-    generations."""
+def violating_rows(X, genome, schema, stats):
+    """check_candidate over coded rows as array operations: a boolean mask
+    of the rows of X, in genome's codes, that check_candidate refuses once
+    decoded. A cell that differs from the point of interest's passes when
+    its feature is actionable and the cell lies in the feature's limits:
+    the training bounds for a numeric feature, integral for an integer
+    one, and a training category's code (below the count of training
+    categories) for a categorical one."""
+    lo, hi = np.full(len(schema), np.inf), np.full(len(schema), -np.inf)
+    whole = np.zeros(len(schema), dtype=bool)
+    for i, (feat, st) in enumerate(zip(schema, stats)):
+        if not feat.actionable:
+            continue
+        if feat.kind == CATEGORICAL:
+            lo[i], hi[i] = 0, len(st.categories) - 1
+        else:
+            lo[i], hi[i], whole[i] = st.lower, st.upper, feat.kind == INTEGER
+    inside = (lo <= X) & (X <= hi) & (~whole | (X == np.floor(X)))
+    return ((X != genome.poi) & ~inside).any(axis=1)
+
+
+def _search(ctx, cfg):
+    """One run as a generator of its evaluation batches: it yields each
+    batch of coded rows, the initial population and then each
+    generation's offspring, is sent their objective vectors, and returns
+    the EAResult after cfg.max_generations generations."""
     if bool(cfg.resilience) != bool(ctx.resilience):
         raise ConfigError("config and evaluation context disagree on resilience")
     rng = np.random.default_rng(cfg.seed)
@@ -264,14 +299,17 @@ def run_ea(ctx, cfg):
     genealogy = [] if cfg.debug else None
 
     def audit(rows, vectors, generation):
-        """A debug run keeps every candidate and checks its constraints."""
-        for values, vector in zip(genome.decode(rows), vectors):
-            genealogy.append(Candidate(values, vector, generation))
-            check_candidate(values, ctx.x_pt, ctx.schema, ctx.stats)
+        """A debug run keeps every candidate and checks its constraints:
+        the rows the array check flags go to check_candidate, which
+        raises with its message."""
+        values = genome.decode(rows)
+        genealogy.extend(Candidate(v, vector, generation) for v, vector in zip(values, vectors))
+        for r in np.flatnonzero(violating_rows(rows, genome, ctx.schema, ctx.stats)):
+            check_candidate(values[r], ctx.x_pt, ctx.schema, ctx.stats)
 
     # the population: coded rows X, objective array V, birth generations
     X = init_population(genome, cfg, rng)
-    vectors = evaluate_population(X, ctx)
+    vectors = yield X
     V, born = np.array(vectors, dtype=float), np.zeros(n, dtype=np.int64)
     if cfg.debug:
         audit(X, vectors, 0)
@@ -292,7 +330,7 @@ def run_ea(ctx, cfg):
         else:
             parents = lex_tournament_select(params, X, rng, V=V)
         offspring = mutate(crossover(parents, genome, cfg, rng), genome, cfg, rng)
-        vectors = evaluate_population(offspring, ctx)
+        vectors = yield offspring
         if cfg.debug:
             audit(offspring, vectors, gen)
 
@@ -323,16 +361,47 @@ def run_ea(ctx, cfg):
     )
 
 
+def _lockstep(ctx, cfgs):
+    """Run one search per config on ctx in lockstep, and return their
+    EAResults in order. Each round concatenates the batches the unfinished
+    runs propose, scores them with one evaluate_population call and sends
+    each run its slice of the vectors."""
+    runs = [_search(ctx, cfg) for cfg in cfgs]
+    pending = {i: next(run) for i, run in enumerate(runs)}  # run -> proposed rows
+    results = [None] * len(runs)
+    while pending:
+        vectors = evaluate_population(np.concatenate(list(pending.values())), ctx)
+        start = 0
+        for i, rows in list(pending.items()):
+            part, start = vectors[start : start + len(rows)], start + len(rows)
+            try:
+                pending[i] = runs[i].send(part)
+            except StopIteration as done:
+                results[i] = done.value
+                del pending[i]
+    return results
+
+
+def run_ea(ctx, cfg):
+    """One full evolutionary run of exactly cfg.max_generations
+    generations."""
+    return _lockstep(ctx, [cfg])[0]
+
+
 def _child_seed(seed, index):
     return int(np.random.SeedSequence([int(seed), index]).generate_state(1)[0])
 
 
 def run_paired(ctx, base_cfg):
-    """Run all three strategies on one point of interest, in STRATEGIES
-    order, each with its own child seed. Every run executes
-    base_cfg.max_generations generations, so all three spend the same
-    computational budget."""
-    return tuple(
-        run_ea(ctx, replace(base_cfg, strategy=strategy, seed=_child_seed(base_cfg.seed, i)))
+    """Run all three strategies on one point of interest, each with its own
+    child seed and generator. The runs advance in lockstep: each
+    generation their three batches of rows, and at the start their
+    initial populations, are scored by one evaluate_population call. A
+    row's objectives do not depend on its batch, so each run returns what
+    it would return alone. Every run executes base_cfg.max_generations
+    generations, so all three spend the same computational budget."""
+    cfgs = [
+        replace(base_cfg, strategy=strategy, seed=_child_seed(base_cfg.seed, i))
         for i, strategy in enumerate(STRATEGIES)
-    )
+    ]
+    return tuple(_lockstep(ctx, cfgs))

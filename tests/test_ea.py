@@ -1,10 +1,23 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexcf.data import CATEGORICAL, CONTINUOUS, INTEGER, FeatureSchema, FeatureStats
+import lexcf.ea
+from lexcf.data import (
+    CATEGORICAL,
+    CONTINUOUS,
+    INTEGER,
+    FeatureSchema,
+    FeatureStats,
+    compute_feature_stats,
+    generate_synthetic,
+    split_dataset,
+)
 from lexcf.errors import ConfigError, InvariantViolation
+from lexcf.model import LearnerConfig, train_model
 from lexcf.objectives import EvalContext, Genome, ObjectiveVector, evaluate
 from lexcf.ea import (
     EAConfig,
@@ -19,11 +32,12 @@ from lexcf.ea import (
     mutate,
     run_ea,
     run_paired,
+    violating_rows,
 )
 from lexcf.ea import _child_seed, _dedup_pad
 from lexcf.selection import nondominated_sort, pareto_dominates
 
-from conftest import ThresholdModel, make_dataset, make_stats, numeric_schema
+from conftest import CountingModel, ThresholdModel, make_dataset, make_stats, numeric_schema
 
 SCHEMA = (
     FeatureSchema("x", CONTINUOUS),
@@ -381,6 +395,43 @@ def test_offspring_pass_check_candidate(problem, probs, seed):
             check_candidate(values, poi, schema, stats)
 
 
+def _raises(values, poi, schema, stats):
+    try:
+        check_candidate(values, poi, schema, stats)
+    except InvariantViolation:
+        return True
+    return False
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=_mixed_problem(), seed=st.integers(0, 2**16))
+def test_violating_rows_flags_what_check_candidate_refuses(problem, seed):
+    # offspring with some cells replaced by the POI's value, a value on or
+    # off the bounds, a non-integral one, NaN, or any code of the feature's
+    # table, including the POI's unseen category and one encoded later
+    schema, stats, poi, size = problem
+    genome = Genome(poi, schema, stats)
+    genome.encode([tuple("c" if f.kind == CATEGORICAL else x for f, x in zip(schema, poi))])
+    rng = np.random.default_rng(seed)
+    cfg = EAConfig(population_size=size, mutation_prob=0.5)
+    try:
+        rows = init_population(genome, cfg, rng)
+    except ConfigError:
+        rows = np.tile(genome.poi, (size, 1))
+    rows = mutate(crossover(rows, genome, cfg, rng), genome, cfg, rng)
+    for i, (feat, st_i) in enumerate(zip(schema, stats)):
+        if feat.kind == CATEGORICAL:
+            choices = np.arange(len(genome.tables[i]), dtype=float)
+        else:
+            lo, hi = st_i.lower, st_i.upper
+            choices = np.array([genome.poi[i], lo, hi, lo - 1, hi + 1, (lo + hi) / 2,
+                                lo + 0.5, -0.0, np.nan])
+        hit = rng.random(size) < 0.3
+        rows[hit, i] = rng.choice(choices, size=int(hit.sum()))
+    flags = violating_rows(rows, genome, schema, stats)
+    assert flags.tolist() == [_raises(v, poi, schema, stats) for v in genome.decode(rows)]
+
+
 def test_check_candidate_contract():
     check_candidate(X_PT, X_PT, SCHEMA, STATS)
     with pytest.raises(InvariantViolation):
@@ -541,6 +592,66 @@ def test_run_paired_strategies_use_distinct_seeds(rng):
     assert par.solutions == par2.solutions
     assert lex1.solutions == lex1_2.solutions
     assert lex2.solutions == lex2_2.solutions
+
+
+@pytest.fixture(scope="module")
+def trained():
+    """A mixed-kind training split and its stats, a logistic model and a
+    forest, and two points of interest from the test split."""
+    train, test = split_dataset(generate_synthetic(150, 11, 3, 2, 2), test_cap=0.2, seed=4)
+    models = {
+        "logistic": train_model(train, LearnerConfig("logistic")),
+        "forest": train_model(
+            train, LearnerConfig("random_forest", {"ntree": 12, "mtry": 2, "max_depth": 6}, 2)
+        ),
+    }
+    pois = [inst.values for inst in test.instances[:2]]
+    return train, compute_feature_stats(train), models, pois
+
+
+@pytest.mark.parametrize("size", [2, 3, 5, 20])
+@pytest.mark.parametrize("resilience", [False, True])
+@pytest.mark.parametrize("learner", ["logistic", "forest"])
+def test_run_paired_equals_three_runs_alone(trained, monkeypatch, learner, resilience, size):
+    # the lockstep runs share one context and one evaluation batch per
+    # generation; each returns what it returns alone on a fresh context
+    train, stats, models, pois = trained
+    calls = []
+    evaluate_population = lexcf.ea.evaluate_population
+
+    def counted(X, ctx):
+        calls.append(len(X))
+        return evaluate_population(X, ctx)
+
+    cfg = EAConfig(population_size=size, max_generations=5, k=min(3, size),
+                   resilience=resilience, seed=size, debug=True)
+    for poi in pois:
+        def fresh():
+            return EvalContext(poi, models[learner], train, stats, resilience=resilience)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lexcf.ea, "evaluate_population", counted)
+            paired = run_paired(fresh(), cfg)
+        # one call per generation, plus one for the initial populations
+        assert len(calls) == cfg.max_generations + 1 and set(calls) == {3 * size}
+        calls.clear()
+        for i, (strategy, got) in enumerate(zip(STRATEGIES, paired)):
+            alone = run_ea(fresh(), replace(cfg, strategy=strategy, seed=_child_seed(cfg.seed, i)))
+            assert got.solutions == alone.solutions
+            assert got.population == alone.population
+            assert got.trace == alone.trace
+            assert got.genealogy == alone.genealogy and len(got.genealogy) == size * 6
+            assert got == alone
+
+
+def test_run_paired_rejects_resilience_mismatch_before_any_model_call(rng, monkeypatch):
+    ctx = _context(rng, resilience=False)
+    ctx.model = CountingModel(ctx.model)
+    calls = []
+    monkeypatch.setattr(lexcf.ea, "evaluate_population", lambda X, ctx: calls.append(X))
+    with pytest.raises(ConfigError, match="resilience"):
+        run_paired(ctx, EAConfig(resilience=True))
+    assert calls == [] and ctx.model.calls == 0
 
 
 def test_strategy_constants():
