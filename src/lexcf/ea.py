@@ -7,25 +7,28 @@ survival, and what the run returns.
 
 A run holds each generation as one float matrix X, a row per candidate
 in the evaluation context's Genome codes, next to its (n x 4) objective
-array V; evaluate_population scores the coded rows themselves, and models
-read them through Model.predict_coded. Selection reads V and returns
-indices, with which the loop indexes X and the survival pool. Rows stay
-coded until the run returns: the lexicographic final pick is made among
+array V; evaluate_population scores the coded rows themselves and
+returns their objectives as such an array, and models read the rows
+through Model.predict_coded. Selection reads V and returns indices, with
+which the loop indexes X and the survival pool. Rows and objectives stay
+arrays until the run returns: the lexicographic final pick is made among
 the coded rows, and the final population is decoded once into the
-result's Candidates, whose objective vectors are V's rows. A debug run
+result's Candidates, whose ObjectiveVectors are V's rows. A debug run
 also decodes each generation for its genealogy, and checks its rows
-with violating_rows, passing the rows it flags to check_candidate.
+with violating_rows, passing the rows it flags to check_candidate. A run
+keeps no per-generation trace.
 
 A run is a generator (_search) that yields each batch of rows it needs
 scored, the initial population and then each generation's offspring,
-and is sent their objective vectors. One loop (_lockstep) advances
+and is sent their objective array. One loop (_lockstep) advances
 runs in lockstep: run_ea drives one run, and run_paired drives par,
 lex1 and lex2 together, scoring the three batches of each generation
-with one evaluate_population call and handing each run its slice. Each
-run keeps its own generator and draw order, and a row's objectives do
-not depend on its batch (its forest votes, logistic score and Gower
-sums come out the same bits in any batch, and the context's cache holds
-pure values), so a lockstep run returns exactly what it returns alone.
+with one evaluate_population call and handing each run its rows of the
+objective array. Each run keeps its own generator and draw order, and a
+row's objectives do not depend on its batch (its forest votes, logistic
+score and Gower sums come out the same bits in any batch, and the
+context's cache holds pure values), so a lockstep run returns exactly
+what it returns alone.
 
 Random draws, all from the run's one generator, with n the population
 size and A the number of actionable features:
@@ -55,20 +58,18 @@ generation depends only on the configuration and the schema.
 """
 
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
 from .data import CATEGORICAL, INTEGER, check_fields
 from .errors import ConfigError, InvariantViolation
-from .objectives import ObjectiveVector, evaluate_population
+from .objectives import evaluate_population, objective_vectors
 from .selection import (
     DISTANCE_BEFORE_SPARSITY,
     SPARSITY_BEFORE_DISTANCE,
     LexParams,
     crowded_tournament_select,
     final_select_lex,
-    first_front_size,
     first_occurrences,
     lex_survival_select,
     lex_tournament_select,
@@ -131,27 +132,14 @@ class EAConfig:
             raise ConfigError("need finite theta >= 0, 1 <= k <= population_size")
 
 
-class GenerationTrace(NamedTuple):
-    """One generation of a run: the best validity (o1) in the population,
-    its mean distance (o2), and front_size, the number of members that no
-    other member Pareto-dominates. Computing it draws no random numbers."""
-
-    generation: int
-    best_o1: float
-    mean_o2: float
-    front_size: int
-
-
 @dataclass(frozen=True)
 class EAResult:
-    """Returned solutions, executed generation count, final population, and
-    the per-generation trace. The genealogy holds every candidate ever
-    created (debug runs only)."""
+    """Returned solutions, executed generation count, and final population.
+    The genealogy holds every candidate ever created (debug runs only)."""
 
     solutions: tuple
     generations_executed: int
     population: tuple
-    trace: tuple
     genealogy: tuple | None = field(default=None)
 
 
@@ -287,8 +275,8 @@ def violating_rows(X, genome, schema, stats):
 def _search(ctx, cfg):
     """One run as a generator of its evaluation batches: it yields each
     batch of coded rows, the initial population and then each
-    generation's offspring, is sent their objective vectors, and returns
-    the EAResult after cfg.max_generations generations."""
+    generation's offspring, is sent their (rows x 4) objective array, and
+    returns the EAResult after cfg.max_generations generations."""
     if bool(cfg.resilience) != bool(ctx.resilience):
         raise ConfigError("config and evaluation context disagree on resilience")
     rng = np.random.default_rng(cfg.seed)
@@ -298,44 +286,37 @@ def _search(ctx, cfg):
     genome = ctx.genome
     genealogy = [] if cfg.debug else None
 
-    def audit(rows, vectors, generation):
+    def audit(rows, V, generation):
         """A debug run keeps every candidate and checks its constraints:
         the rows the array check flags go to check_candidate, which
         raises with its message."""
         values = genome.decode(rows)
-        genealogy.extend(Candidate(v, vector, generation) for v, vector in zip(values, vectors))
+        genealogy.extend(Candidate(v, o, generation) for v, o in zip(values, objective_vectors(V)))
         for r in np.flatnonzero(violating_rows(rows, genome, ctx.schema, ctx.stats)):
             check_candidate(values[r], ctx.x_pt, ctx.schema, ctx.stats)
 
     # the population: coded rows X, objective array V, birth generations
     X = init_population(genome, cfg, rng)
-    vectors = yield X
-    V, born = np.array(vectors, dtype=float), np.zeros(n, dtype=np.int64)
+    V = yield X
+    born = np.zeros(n, dtype=np.int64)
     if cfg.debug:
-        audit(X, vectors, 0)
+        audit(X, V, 0)
 
-    def snapshot(generation, fronts):
-        """The trace entry of the current population. Pareto runs pass the
-        fronts they sort anyway; lex runs count front 0 alone."""
-        size = len(fronts[0]) if fronts else first_front_size(V)
-        return GenerationTrace(generation, float(V[:, 0].min()), float(np.mean(V[:, 1])), size)
-
-    # Pareto fronts come from this sort, then from each survival; the trace
-    # entry, the next parent tournament and the returned front read them
+    # Pareto fronts come from this sort, then from each survival; the next
+    # parent tournament and the returned front read them
     fronts = nondominated_sort(V) if cfg.strategy == PARETO else None
-    trace = [snapshot(0, fronts)]
     for gen in range(1, cfg.max_generations + 1):
         if cfg.strategy == PARETO:
             parents = X[crowded_tournament_select(V, n, rng, fronts)]
         else:
             parents = lex_tournament_select(params, X, rng, V=V)
         offspring = mutate(crossover(parents, genome, cfg, rng), genome, cfg, rng)
-        vectors = yield offspring
+        offspring_V = yield offspring
         if cfg.debug:
-            audit(offspring, vectors, gen)
+            audit(offspring, offspring_V, gen)
 
         pool_X = np.concatenate((X, offspring))
-        pool_V = np.concatenate((V, np.array(vectors, dtype=float)))
+        pool_V = np.concatenate((V, offspring_V))
         pool = _dedup_pad(pool_X, n)
         if cfg.strategy == PARETO:
             kept, fronts = nsga2_select(pool_V[pool], n)
@@ -344,10 +325,8 @@ def _search(ctx, cfg):
         rows = pool[kept]
         X, V = pool_X[rows], pool_V[rows]
         born = np.concatenate((born, np.full(len(offspring), gen)))[rows]
-        trace.append(snapshot(gen, fronts))
 
-    vectors = [ObjectiveVector(o1, o2, int(o3), o4) for o1, o2, o3, o4 in V.tolist()]
-    population = tuple(map(Candidate, genome.decode(X), vectors, born.tolist()))
+    population = tuple(map(Candidate, genome.decode(X), objective_vectors(V), born.tolist()))
     if cfg.strategy == PARETO:
         solutions = tuple(population[i] for i in fronts[0])
     else:
@@ -356,7 +335,6 @@ def _search(ctx, cfg):
         solutions=solutions,
         generations_executed=cfg.max_generations,
         population=population,
-        trace=tuple(trace),
         genealogy=tuple(genealogy) if genealogy is not None else None,
     )
 
@@ -365,15 +343,15 @@ def _lockstep(ctx, cfgs):
     """Run one search per config on ctx in lockstep, and return their
     EAResults in order. Each round concatenates the batches the unfinished
     runs propose, scores them with one evaluate_population call and sends
-    each run its slice of the vectors."""
+    each run the rows of the objective array that belong to its batch."""
     runs = [_search(ctx, cfg) for cfg in cfgs]
     pending = {i: next(run) for i, run in enumerate(runs)}  # run -> proposed rows
     results = [None] * len(runs)
     while pending:
-        vectors = evaluate_population(np.concatenate(list(pending.values())), ctx)
+        V = evaluate_population(np.concatenate(list(pending.values())), ctx)
         start = 0
         for i, rows in list(pending.items()):
-            part, start = vectors[start : start + len(rows)], start + len(rows)
+            part, start = V[start : start + len(rows)], start + len(rows)
             try:
                 pending[i] = runs[i].send(part)
             except StopIteration as done:

@@ -380,10 +380,12 @@ class EvalContext:
     """Fixed inputs of one optimization run plus a result cache.
 
     genome is the one code table of the search's rows, the Gower scan and
-    the cache. Evaluation is pure, so vectors are cached by each coded
-    row's key (row_keys); the cache may be shared by runs with the same
-    point of interest, model, and resilience setting. A point of interest
-    with a non-finite numeric value is a ConfigError.
+    the cache. Evaluation is pure, so objectives are cached by each coded
+    row's key (row_keys): cache maps a key to its row of store, a float
+    array of four columns that doubles when it fills, one row per distinct
+    row evaluated. The cache may be shared by runs with the same point of
+    interest, model, and resilience setting. A point of interest with a
+    non-finite numeric value is a ConfigError.
     """
 
     def __init__(self, x_pt, model, train, stats, resilience=False):
@@ -403,6 +405,7 @@ class EvalContext:
             )
         self.scan = TrainGowerScan(self.genome, [inst.values for inst in train])
         self.cache = {}
+        self.store = np.empty((0, 4))
 
     def gower_to_poi(self, F):
         """Gower sum of each row of F to the POI, p times its o2."""
@@ -418,15 +421,17 @@ def row_keys(X):
 
 
 def evaluate_population(X, ctx):
-    """Objective vectors for a batch of candidates, the rows of X in
-    ctx.genome's codes.
+    """Objectives of a batch of candidates, the rows of X in ctx.genome's
+    codes: an (n x 4) float array, a row per candidate, whose sparsity
+    column holds whole numbers.
 
-    Distinct uncached rows are evaluated together: one predict_coded batch
-    on the coded rows, o1 as one array expression over its probabilities,
-    one Gower pass to the POI, whose sums are p times o2 and bound the
-    pruned scan to the training set (TrainGowerScan), o3 as one
-    comparison with the POI's row, and, under resilience, one predict_coded
-    batch for the walks of every valid candidate.
+    Distinct uncached rows are evaluated together and appended to
+    ctx.store: one predict_coded batch on the coded rows, o1 as one array
+    expression over its probabilities, one Gower pass to the POI, whose
+    sums are p times o2 and bound the pruned scan to the training set
+    (TrainGowerScan), o3 as one comparison with the POI's row, and, under
+    resilience, one predict_coded batch for the walks of every valid
+    candidate.
     """
     keys = row_keys(X)
     # each distinct uncached key in first-occurrence order, with a row of it
@@ -438,22 +443,35 @@ def evaluate_population(X, ctx):
         outside = ~((0.0 <= p) & (p <= 1.0))  # NaN too
         if outside.any():
             raise InvariantViolation("probability %r outside [0, 1]" % float(p[outside][0]))
-        o1 = np.where(p >= 0.5, 0.0, 0.5 - p)
+        start = len(ctx.cache)
+        stop = start + len(F)
+        if stop > len(ctx.store):
+            store = np.empty((max(stop, 2 * len(ctx.store)), 4))
+            store[:start] = ctx.store[:start]
+            ctx.store = store
+        V = ctx.store[start:stop]
+        V[:, 0] = np.where(p >= 0.5, 0.0, 0.5 - p)
         if ctx.resilience:
             valid = np.flatnonzero(p >= 0.5)
             _, mean = _walk_reports(F[valid], ctx.genome, ctx.model, ctx.schema, ctx.stats)
-            o1[valid] = 0.0 - mean
+            V[valid, 0] = 0.0 - mean
         to_poi = ctx.gower_to_poi(F)
-        to_train = ctx.scan.min_mean_dist(F, to_poi)
-        o2 = (to_poi / ctx.scan.p).tolist()
-        changed = np.count_nonzero(F != ctx.genome.poi, axis=1).tolist()
-        ctx.cache.update(zip(fresh, map(ObjectiveVector, o1.tolist(), o2, changed, to_train)))
-    return [ctx.cache[key] for key in keys]
+        V[:, 1] = to_poi / ctx.scan.p
+        V[:, 2] = np.count_nonzero(F != ctx.genome.poi, axis=1)
+        V[:, 3] = ctx.scan.min_mean_dist(F, to_poi)
+        ctx.cache.update(zip(fresh, range(start, stop)))
+    return ctx.store[[ctx.cache[key] for key in keys]]
+
+
+def objective_vectors(V):
+    """The rows of an objective array as ObjectiveVectors, o3 an int."""
+    return [ObjectiveVector(o1, o2, int(o3), o4) for o1, o2, o3, o4 in V.tolist()]
 
 
 def evaluate(candidate, ctx):
     """Objective vector of one candidate's values (see evaluate_population)."""
-    return evaluate_population(ctx.genome.encode([_values_of(candidate)]), ctx)[0]
+    X = ctx.genome.encode([_values_of(candidate)])
+    return objective_vectors(evaluate_population(X, ctx))[0]
 
 
 def evaluate_with_report(candidate, ctx):

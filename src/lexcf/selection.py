@@ -255,13 +255,6 @@ def nondominated_sort(V):
     return list(_peel(_dominance_matrix(np.asarray(V, dtype=float))))
 
 
-def first_front_size(V):
-    """How many rows of V no other row dominates: the size of front 0,
-    counted without peeling the later fronts."""
-    dom = _dominance_matrix(np.asarray(V, dtype=float))
-    return int(np.count_nonzero(~dom.any(axis=0)))
-
-
 def crowding_distance(V):
     """Diversity score of each row of V, a front's objective array, as an
     array; boundary rows are infinite, interior ones accumulate normalized

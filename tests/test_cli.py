@@ -154,7 +154,8 @@ def test_explain_prints_distinct_values_distinctly(tmp_path, capsys, monkeypatch
     )
     values = (poi[0] + 1e-9, poi[1], 1234567.0)
     cand = Candidate(values, ObjectiveVector(0.0, 0.1, 2, 0.1), 1)
-    monkeypatch.setattr(cli, "run_ea", lambda ctx, cfg: EAResult((cand,), 1, (cand,), ()))
+    result = EAResult(solutions=(cand,), generations_executed=1, population=(cand,))
+    monkeypatch.setattr(cli, "run_ea", lambda ctx, cfg: result)
     capsys.readouterr()
     assert main(["explain", "--model", model, "--data", data, "--poi", str(index)]) == 0
     out = capsys.readouterr().out

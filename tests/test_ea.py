@@ -21,7 +21,6 @@ from lexcf.model import LearnerConfig, train_model
 from lexcf.objectives import EvalContext, Genome, ObjectiveVector, evaluate
 from lexcf.ea import (
     EAConfig,
-    GenerationTrace,
     LEX_DISTANCE_FIRST,
     LEX_SPARSITY_FIRST,
     PARETO,
@@ -478,9 +477,7 @@ def test_run_ea_result_shape(rng):
     cfg = EAConfig(population_size=12, max_generations=8, seed=3)
     result = run_ea(ctx, cfg)
     assert result.generations_executed == 8
-    assert len(result.trace) == 9
     assert len(result.population) == 12
-    assert isinstance(result.trace[0], GenerationTrace)
     assert result.genealogy is None
     # lex strategies return exactly one solution drawn from the population
     assert len(result.solutions) == 1
@@ -513,20 +510,9 @@ def test_run_ea_deterministic_per_seed(rng):
     ra = run_ea(ctx_a, cfg)
     rb = run_ea(ctx_b, cfg)
     assert ra.solutions == rb.solutions
-    assert ra.trace == rb.trace
+    assert ra.population == rb.population
     rc = run_ea(ctx_a, EAConfig(population_size=10, max_generations=6, seed=10))
-    assert rc.trace != ra.trace
-
-
-def test_run_ea_trace_reflects_population(rng):
-    ctx = _context(rng)
-    result = run_ea(ctx, EAConfig(population_size=10, max_generations=5, seed=1))
-    last = result.trace[-1]
-    assert last.best_o1 == min(c.objectives[0] for c in result.population)
-    assert last.mean_o2 == pytest.approx(
-        np.mean([c.objectives[1] for c in result.population])
-    )
-    assert last.front_size == len(nondominated_sort([c.objectives for c in result.population])[0])
+    assert rc.population != ra.population
 
 
 def test_run_ea_debug_genealogy(rng):
@@ -556,7 +542,7 @@ def test_run_ea_small_and_odd_populations(rng, strategy, size):
     cfg = EAConfig(population_size=size, max_generations=6, strategy=strategy, k=2, seed=size,
                    debug=True)
     result = run_ea(ctx, cfg)
-    assert len(result.population) == size and len(result.trace) == 7
+    assert len(result.population) == size
     # the initial population, then one offspring per parent each generation
     assert len(result.genealogy) == size * 7
     # every vector a run hands back, rebuilt from its objective array or
@@ -639,7 +625,6 @@ def test_run_paired_equals_three_runs_alone(trained, monkeypatch, learner, resil
             alone = run_ea(fresh(), replace(cfg, strategy=strategy, seed=_child_seed(cfg.seed, i)))
             assert got.solutions == alone.solutions
             assert got.population == alone.population
-            assert got.trace == alone.trace
             assert got.genealogy == alone.genealogy and len(got.genealogy) == size * 6
             assert got == alone
 

@@ -35,6 +35,7 @@ from lexcf.objectives import (
     evaluate,
     evaluate_population,
     evaluate_with_report,
+    objective_vectors,
     gower_dist,
     obj_distance,
     obj_plausibility,
@@ -588,7 +589,7 @@ def test_forest_vectors_do_not_depend_on_the_batch():
     forest = train_random_forest(train, LearnerConfig("random_forest", {"ntree": 15}, seed=3))
     batch = EvalContext(ENCODED_POI, forest, train, stats, resilience=True)
     single = EvalContext(ENCODED_POI, forest, train, stats, resilience=True)
-    vectors = evaluate_population(batch.genome.encode(keys), batch)
+    vectors = objective_vectors(evaluate_population(batch.genome.encode(keys), batch))
     assert vectors == [evaluate(key, single) for key in keys]
     assert any(v.o1 < 0 for v in vectors) and any(v.o1 > 0 for v in vectors)
 
@@ -687,7 +688,7 @@ def test_evaluate_population_caches_and_dedups(rng):
     counter = CountingModel(ctx.model)
     ctx.model = counter
     cand = (6.0, 1.0, "b")
-    out = evaluate_population(ctx.genome.encode([cand] * 5), ctx)
+    out = objective_vectors(evaluate_population(ctx.genome.encode([cand] * 5), ctx))
     assert counter.calls == 1 and counter.rows == 1
     assert len(set(out)) == 1
     evaluate(cand, ctx)
@@ -697,10 +698,45 @@ def test_evaluate_population_caches_and_dedups(rng):
 def test_evaluate_population_order_matches_input(rng):
     ctx, _ = _context(rng)
     cands = [(6.0, 1.0, "b"), (2.0, 1.0, "a"), (6.0, 1.0, "b")]
-    out = evaluate_population(ctx.genome.encode(cands), ctx)
+    out = objective_vectors(evaluate_population(ctx.genome.encode(cands), ctx))
     assert out[0] == out[2]
     assert out[0] == evaluate(cands[0], ctx)
     assert out[1] == evaluate(cands[1], ctx)
+
+
+def test_evaluate_population_store_growth_is_exact(rng):
+    # many small batches on one context, its store doubling as it fills,
+    # give the bits of one batch on another
+    train = _random_mixed_dataset(rng, 30)
+    model = FixedLinearModel(MIXED_SCHEMA, {"x": 1.0, "n": 1.0}, intercept=-4.0)
+    small, whole = (
+        EvalContext((1.0, 1.0, "a"), model, train, MIXED_STATS, resilience=True) for _ in "ab"
+    )
+    X = np.column_stack(
+        (2.5 * rng.integers(0, 4, 70), rng.integers(0, 3, 70), rng.integers(0, 3, 70))
+    ).astype(float)
+    X[2] = X[1]  # a repeat within the batch of rows 1..3
+    X[3] = X[0]  # a row the first batch cached
+    X[4], X[5] = (0.0, 2.0, 1.0), (-0.0, 2.0, 1.0)  # one key, in the batch of rows 4..5
+    X[69] = (-0.0, 2.0, 1.0)
+    parts, start, sizes = [], 0, []
+    for size in itertools.cycle((1, 3, 2, 4)):
+        parts.append(evaluate_population(X[start : start + size], small))
+        sizes.append(len(small.store))
+        start += size
+        if start >= len(X):
+            break
+    out = evaluate_population(X, whole)
+    assert np.concatenate(parts).tobytes() == out.tobytes()
+    assert out[4].tobytes() == out[5].tobytes() == out[69].tobytes()
+    distinct = len(set(map(tuple, X.tolist())))
+    assert len(small.cache) == len(whole.cache) == distinct < len(X)
+    assert len(set(sizes)) >= 4 and sizes == sorted(sizes) and sizes[-1] >= distinct
+    assert out.shape == (len(X), 4) and np.array_equal(out[:, 2], np.floor(out[:, 2]))
+    assert {o1 <= 0 for o1 in out[:, 0]} == {True, False}
+    vectors = objective_vectors(out)
+    assert all(type(v.o3) is int for v in vectors)
+    assert vectors == [evaluate(values, whole) for values in whole.genome.decode(X)]
 
 
 def test_evaluate_with_report_valid_and_invalid(rng):
@@ -762,7 +798,7 @@ def test_evaluate_population_batch_equals_scalar_oracles(rng, monkeypatch, chunk
     batch += [tuple(r) for r in rows[:8]]
     for resilience in (False, True):
         ctx = EvalContext(x_pt, model, train, stats, resilience=resilience)
-        out = evaluate_population(ctx.genome.encode(batch), ctx)
+        out = objective_vectors(evaluate_population(ctx.genome.encode(batch), ctx))
         assert len(out) == len(batch)
         for cand, vec in zip(batch, out):
             p_hat = model.predict_proba(cand)
@@ -812,7 +848,7 @@ def test_unseen_categories_match_scalar_oracles(rng, monkeypatch, two_rows_a_chu
     ]
     ctx = EvalContext(x_pt, model, train, stats)
     assert ctx.gower_to_poi(ctx.genome.encode([x_pt])) == [0.0]
-    out = evaluate_population(ctx.genome.encode(batch), ctx)
+    out = objective_vectors(evaluate_population(ctx.genome.encode(batch), ctx))
     for cand, vec in zip(batch, out):
         assert vec.o2 == obj_distance(cand, x_pt, schema, stats)
         assert vec.o2 == sum(gower_dist(schema, stats, cand[i], x_pt[i], i) for i in range(3)) / 3
@@ -858,7 +894,7 @@ def test_coded_offspring_match_scalar_oracles(seed, size, probs, poi_k, resilien
     X = init_population(ctx.genome, cfg, rng)
     for _ in range(3):
         X = mutate(crossover(X, ctx.genome, cfg, rng), ctx.genome, cfg, rng)
-        out = evaluate_population(X, ctx)
+        out = objective_vectors(evaluate_population(X, ctx))
         for values, vec in zip(ctx.genome.decode(X), out):
             p_hat = model.predict_proba(values)
             if resilience and p_hat >= 0.5:

@@ -18,7 +18,6 @@ from lexcf.selection import (
     crowded_tournament_select,
     crowding_distance,
     final_select_lex,
-    first_front_size,
     first_occurrences,
     lex_best_index,
     lex_compare,
@@ -547,7 +546,6 @@ def test_array_kernels_match_sort_oracles(data):
     ids = np.arange(n)
     fronts = _oracle_sort(pool)
     assert nondominated_sort(V) == fronts
-    assert first_front_size(V) == len(fronts[0])
 
     best = min(_oracle_lex_survivors(range(n), vecs, ordering, theta))
     assert lex_best_index(V, ordering, theta) == best
