@@ -248,7 +248,8 @@ def compute_feature_stats(train):
     """Per-feature min/max (numeric) or observed categories (categorical).
 
     Computed from the training split only; the bounds define both the Gower
-    normalizer and the feasibility box for mutation.
+    normalizer and the feasibility box for mutation. A non-finite numeric
+    value is a DataError.
     """
     if len(train) == 0:
         raise DataError("cannot compute stats on an empty training set")
@@ -258,6 +259,8 @@ def compute_feature_stats(train):
         if feat.kind == CATEGORICAL:
             seen = set(column)
             stats.append(FeatureStats(categories=tuple(c for c in feat.categories if c in seen)))
+        elif not np.isfinite(np.asarray(column, dtype=float)).all():
+            raise DataError("feature %r has a training value that is not finite" % feat.name)
         else:
             stats.append(FeatureStats(lower=float(min(column)), upper=float(max(column))))
     return tuple(stats)

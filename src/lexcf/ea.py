@@ -153,11 +153,13 @@ def init_population(genome, cfg, rng):
     over the training categories other than the point of interest's. So no
     row equals the point of interest."""
     g, n = genome, cfg.population_size
-    poi, code = g.poi[g.numeric], g.poi[g.categorical]
-    known = code < g.n_categories
-    choices = g.n_categories - known
-    moves = (g.lower < g.upper) | (poi != g.lower)
-    mutable = np.union1d(g.numeric[moves], g.categorical[choices > 0])
+    num, cat = g.act_numeric, g.act_categorical
+    lo, hi, poi, code = g.lo[num], g.hi[num], g.poi[num], g.poi[cat]
+    count = g.hi[cat].astype(np.int64) + 1
+    known = code < count
+    choices = count - known
+    moves = (lo < hi) | (poi != lo)
+    mutable = np.union1d(num[moves], cat[choices > 0])
     if not mutable.size:
         raise ConfigError("no actionable feature can take a different value")
     sizes = rng.integers(1, mutable.size + 1, size=n)
@@ -165,12 +167,13 @@ def init_population(genome, cfg, rng):
     drawn = np.zeros((n, g.poi.size), dtype=bool)
     drawn[:, mutable] = ranks < sizes[:, None]
     new = np.tile(g.poi, (n, 1))
-    values = rng.uniform(g.lower, g.upper, size=(n, g.numeric.size))
+    values = rng.uniform(lo, hi, size=(n, num.size))
+    whole = g.whole[num]
     # + 0.0 turns a rounded -0.0 into 0.0, as mutate does
-    values[:, g.integer] = np.round(values[:, g.integer]) + 0.0
-    new[:, g.numeric] = np.where(values == poi, np.where(poi == g.lower, g.upper, g.lower), values)
-    picks = rng.integers(np.maximum(choices, 1), size=(n, g.categorical.size))
-    new[:, g.categorical] = picks + (known & (picks >= code))
+    values[:, whole] = np.round(values[:, whole]) + 0.0
+    new[:, num] = np.where(values == poi, np.where(poi == lo, hi, lo), values)
+    picks = rng.integers(np.maximum(choices, 1), size=(n, cat.size))
+    new[:, cat] = picks + (known & (picks >= code))
     return np.where(drawn, new, g.poi)
 
 
@@ -199,21 +202,22 @@ def mutate(rows, genome, cfg, rng):
     interest with probability reset_prob, keeping sparsity reachable.
     Returns a new matrix."""
     g, m = genome, len(rows)
-    hit = rng.random((m, g.actionable.size)) < cfg.mutation_prob
-    steps = rng.standard_normal((m, g.numeric.size))
-    picks = rng.integers(g.n_categories, size=(m, g.categorical.size))
-    reset = rng.random((m, g.actionable.size)) < cfg.reset_prob
+    num, cat = g.act_numeric, g.act_categorical
+    hit, reset = np.zeros((2, m, g.poi.size), dtype=bool)
+    hit[:, g.actionable] = rng.random((m, g.actionable.size)) < cfg.mutation_prob
+    steps = rng.standard_normal((m, num.size))
+    picks = rng.integers(g.hi[cat].astype(np.int64) + 1, size=(m, cat.size))
+    reset[:, g.actionable] = rng.random((m, g.actionable.size)) < cfg.reset_prob
     out = rows.copy()
-    old = out[:, g.numeric]
-    new = old + steps * g.scale
-    new[:, g.integer] = np.round(new[:, g.integer])
+    old = out[:, num]
+    new = old + steps * (0.1 * g.span[num])
+    whole = g.whole[num]
+    new[:, whole] = np.round(new[:, whole])
     # + 0.0 turns a rounded -0.0 into 0.0, as Python's round gives
-    new = np.minimum(np.maximum(new, g.lower), g.upper) + 0.0
-    out[:, g.numeric] = np.where(hit[:, g.numeric_at], new, old)
-    out[:, g.categorical] = np.where(hit[:, g.categorical_at], picks, out[:, g.categorical])
-    genes, poi = out[:, g.actionable], g.poi[g.actionable]
-    out[:, g.actionable] = np.where(reset & (genes != poi), poi, genes)
-    return out
+    new = np.minimum(np.maximum(new, g.lo[num]), g.hi[num]) + 0.0
+    out[:, num] = np.where(hit[:, num], new, old)
+    out[:, cat] = np.where(hit[:, cat], picks, out[:, cat])
+    return np.where(reset & (out != g.poi), g.poi, out)
 
 
 def check_candidate(values, x_pt, schema, stats):
@@ -251,25 +255,17 @@ def _dedup_pad(rows, size):
     return np.concatenate((distinct, repeated[: max(0, size - distinct.size)]))
 
 
-def violating_rows(X, genome, schema, stats):
+def violating_rows(X, genome):
     """check_candidate over coded rows as array operations: a boolean mask
     of the rows of X, in genome's codes, that check_candidate refuses once
     decoded. A cell that differs from the point of interest's passes when
     its feature is actionable and the cell lies in the feature's limits:
     the training bounds for a numeric feature, integral for an integer
     one, and a training category's code (below the count of training
-    categories) for a categorical one."""
-    lo, hi = np.full(len(schema), np.inf), np.full(len(schema), -np.inf)
-    whole = np.zeros(len(schema), dtype=bool)
-    for i, (feat, st) in enumerate(zip(schema, stats)):
-        if not feat.actionable:
-            continue
-        if feat.kind == CATEGORICAL:
-            lo[i], hi[i] = 0, len(st.categories) - 1
-        else:
-            lo[i], hi[i], whole[i] = st.lower, st.upper, feat.kind == INTEGER
-    inside = (lo <= X) & (X <= hi) & (~whole | (X == np.floor(X)))
-    return ((X != genome.poi) & ~inside).any(axis=1)
+    categories) for a categorical one: genome's per-feature table."""
+    g = genome
+    inside = g.movable & (g.lo <= X) & (X <= g.hi) & (~g.whole | (X == np.floor(X)))
+    return ((X != g.poi) & ~inside).any(axis=1)
 
 
 def _search(ctx, cfg):
@@ -292,7 +288,7 @@ def _search(ctx, cfg):
         raises with its message."""
         values = genome.decode(rows)
         genealogy.extend(Candidate(v, o, generation) for v, o in zip(values, objective_vectors(V)))
-        for r in np.flatnonzero(violating_rows(rows, genome, ctx.schema, ctx.stats)):
+        for r in np.flatnonzero(violating_rows(rows, genome)):
             check_candidate(values[r], ctx.x_pt, ctx.schema, ctx.stats)
 
     # the population: coded rows X, objective array V, birth generations

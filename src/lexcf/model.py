@@ -20,7 +20,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data import CATEGORICAL, FeatureSchema, check_fields, config_from, schema_fingerprint
+from .data import (
+    CATEGORICAL, FeatureSchema, check_fields, compute_feature_stats, config_from, schema_fingerprint
+)
 from .errors import ConfigError, ModelFormatError, TrainingError
 
 MODEL_FORMAT = "lexcf-model"
@@ -95,13 +97,12 @@ class _Encoder:
 
     @classmethod
     def fit(cls, train):
-        columns = []
-        for i, feat in enumerate(train.schema):
-            if feat.kind == CATEGORICAL:
-                columns.append(("cat", tuple(feat.categories)))
-            else:
-                vals = [inst.values[i] for inst in train.instances]
-                columns.append(("num", float(min(vals)), float(max(vals))))
+        """Scale each numeric feature by its training bounds
+        (compute_feature_stats) and one-hot every declared category."""
+        columns = [
+            ("cat", f.categories) if f.kind == CATEGORICAL else ("num", st.lower, st.upper)
+            for f, st in zip(train.schema, compute_feature_stats(train))
+        ]
         return cls(columns)
 
     def _matrix(self, n, columns):

@@ -122,35 +122,34 @@ def resilience_step(x_cf_i, x_pt_i, bound, is_integer):
     return step, max(1, steps_max)
 
 
-def _walk_reports(F, genome, model, schema, stats):
+def _walk_reports(F, genome, model):
     """Resilience walks of valid candidates, the rows of F in genome's codes.
 
-    Every changed numeric feature of every row is walked toward the bound
-    it moves away from genome.poi by, with resilience_step's steps clamped
-    at that bound; a feature at or beyond a bound gets an empty walk. A
-    walk row is its candidate's row with the walked column set. All walk
-    rows, row-major and then feature-minor, are classified in one
-    predict_coded batch, and each walk scores the share of its steps
-    before its first negative one, or 1 when it has no steps.
+    Every changed numeric feature of every row is walked toward the
+    training bound (genome.lo or genome.hi) it moves away from genome.poi
+    by, with resilience_step's steps clamped at that bound; a feature at
+    or beyond a bound gets an empty walk. A walk row is its candidate's
+    row with the walked column set. All walk rows, row-major and then
+    feature-minor, are classified in one predict_coded batch, and each
+    walk scores the share of its steps before its first negative one, or
+    1 when it has no steps.
 
     Returns the walks as arrays (candidate, feature, step, steps, kept,
     score) and each candidate's mean score, summed as ResilienceReport's.
     """
-    numeric = np.array([i for i, feat in enumerate(schema) if feat.kind != CATEGORICAL], np.intp)
-    is_int = np.array([schema[i].kind == INTEGER for i in numeric], dtype=bool)
-    lower = np.array([stats[i].lower for i in numeric], dtype=float)
-    upper = np.array([stats[i].upper for i in numeric], dtype=float)
+    numeric = np.flatnonzero(genome.numeric)
     # one walk per changed numeric feature, row-major then feature-minor
     key_of, col = np.nonzero(F[:, numeric] != genome.poi[numeric])
     feature = numeric[col]
-    x, pt, lo, hi = F[key_of, feature], genome.poi[feature], lower[col], upper[col]
+    x, pt = F[key_of, feature], genome.poi[feature]
+    lo, hi = genome.lo[feature], genome.hi[feature]
     inside = (lo < x) & (x < hi)
     # resilience_step's arithmetic on the walks with steps; np.round
     # rounds half to even, as round does
     up = x > pt
     dist = np.where(up, hi, lo) - x
     step = np.where(inside, dist / 10.0, 0.0)
-    whole = is_int[col]
+    whole = genome.whole[feature]
     step[whole] = np.round(step[whole])
     zero = inside & (step == 0.0)
     step[zero] = np.where(whole, np.where(up, 1.0, -1.0), dist)[zero]
@@ -192,7 +191,7 @@ def resilience_scores(x_cf, x_pt, model, schema, stats):
     if model.predict_class(x_cf_values) != POSITIVE:
         raise InvariantViolation("resilience is defined only for valid counterfactuals")
     genome = Genome(_values_of(x_pt), schema, stats)
-    walks, _ = _walk_reports(genome.encode([x_cf_values]), genome, model, schema, stats)
+    walks, _ = _walk_reports(genome.encode([x_cf_values]), genome, model)
     return ResilienceReport(tuple(map(FeatureResilience, *(c.tolist() for c in walks[1:]))))
 
 
@@ -202,7 +201,15 @@ class Genome:
     A table starts with the feature's training categories, then the point
     of interest's own value when training never saw it; encode gives any
     other value the next code, so every encoded row decodes to itself.
-    Mutation draws only training-category codes."""
+
+    The one per-feature table the search and the objectives read, arrays
+    over every feature: numeric, movable (actionable), lo and hi (the
+    training bounds, or the training-category codes 0..count - 1), whole
+    (integer) and span (the Gower normalizer: the training range, or 1
+    for a categorical). Mutation moves the actionable act_numeric and
+    act_categorical features, the latter only with a training category,
+    and draws only training-category codes.
+    """
 
     def __init__(self, x_pt, schema, stats):
         self._codes = [
@@ -210,27 +217,19 @@ class Genome:
             for feat, st in zip(schema, stats)
         ]
         self.tables = [None if codes is None else tuple(codes) for codes in self._codes]
-        # what the Gower scans normalize a numeric feature by
-        self.spans = [st.range if t is None else None for t, st in zip(self.tables, stats)]
         self.poi = self.encode([tuple(x_pt)])[0]
-        actionable = [i for i, feat in enumerate(schema) if feat.actionable]
-        numeric = [i for i in actionable if schema[i].kind != CATEGORICAL]
-        categorical = [
-            i for i in actionable if schema[i].kind == CATEGORICAL and stats[i].categories
-        ]
-        self.actionable = np.array(actionable, dtype=np.intp)
-        self.numeric = np.array(numeric, dtype=np.intp)
-        self.categorical = np.array(categorical, dtype=np.intp)
-        # where each numeric and categorical column sits among the actionable ones
-        self.numeric_at = np.searchsorted(self.actionable, self.numeric)
-        self.categorical_at = np.searchsorted(self.actionable, self.categorical)
-        self.lower = np.array([stats[i].lower for i in numeric], dtype=float)
-        self.upper = np.array([stats[i].upper for i in numeric], dtype=float)
-        self.scale = 0.1 * (self.upper - self.lower)
-        self.integer = np.array([schema[i].kind == INTEGER for i in numeric], dtype=bool)
-        self.n_categories = np.array(
-            [len(stats[i].categories) for i in categorical], dtype=np.int64
+        self.numeric = np.array([feat.kind != CATEGORICAL for feat in schema], dtype=bool)
+        self.movable = np.array([feat.actionable for feat in schema], dtype=bool)
+        self.lo = np.array([st.lower if num else 0 for num, st in zip(self.numeric, stats)], float)
+        self.hi = np.array(
+            [st.upper if num else len(st.categories) - 1 for num, st in zip(self.numeric, stats)],
+            float,
         )
+        self.whole = np.array([feat.kind == INTEGER for feat in schema], dtype=bool)
+        self.span = np.where(self.numeric, self.hi - self.lo, 1.0)
+        self.actionable = np.flatnonzero(self.movable)
+        self.act_numeric = np.flatnonzero(self.movable & self.numeric)
+        self.act_categorical = np.flatnonzero(self.movable & ~self.numeric & (self.hi >= 0))
 
     def encode(self, rows):
         """Value tuples as one (rows x features) float matrix."""
@@ -325,10 +324,8 @@ class TrainGowerScan:
         self.p = len(genome.tables)
         self.n = len(rows)
         R = genome.encode(rows)
-        self.cols = np.array([i for i, span in enumerate(genome.spans) if span != 0], np.intp)
-        self.spans = np.array(
-            [1.0 if genome.spans[i] is None else genome.spans[i] for i in self.cols]
-        )
+        self.cols = np.flatnonzero(genome.span != 0)
+        self.spans = genome.span[self.cols]
         self.poi_ref = genome.poi[self.cols, None]
         pivot = self.to_poi(R)
         order = np.argsort(pivot, kind="stable")
@@ -453,7 +450,7 @@ def evaluate_population(X, ctx):
         V[:, 0] = np.where(p >= 0.5, 0.0, 0.5 - p)
         if ctx.resilience:
             valid = np.flatnonzero(p >= 0.5)
-            _, mean = _walk_reports(F[valid], ctx.genome, ctx.model, ctx.schema, ctx.stats)
+            _, mean = _walk_reports(F[valid], ctx.genome, ctx.model)
             V[valid, 0] = 0.0 - mean
         to_poi = ctx.gower_to_poi(F)
         V[:, 1] = to_poi / ctx.scan.p

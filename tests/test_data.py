@@ -18,6 +18,7 @@ from lexcf.data import (
     split_dataset,
 )
 from lexcf.errors import ConfigError, DataError, ParseError, SchemaError
+from lexcf.model import LearnerConfig, train_model
 
 from conftest import make_dataset, numeric_schema
 
@@ -219,6 +220,26 @@ def test_compute_feature_stats():
     assert stats[0].range == 3.0
     # observed categories only, kept in declared order
     assert stats[1].categories == ("a", "c")
+
+
+@pytest.mark.parametrize(
+    "column",
+    [[np.nan, 1.0, 2.0], [1.0, np.nan, 2.0], [1.0, np.inf, 2.0], [-np.inf, 1.0, 2.0]],
+    ids=["nan_first", "nan_later", "inf", "-inf"],
+)
+def test_non_finite_training_values_are_refused(column):
+    # a Dataset built in code skips parse_value's check; the stats, and
+    # the model encoder that reads them, refuse the value in one line
+    schema = (
+        FeatureSchema("k", CATEGORICAL, categories=("a", "b")),
+        FeatureSchema("x", CONTINUOUS),
+    )
+    ds = make_dataset(schema, [["a", v] for v in column], [0, 1, 0])
+    for fit in (compute_feature_stats, lambda d: train_model(d, LearnerConfig("logistic"))):
+        with pytest.raises(DataError) as err:
+            fit(ds)
+        message = str(err.value)
+        assert "'x'" in message and "not finite" in message and "\n" not in message
 
 
 def test_generate_synthetic_balanced_and_deterministic():

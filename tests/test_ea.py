@@ -215,6 +215,42 @@ def test_genome_code_tables():
     assert genome.encode(rows).tolist() == [[10.0, 2.0, 3.0, 0.5], [99.5, 0.0, 2.0, 0.5]]
 
 
+def test_genome_feature_table():
+    # a zero-span numeric, a non-actionable integer, a categorical whose
+    # POI category training never saw, one with no training category, and
+    # a plain numeric
+    schema = (
+        FeatureSchema("z", CONTINUOUS),
+        FeatureSchema("n", INTEGER, actionable=False),
+        FeatureSchema("k", CATEGORICAL, categories=("a", "b", "c")),
+        FeatureSchema("e", CATEGORICAL, categories=("p", "q")),
+        FeatureSchema("x", CONTINUOUS),
+    )
+    stats = (
+        FeatureStats(3.0, 3.0),
+        FeatureStats(0.0, 5.0),
+        FeatureStats(categories=("a", "c")),
+        FeatureStats(categories=()),
+        FeatureStats(-1.0, 2.0),
+    )
+    g = Genome((3.0, 2.0, "b", "p", 0.5), schema, stats)
+    assert g.poi.tolist() == [3.0, 2.0, 2.0, 0.0, 0.5]
+    assert g.numeric.tolist() == [True, True, False, False, True]
+    assert g.movable.tolist() == [True, False, True, True, True]
+    assert g.lo.tolist() == [3.0, 0.0, 0.0, 0.0, -1.0]
+    assert g.hi.tolist() == [3.0, 5.0, 1.0, -1.0, 2.0]
+    assert g.whole.tolist() == [False, True, False, False, False]
+    assert g.span.tolist() == [0.0, 5.0, 1.0, 1.0, 3.0]
+    # the actionable subsets mutation reads: a categorical without a
+    # training category is actionable but draws no code
+    assert g.actionable.tolist() == [0, 2, 3, 4]
+    assert g.act_numeric.tolist() == [0, 4]
+    assert g.act_categorical.tolist() == [2]
+    assert g.lo[g.act_numeric].tolist() == [3.0, -1.0]
+    assert g.hi[g.act_numeric].tolist() == [3.0, 2.0]
+    assert g.hi[g.act_categorical].tolist() == [1.0]  # two training categories
+
+
 def test_genome_encode_appends_new_categories_in_first_seen_order():
     genome = Genome(X_PT, SCHEMA, STATS)
     rows = [
@@ -427,7 +463,7 @@ def test_violating_rows_flags_what_check_candidate_refuses(problem, seed):
                                 lo + 0.5, -0.0, np.nan])
         hit = rng.random(size) < 0.3
         rows[hit, i] = rng.choice(choices, size=int(hit.sum()))
-    flags = violating_rows(rows, genome, schema, stats)
+    flags = violating_rows(rows, genome)
     assert flags.tolist() == [_raises(v, poi, schema, stats) for v in genome.decode(rows)]
 
 

@@ -443,7 +443,7 @@ def _walk_reports_of(keys, x_pt, model, schema, stats):
     """_walk_reports on keys (value tuples), coded through a Genome, as one
     ResilienceReport per key; each key's mean must equal its report's."""
     genome = Genome(x_pt, schema, stats)
-    (key_of, *columns), mean = _walk_reports(genome.encode(keys), genome, model, schema, stats)
+    (key_of, *columns), mean = _walk_reports(genome.encode(keys), genome, model)
     assert np.all(np.diff(key_of) >= 0)  # key-major
     walks = list(map(FeatureResilience, *(c.tolist() for c in columns)))
     reports = [
@@ -456,8 +456,10 @@ def _walk_reports_of(keys, x_pt, model, schema, stats):
 
 @st.composite
 def _walk_batches(draw):
-    """A schema, its stats, a POI, a box model and a batch of keys. Bounds
-    may coincide (zero range) and values may sit at or beyond a bound.
+    """A schema, its stats, a POI, a box model and a batch of keys. Any
+    feature may be non-actionable, and keys change those too, since a
+    walk covers every changed numeric feature. Bounds may coincide (zero
+    range) and values may sit at or beyond a bound.
     Integer ranges are short enough that steps round to 0 and long enough
     that they round to 2 or more; walks of one step come from values next
     to a bound."""
@@ -465,8 +467,9 @@ def _walk_batches(draw):
     kinds = draw(st.lists(kind, min_size=1, max_size=4))
     schema, stats, x_pt, values, box = [], [], [], [], {}
     for j, kind in enumerate(kinds):
+        actionable = draw(st.booleans())
         if kind == CATEGORICAL:
-            schema.append(FeatureSchema("f%d" % j, kind, categories=("a", "b")))
+            schema.append(FeatureSchema("f%d" % j, kind, actionable, ("a", "b")))
             stats.append(FeatureStats(categories=("a", "b")))
             values.append(st.sampled_from(("a", "b")))
             x_pt.append(draw(values[-1]))
@@ -478,7 +481,7 @@ def _walk_batches(draw):
         lo, hi = min(lo, hi), max(lo, hi)
         inside = st.integers(int(lo), int(hi)).map(float) if whole else st.floats(lo, hi)
         value = st.one_of(inside, inside, inside, st.sampled_from((lo, hi)), number)
-        schema.append(FeatureSchema("f%d" % j, kind))
+        schema.append(FeatureSchema("f%d" % j, kind, actionable))
         stats.append(FeatureStats(lower=lo, upper=hi))
         values.append(value)
         x_pt.append(draw(value))
