@@ -244,12 +244,25 @@ def split_dataset(ds, test_cap=500, seed=0):
     return Dataset(ds.schema, train), Dataset(ds.schema, test)
 
 
+def _check_numeric(name, column):
+    """Refuse, in one line, a training value of numeric feature name that
+    is not a real number (a string, None) or not finite."""
+    if not {type(v) for v in column} <= {float, int}:
+        bad = [v for v in column if not isinstance(v, numbers.Real)]
+        if bad:
+            raise DataError(
+                "feature %r has a training value that is not a number: %r" % (name, bad[0])
+            )
+    if not np.isfinite(np.asarray(column, dtype=float)).all():
+        raise DataError("feature %r has a training value that is not finite" % name)
+
+
 def compute_feature_stats(train):
     """Per-feature min/max (numeric) or observed categories (categorical).
 
     Computed from the training split only; the bounds define both the Gower
-    normalizer and the feasibility box for mutation. A non-finite numeric
-    value is a DataError.
+    normalizer and the feasibility box for mutation. A numeric value that
+    is not a finite real number is a DataError.
     """
     if len(train) == 0:
         raise DataError("cannot compute stats on an empty training set")
@@ -259,9 +272,8 @@ def compute_feature_stats(train):
         if feat.kind == CATEGORICAL:
             seen = set(column)
             stats.append(FeatureStats(categories=tuple(c for c in feat.categories if c in seen)))
-        elif not np.isfinite(np.asarray(column, dtype=float)).all():
-            raise DataError("feature %r has a training value that is not finite" % feat.name)
         else:
+            _check_numeric(feat.name, column)
             stats.append(FeatureStats(lower=float(min(column)), upper=float(max(column))))
     return tuple(stats)
 

@@ -7,10 +7,14 @@ over raw value tuples, and predict_coded over rows in a search Genome's
 codes: a model without an encoder reads them decoded, an encoded model
 maps the codes through the same encoder kernel as the tuples.
 
-The random forest scores trees of at most 64 leaves by leaf bitmasks
-and deeper trees by a level-by-level traversal; both reach the same leaf
-as a walk down the tree. Their tables are rebuilt whenever a forest is
-trained or loaded, so saved models hold only the trees.
+The random forest grows its trees together, in waves: each wave pops a
+node needing a split from every unfinished tree, in the tree's own
+preorder, and one batched search over padded arrays splits them all,
+exactly as a search of each node alone would. It scores trees of at most
+64 leaves by leaf bitmasks and deeper trees by a level-by-level
+traversal; both reach the same leaf as a walk down the tree. Their
+tables are rebuilt whenever a forest is trained or loaded, so saved
+models hold only the trees.
 """
 
 import json
@@ -251,6 +255,8 @@ class ForestParams:
             raise ConfigError("ntree must be >= 1")
         if self.min_leaf < 1:
             raise ConfigError("min_leaf must be >= 1")
+        if self.max_depth is not None and self.max_depth < 1:
+            raise ConfigError("max_depth must be >= 1, or None for unlimited")
 
 
 def encoded_width(schema):
@@ -303,76 +309,172 @@ class _Tree:
         self.value = np.asarray(value)
 
 
-def _best_split(X, y, idx, feats, min_leaf):
-    """Lowest weighted-Gini split among midpoint thresholds; ties keep the
-    first feature in sampled order and the lowest threshold."""
-    n = len(idx)
-    best = None
-    for f in feats:
-        col = X[idx, f]
-        order = np.argsort(col, kind="stable")
-        cs = col[order]
-        ys = y[idx][order].astype(float)
-        cum_pos = np.cumsum(ys)
-        total_pos = cum_pos[-1]
-        sizes_l = np.arange(1, n, dtype=float)
-        sizes_r = n - sizes_l
-        valid = cs[1:] != cs[:-1]
-        if min_leaf > 1:
-            valid = valid & (sizes_l >= min_leaf) & (sizes_r >= min_leaf)
-        if not valid.any():
-            continue
-        pos_l = cum_pos[:-1]
-        pos_r = total_pos - pos_l
-        with np.errstate(invalid="ignore"):
-            gini_l = 1.0 - (pos_l / sizes_l) ** 2 - ((sizes_l - pos_l) / sizes_l) ** 2
-            gini_r = 1.0 - (pos_r / sizes_r) ** 2 - ((sizes_r - pos_r) / sizes_r) ** 2
-        score = (sizes_l * gini_l + sizes_r * gini_r) / n
-        score[~valid] = np.inf
-        k = int(np.argmin(score))
-        if best is None or score[k] < best[0]:
-            best = (score[k], int(f), 0.5 * (cs[k] + cs[k + 1]))
-    return best
+# Cells of one batched split search: nodes x mtry x padded rows. A wave's
+# nodes are grouped by the power of two at or above their row count, and
+# each group is searched in batches of at most this many cells (a lone
+# node may exceed it), so a search's scratch arrays stay small whatever
+# the forest.
+_SPLIT_CELLS = 8192
 
 
-def _grow_tree(X, y, rng, mtry, max_depth, min_leaf):
+def _split_batch(Xp, yp, P, F, n, min_leaf):
+    """The best split of each of B nodes, searched together.
+
+    Row b of P holds the rows of node b (indices into Xp), padded with
+    the index of Xp's last row, which is +inf in every column and has
+    label 0; n[b] counts its real rows, and F[b] lists its mtry sampled
+    features. Each (node, feature) row is sorted and scored with the
+    elementwise Gini arithmetic of a search of that node alone: padded
+    cells sort after every real value, and a threshold with fewer than
+    min_leaf real rows on either side is invalid. Per row, argmin keeps
+    the lowest threshold; across a node's features, the first in sampled
+    order. Returns, per node: whether it has a valid split, the split's
+    feature, threshold, left row count and left positive count (as
+    lists), and the node's rows sorted on the split feature (a 2-D
+    array)."""
+    B, L = P.shape
+    at = np.arange(B)
+    order = np.argsort(Xp[P[:, None, :], F[:, :, None]], axis=2, kind="stable")
+    S = P.take(order + (at * L)[:, None, None])  # [b, j]: node b's rows sorted on F[b, j]
+    cs = Xp[S, F[:, :, None]]
+    cum = np.cumsum(yp.take(S), axis=2)
+    sizes_l = np.arange(1, L, dtype=float)
+    nn = n.astype(float)[:, None, None]
+    sizes_r = nn - sizes_l
+    valid = (cs[..., 1:] != cs[..., :-1]) & (sizes_r >= min_leaf)
+    if min_leaf > 1:
+        valid &= sizes_l >= min_leaf
+    pos_l = cum[..., :-1]
+    pos_r = cum[..., -1:] - pos_l
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gini_l = 1.0 - (pos_l / sizes_l) ** 2 - ((sizes_l - pos_l) / sizes_l) ** 2
+        gini_r = 1.0 - (pos_r / sizes_r) ** 2 - ((sizes_r - pos_r) / sizes_r) ** 2
+        score = (sizes_l * gini_l + sizes_r * gini_r) / nn
+    score[~valid] = np.inf
+    k = score.argmin(axis=2)
+    best = score.min(axis=2)
+    j = best.argmin(axis=1)
+    k = k[at, j]
+    cs, cum = cs[at, j], cum[at, j]
+    threshold = 0.5 * (cs[at, k] + cs[at, k + 1])
+    # the rows a walk sends left: the midpoint of adjacent floats may
+    # round up to the upper one, so count them rather than take k + 1
+    n_left = np.count_nonzero(cs <= threshold[:, None], axis=1)
+    return (
+        np.isfinite(best[at, j]).tolist(),
+        F[at, j].tolist(),
+        threshold.tolist(),
+        n_left.tolist(),
+        cum[at, n_left - 1].astype(np.int64).tolist(),
+        S[at, j],
+    )
+
+
+class _Node(NamedTuple):
+    """A node waiting on a tree's stack: its rows (indices into the
+    training matrix), their count and positive count, its depth and its
+    slot in the tree's arrays."""
+
+    rows: np.ndarray
+    n: int
+    pos: int
+    depth: int
+    slot: int
+
+
+class _Growing:
+    """A tree being grown: its node arrays as lists, its generator, and its
+    preorder stack of _Nodes to settle."""
+
+    __slots__ = ("rng", "stack", "feature", "threshold", "left", "right", "value")
+
+    def __init__(self, rng, y):
+        self.rng = rng
+        self.feature, self.threshold, self.left, self.right, self.value = [], [], [], [], []
+        rows = rng.integers(0, len(y), size=len(y))  # the bootstrap sample
+        self.stack = [_Node(rows, len(rows), int(y[rows].sum()), 0, self.new_node())]
+
+    def new_node(self):
+        self.feature.append(-1)
+        self.threshold.append(0.0)
+        self.left.append(-1)
+        self.right.append(-1)
+        self.value.append(0)
+        return len(self.feature) - 1
+
+    def next_split(self, d, mtry, max_depth, min_leaf):
+        """Settle nodes in preorder up to the first that needs a split
+        search; return it and its sampled features, or None once the tree
+        is done."""
+        while self.stack:
+            node = self.stack.pop()
+            self.value[node.slot] = 1 if 2 * node.pos > node.n else 0
+            if node.pos == 0 or node.pos == node.n or node.n < 2 * min_leaf:
+                continue
+            if max_depth is not None and node.depth >= max_depth:
+                continue
+            return node, self.rng.choice(d, size=mtry, replace=False)
+        return None
+
+    def split(self, node, feature, threshold, n_left, pos_left, rows):
+        """Make node a split, with children rows[:n_left] and the rest of
+        its rows, and push them so the left child is settled first. A
+        child's rows come in the order of the split feature, not the
+        parent's; that cannot change the tree, as a split falls only
+        between distinct values, where the rows on each side are the same
+        set in any order."""
+        self.feature[node.slot] = feature
+        self.threshold[node.slot] = threshold
+        self.left[node.slot] = left = self.new_node()
+        self.right[node.slot] = right = self.new_node()
+        depth = node.depth + 1
+        self.stack.append(
+            _Node(rows[n_left : node.n], node.n - n_left, node.pos - pos_left, depth, right)
+        )
+        self.stack.append(_Node(rows[:n_left], n_left, pos_left, depth, left))
+
+    def tree(self):
+        return _Tree(self.feature, self.threshold, self.left, self.right, self.value)
+
+
+def _grow_forest(X, y, rngs, mtry, max_depth, min_leaf):
+    """One CART tree per generator, on the bootstrap sample of the rows of
+    X that the generator draws first, all grown together in waves.
+
+    In a wave, every unfinished tree settles nodes in its own preorder up
+    to its first node that needs a split search, and draws that node's
+    features from its own generator, so each tree makes the draws of a
+    tree grown alone, in the same order. One batched search
+    (_split_batch) then splits the wave's nodes, in groups of the same
+    padded length."""
     d = X.shape[1]
-    feature, threshold, left, right, value = [], [], [], [], []
-
-    def new_node():
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(0)
-        return len(feature) - 1
-
-    root = new_node()
-    stack = [(np.arange(len(y)), 0, root)]
-    while stack:
-        idx, depth, slot = stack.pop()
-        ys = y[idx]
-        pos = int(ys.sum())
-        value[slot] = 1 if 2 * pos > len(ys) else 0
-        if pos == 0 or pos == len(ys) or len(ys) < 2 * min_leaf:
-            continue
-        if max_depth is not None and depth >= max_depth:
-            continue
-        feats = rng.choice(d, size=mtry, replace=False)
-        split = _best_split(X, y, idx, feats, min_leaf)
-        if split is None:
-            continue
-        _, f, thr = split
-        go_left = X[idx, f] <= thr
-        feature[slot] = f
-        threshold[slot] = thr
-        left_slot = new_node()
-        right_slot = new_node()
-        left[slot] = left_slot
-        right[slot] = right_slot
-        stack.append((idx[~go_left], depth + 1, right_slot))
-        stack.append((idx[go_left], depth + 1, left_slot))
-    return _Tree(feature, threshold, left, right, value)
+    Xp = np.vstack([X, np.full((1, d), np.inf)])
+    yp = np.append(y, 0).astype(float)
+    trees = [_Growing(rng, y) for rng in rngs]
+    growing = trees
+    while growing:
+        wave = {}
+        for tree in growing:
+            popped = tree.next_split(d, mtry, max_depth, min_leaf)
+            if popped is not None:
+                width = 1 << (popped[0].n - 1).bit_length()
+                wave.setdefault(width, []).append((tree, *popped))
+        growing = []
+        for width, group in wave.items():
+            step = max(1, _SPLIT_CELLS // (mtry * width))
+            for start in range(0, len(group), step):
+                batch = group[start : start + step]
+                P = np.full((len(batch), width), len(X))
+                for i, (_, node, _) in enumerate(batch):
+                    P[i, : node.n] = node.rows
+                F = np.array([features for _, _, features in batch])
+                n = np.array([node.n for _, node, _ in batch])
+                found, *splits = _split_batch(Xp, yp, P, F, n, min_leaf)
+                for (tree, node, _), ok, *split in zip(batch, found, *splits):
+                    if ok:
+                        tree.split(node, *split)
+                    growing.append(tree)
+    return [t.tree() for t in trees]
 
 
 # Rows scored together. Large resilience-walk batches go in chunks of this
@@ -388,7 +490,7 @@ _ALL_LEAVES = np.uint64(2**64 - 1)
 
 def _check_tree(k, tree, width):
     """Reject node arrays that cannot describe a CART tree. Children must
-    come after their parent, as _grow_tree appends them; that also rules
+    come after their parent, as _Growing appends them; that also rules
     out cycles. Every node but the root is the child of exactly one
     split, so the nodes form one tree."""
     n = len(tree.feature)
@@ -610,19 +712,23 @@ class RandomForestModel(_EncodedModel):
 
 
 def train_random_forest(train, cfg):
-    """CART with Gini splits, bootstrap samples, per-node feature subsets."""
+    """CART with Gini splits, bootstrap samples, per-node feature subsets.
+
+    Tree t draws its bootstrap sample and then each split node's mtry
+    features from its own generator, seeded from (cfg.seed, t). The trees
+    grow together (_grow_forest), so that one batched search scores a
+    node of every unfinished tree at once; each tree is the one it would
+    be grown alone, bit for bit."""
     _check_binary(train)
     p = learner_params(cfg, train.schema)
     encoder = _Encoder.fit(train)
     X = encoder.transform([inst.values for inst in train.instances])
     y = train.labels()
     mtry = max(1, int(np.sqrt(X.shape[1]))) if p.mtry is None else p.mtry
-    n = len(y)
-    trees = []
-    for t in range(p.ntree):
-        rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), t]))
-        sample = rng.integers(0, n, size=n)
-        trees.append(_grow_tree(X[sample], y[sample], rng, mtry, p.max_depth, p.min_leaf))
+    rngs = [
+        np.random.default_rng(np.random.SeedSequence([int(cfg.seed), t])) for t in range(p.ntree)
+    ]
+    trees = _grow_forest(X, y, rngs, mtry, p.max_depth, p.min_leaf)
     return RandomForestModel(train.schema, encoder, trees)
 
 

@@ -384,6 +384,7 @@ CSV_ROWS = "num0,count,label\n0.5,1,0\n1.5,2,1\n2.5,3,0\n3.5,4,1\n4.5,5,0\n5.5,6
         ),
         ("tune_trials: 3\nlearner_params: {mtry: 99}\n", "1.5,2,1", 2, "mtry"),
         ("learner_params: {min_leaf: 0}\n", "1.5,2,1", 2, "min_leaf"),
+        ("learner_params: {max_depth: -3}\n", "1.5,2,1", 2, "max_depth"),
         ("tune_trials: 3\nea: {population_size: 4, k: 5}\n", "1.5,2,1", 2, "population_size"),
         ("variants: []\n", "1.5,2,1", 2, "variants"),
         ("tune_trials: -4\n", "1.5,2,1", 2, "tune_trials"),
@@ -424,6 +425,7 @@ CSV_ROWS = "num0,count,label\n0.5,1,0\n1.5,2,1\n2.5,3,0\n3.5,4,1\n4.5,5,0\n5.5,6
         "epochs_zero_before_tuning",
         "mtry_above_width_before_tuning",
         "min_leaf_zero",
+        "max_depth_negative",
         "k_above_population_before_tuning",
         "variants_empty",
         "tune_trials_negative",

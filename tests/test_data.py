@@ -242,6 +242,20 @@ def test_non_finite_training_values_are_refused(column):
         assert "'x'" in message and "not finite" in message and "\n" not in message
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5", None], ids=["text", "numeric_text", "none"])
+def test_non_numeric_training_values_are_refused(value):
+    # a Dataset built in code may hold any object in a numeric column; the
+    # stats, and the model encoder that reads them, refuse it in one line
+    schema = (FeatureSchema("x", CONTINUOUS), FeatureSchema("n", INTEGER))
+    ds = make_dataset(schema, [[1.0, 2], [value, 3], [2.0, 4]], [0, 1, 0])
+    for fit in (compute_feature_stats, lambda d: train_model(d, LearnerConfig("random_forest"))):
+        with pytest.raises(DataError) as err:
+            fit(ds)
+        assert str(err.value) == (
+            "feature 'x' has a training value that is not a number: %r" % (value,)
+        )
+
+
 def test_generate_synthetic_balanced_and_deterministic():
     ds = generate_synthetic(100, seed=5, n_continuous=3, n_integer=2, n_categorical=1)
     assert len(ds) == 100

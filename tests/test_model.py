@@ -1,8 +1,13 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lexcf import model as model_module
+from lexcf.bench import stable_seed
 from lexcf.data import (
     CATEGORICAL,
     CONTINUOUS,
@@ -16,6 +21,7 @@ from lexcf.errors import ConfigError, ModelFormatError, TrainingError
 from lexcf.model import (
     _CHUNK_ROWS,
     _MASK_LEAVES,
+    _SPLIT_CELLS,
     _Encoder,
     LEARNERS,
     FixedLinearModel,
@@ -23,6 +29,7 @@ from lexcf.model import (
     RandomForestModel,
     _Tree,
     kfold_indices,
+    learner_params,
     load_model,
     sample_search_space,
     save_model,
@@ -149,6 +156,236 @@ def test_random_forest_respects_max_depth():
     for tree in model.trees:
         # a depth-1 tree has at most 3 nodes: root plus two leaves
         assert len(tree.feature) <= 3
+
+
+MIXED_COLUMNS = {"n_continuous": 2, "n_integer": 1, "n_categorical": 2}
+
+
+def test_random_forest_refuses_max_depth_below_one():
+    ds = _memorizable_dataset()
+    for depth in (0, -3):
+        with pytest.raises(ConfigError, match="max_depth must be >= 1"):
+            train_random_forest(ds, LearnerConfig("random_forest", {"max_depth": depth}))
+
+
+# ---------------------------------------------------------------- exact training
+
+
+def _best_split(X, y, idx, feats, min_leaf):
+    """Lowest weighted-Gini split among midpoint thresholds; ties keep the
+    first feature in sampled order and the lowest threshold."""
+    n = len(idx)
+    best = None
+    for f in feats:
+        col = X[idx, f]
+        order = np.argsort(col, kind="stable")
+        cs = col[order]
+        ys = y[idx][order].astype(float)
+        cum_pos = np.cumsum(ys)
+        total_pos = cum_pos[-1]
+        sizes_l = np.arange(1, n, dtype=float)
+        sizes_r = n - sizes_l
+        valid = cs[1:] != cs[:-1]
+        if min_leaf > 1:
+            valid = valid & (sizes_l >= min_leaf) & (sizes_r >= min_leaf)
+        if not valid.any():
+            continue
+        pos_l = cum_pos[:-1]
+        pos_r = total_pos - pos_l
+        with np.errstate(invalid="ignore"):
+            gini_l = 1.0 - (pos_l / sizes_l) ** 2 - ((sizes_l - pos_l) / sizes_l) ** 2
+            gini_r = 1.0 - (pos_r / sizes_r) ** 2 - ((sizes_r - pos_r) / sizes_r) ** 2
+        score = (sizes_l * gini_l + sizes_r * gini_r) / n
+        score[~valid] = np.inf
+        k = int(np.argmin(score))
+        if best is None or score[k] < best[0]:
+            best = (score[k], int(f), 0.5 * (cs[k] + cs[k + 1]))
+    return best
+
+
+def _grow_tree(X, y, rng, mtry, max_depth, min_leaf):
+    d = X.shape[1]
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def new_node():
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(0)
+        return len(feature) - 1
+
+    root = new_node()
+    stack = [(np.arange(len(y)), 0, root)]
+    while stack:
+        idx, depth, slot = stack.pop()
+        ys = y[idx]
+        pos = int(ys.sum())
+        value[slot] = 1 if 2 * pos > len(ys) else 0
+        if pos == 0 or pos == len(ys) or len(ys) < 2 * min_leaf:
+            continue
+        if max_depth is not None and depth >= max_depth:
+            continue
+        feats = rng.choice(d, size=mtry, replace=False)
+        split = _best_split(X, y, idx, feats, min_leaf)
+        if split is None:
+            continue
+        _, f, thr = split
+        go_left = X[idx, f] <= thr
+        feature[slot] = f
+        threshold[slot] = thr
+        left_slot = new_node()
+        right_slot = new_node()
+        left[slot] = left_slot
+        right[slot] = right_slot
+        stack.append((idx[~go_left], depth + 1, right_slot))
+        stack.append((idx[go_left], depth + 1, left_slot))
+    return _Tree(feature, threshold, left, right, value)
+
+
+def _reference_forest(train, cfg):
+    """Oracle for the wave grower: the one-node-at-a-time grower
+    (_grow_tree, _best_split) it replaced, one tree after another, kept
+    here only as a reference."""
+    p = learner_params(cfg, train.schema)
+    encoder = _Encoder.fit(train)
+    X = encoder.transform([inst.values for inst in train.instances])
+    y = train.labels()
+    mtry = max(1, int(np.sqrt(X.shape[1]))) if p.mtry is None else p.mtry
+    trees = []
+    for t in range(p.ntree):
+        rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), t]))
+        sample = rng.integers(0, len(y), size=len(y))
+        trees.append(_grow_tree(X[sample], y[sample], rng, mtry, p.max_depth, p.min_leaf))
+    return RandomForestModel(train.schema, encoder, trees)
+
+
+def _assert_trains_like_reference(train, cfg):
+    """The forest train_model grows equals the reference's in every node
+    array, dtypes included; returns it."""
+    got = train_model(train, cfg)
+    want = _reference_forest(train, cfg)
+    assert got.to_params() == want.to_params()
+    for a, b in zip(got.trees, want.trees):
+        for name in _Tree.__slots__:
+            assert getattr(a, name).dtype == getattr(b, name).dtype, name
+    return got
+
+
+def _ties_dataset():
+    # a constant column, and two 0/1 columns whose four cells each hold
+    # rows of both labels: many tied values, and nodes with no valid split
+    rng = np.random.default_rng(12)
+    rows = [[5.0, float(a), float(b)] for a, b in rng.integers(0, 2, size=(80, 2))]
+    labels = rng.integers(0, 2, size=80)
+    return make_dataset(numeric_schema(3), rows, labels)
+
+
+def _midpoint_dataset():
+    # training spans [0, 1], so the encoding is the identity; the midpoint
+    # of the adjacent floats a and b rounds up to b, so the rows at b go
+    # left of the split between a and b. In a node whose largest value is
+    # b that split sends every row left, again and again: max_depth ends
+    # the chain, for the reference grower too
+    a = 0.5 + 2.0**-53
+    b = 0.5 + 2.0**-52
+    assert 0.5 * (a + b) == b
+    values = [0.0] * 4 + [a] * 4 + [b] * 4 + [1.0] * 4
+    return make_dataset(numeric_schema(1), [[v] for v in values], [0] * 8 + [1] * 8)
+
+
+def _split_data(rows, seed, **columns):
+    return split_dataset(generate_synthetic(rows, seed, **columns), 1.0 / 3.0, seed)[0]
+
+
+def _leaves(model):
+    return max(np.count_nonzero(t.feature < 0) for t in model.trees)
+
+
+# the acceptance fixture's forest, and perfbench's forest_resilient
+ACCEPTANCE_FOREST = {"ntree": 60, "mtry": 3, "max_depth": 12}
+
+
+@pytest.mark.parametrize(
+    "make_train, params, seed, covers",
+    [
+        (lambda: _split_data(450, 1009), ACCEPTANCE_FOREST, stable_seed(1009, "train"), None),
+        (lambda: _split_data(450, 7), ACCEPTANCE_FOREST, 3, None),
+        (lambda: _split_data(300, 2, **MIXED_COLUMNS), {"ntree": 20, "min_leaf": 3}, 4, None),
+        (
+            lambda: _split_data(300, 5, n_continuous=1, n_integer=3, n_categorical=3),
+            {"ntree": 20},
+            6,
+            None,
+        ),
+        (lambda: _split_data(900, 8), {"ntree": 6}, 9, lambda m: _leaves(m) > _MASK_LEAVES),
+        (
+            lambda: _split_data(200, 3, **MIXED_COLUMNS),
+            {"ntree": 12, "max_depth": 1},
+            1,
+            lambda m: max(len(t.feature) for t in m.trees) == 3,
+        ),
+        (
+            lambda: _split_data(200, 4, **MIXED_COLUMNS),
+            {"ntree": 10, "mtry": 9},
+            2,
+            lambda m: m.encoder.width == 9,
+        ),
+        (lambda: _split_data(300, 6), {"ntree": 1}, 5, lambda m: len(m.trees) == 1),
+        (_ties_dataset, {"ntree": 15, "mtry": 2}, 3, None),
+        (
+            _midpoint_dataset,
+            {"ntree": 8, "max_depth": 4},
+            0,
+            lambda m: any(0.5 + 2.0**-52 in t.threshold for t in m.trees),
+        ),
+    ],
+    ids=[
+        "perfbench_forest",
+        "acceptance_forest",
+        "min_leaf_3",
+        "integer_categorical",
+        "over_64_leaves",
+        "max_depth_1",
+        "mtry_full_width",
+        "ntree_1",
+        "ties_constant_column",
+        "midpoint_rounds_up",
+    ],
+)
+def test_random_forest_trains_like_reference(make_train, params, seed, covers):
+    cfg = LearnerConfig("random_forest", params, seed)
+    model = _assert_trains_like_reference(make_train(), cfg)
+    # the forest has the shape the case is named for
+    assert covers is None or covers(model)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(2, 40),
+    d=st.integers(1, 4),
+    levels=st.sampled_from([2, 3, 1000]),
+    ntree=st.integers(1, 4),
+    max_depth=st.sampled_from([None, 1, 2, 4]),
+    min_leaf=st.integers(1, 3),
+    cells=st.sampled_from([1, 64, _SPLIT_CELLS]),
+    seed=st.integers(0, 2**16),
+)
+def test_random_forest_trains_like_reference_on_small_data(
+    data, n, d, levels, ntree, max_depth, min_leaf, cells, seed
+):
+    # few levels per column make ties; a budget of 1 cell searches each
+    # node alone, 64 cells a few nodes at a time
+    rng = np.random.default_rng(seed)
+    rows = (rng.integers(0, levels, size=(n, d)) / levels).tolist()
+    labels = rng.integers(0, 2, size=n)
+    labels[:2] = (0, 1)
+    mtry = data.draw(st.integers(1, d))
+    params = {"ntree": ntree, "mtry": mtry, "max_depth": max_depth, "min_leaf": min_leaf}
+    train = make_dataset(numeric_schema(d), rows, labels)
+    with mock.patch.object(model_module, "_SPLIT_CELLS", cells):
+        _assert_trains_like_reference(train, LearnerConfig("random_forest", params, seed))
 
 
 def _per_tree_proba(model, rows):
@@ -294,9 +531,6 @@ def test_encoded_scores_do_not_depend_on_the_batch(learner, params):
     alone = np.array([model.predict_encoded(row[None])[0] for row in X])
     for size in FLAT_BATCH_SIZES:
         assert np.array_equal(model.predict_encoded(X[:size]), alone[:size]), size
-
-
-MIXED_COLUMNS = {"n_continuous": 2, "n_integer": 1, "n_categorical": 2}
 
 
 @pytest.mark.parametrize(
