@@ -20,15 +20,17 @@ keeps no per-generation trace.
 
 A run is a generator (_search) that yields each batch of rows it needs
 scored, the initial population and then each generation's offspring,
-and is sent their objective array. One loop (_lockstep) advances
-runs in lockstep: run_ea drives one run, and run_paired drives par,
-lex1 and lex2 together, scoring the three batches of each generation
-with one evaluate_population call and handing each run its rows of the
-objective array. Each run keeps its own generator and draw order, and a
-row's objectives do not depend on its batch (its forest votes, logistic
-score and Gower sums come out the same bits in any batch, and the
-context's cache holds pure values), so a lockstep run returns exactly
-what it returns alone.
+and is sent their objective array and their slots in the context's
+store. One loop (_lockstep) advances runs in lockstep: run_ea drives
+one run, and run_paired drives par, lex1 and lex2 together, scoring the
+three batches of each generation with one evaluate_population call and
+handing each run its rows of the objective array and of the slots.
+Equal rows share a slot, so survival finds a pool's repeated rows among
+the slots it carries next to X and V, without keying the rows. Each run
+keeps its own generator and draw order, and a row's objectives do not
+depend on its batch (its forest votes, logistic score and Gower sums
+come out the same bits in any batch, and the context's cache holds pure
+values), so a lockstep run returns exactly what it returns alone.
 
 Random draws, all from the run's one generator, with n the population
 size and A the number of actionable features:
@@ -70,7 +72,6 @@ from .selection import (
     LexParams,
     crowded_tournament_select,
     final_select_lex,
-    first_occurrences,
     lex_survival_select,
     lex_tournament_select,
     nondominated_sort,
@@ -245,12 +246,13 @@ def check_candidate(values, x_pt, schema, stats):
             raise InvariantViolation("integer feature %r value %r" % (feat.name, value))
 
 
-def _dedup_pad(rows, size):
-    """Indices of the distinct rows of a matrix, each row's first occurrence
-    (selection.first_occurrences) in row order, then the repeated rows in
-    row order as padding if the distinct rows no longer fill a population
-    of size."""
-    first = first_occurrences(rows)
+def _dedup_pad(slots, size):
+    """Indices of the distinct rows of a pool, given each row's slot in the
+    evaluation store (equal rows share a slot): each slot's first
+    occurrence in row order, then the repeated rows in row order as
+    padding if the distinct rows no longer fill a population of size."""
+    first = np.zeros(len(slots), dtype=bool)
+    first[np.unique(slots, return_index=True)[1]] = True
     distinct, repeated = first.nonzero()[0], (~first).nonzero()[0]
     return np.concatenate((distinct, repeated[: max(0, size - distinct.size)]))
 
@@ -271,8 +273,10 @@ def violating_rows(X, genome):
 def _search(ctx, cfg):
     """One run as a generator of its evaluation batches: it yields each
     batch of coded rows, the initial population and then each
-    generation's offspring, is sent their (rows x 4) objective array, and
-    returns the EAResult after cfg.max_generations generations."""
+    generation's offspring, is sent their (rows x 4) objective array and
+    their slots in ctx.store, and returns the EAResult after
+    cfg.max_generations generations. Survival drops repeated rows by
+    their slots, so the pool is never keyed again."""
     if bool(cfg.resilience) != bool(ctx.resilience):
         raise ConfigError("config and evaluation context disagree on resilience")
     rng = np.random.default_rng(cfg.seed)
@@ -291,9 +295,10 @@ def _search(ctx, cfg):
         for r in np.flatnonzero(violating_rows(rows, genome)):
             check_candidate(values[r], ctx.x_pt, ctx.schema, ctx.stats)
 
-    # the population: coded rows X, objective array V, birth generations
+    # the population: coded rows X, objective array V, store slots, birth
+    # generations
     X = init_population(genome, cfg, rng)
-    V = yield X
+    V, slots = yield X
     born = np.zeros(n, dtype=np.int64)
     if cfg.debug:
         audit(X, V, 0)
@@ -307,19 +312,20 @@ def _search(ctx, cfg):
         else:
             parents = lex_tournament_select(params, X, rng, V=V)
         offspring = mutate(crossover(parents, genome, cfg, rng), genome, cfg, rng)
-        offspring_V = yield offspring
+        offspring_V, offspring_slots = yield offspring
         if cfg.debug:
             audit(offspring, offspring_V, gen)
 
         pool_X = np.concatenate((X, offspring))
         pool_V = np.concatenate((V, offspring_V))
-        pool = _dedup_pad(pool_X, n)
+        pool_slots = np.concatenate((slots, offspring_slots))
+        pool = _dedup_pad(pool_slots, n)
         if cfg.strategy == PARETO:
             kept, fronts = nsga2_select(pool_V[pool], n)
         else:
             kept = lex_survival_select(pool_V[pool], n, ordering, cfg.theta)
         rows = pool[kept]
-        X, V = pool_X[rows], pool_V[rows]
+        X, V, slots = pool_X[rows], pool_V[rows], pool_slots[rows]
         born = np.concatenate((born, np.full(len(offspring), gen)))[rows]
 
     population = tuple(map(Candidate, genome.decode(X), objective_vectors(V), born.tolist()))
@@ -339,15 +345,17 @@ def _lockstep(ctx, cfgs):
     """Run one search per config on ctx in lockstep, and return their
     EAResults in order. Each round concatenates the batches the unfinished
     runs propose, scores them with one evaluate_population call and sends
-    each run the rows of the objective array that belong to its batch."""
+    each run the rows of the objective array, and the store slots
+    (ctx.batch_slots), that belong to its batch."""
     runs = [_search(ctx, cfg) for cfg in cfgs]
     pending = {i: next(run) for i, run in enumerate(runs)}  # run -> proposed rows
     results = [None] * len(runs)
     while pending:
         V = evaluate_population(np.concatenate(list(pending.values())), ctx)
-        start = 0
+        slots, start = ctx.batch_slots, 0
         for i, rows in list(pending.items()):
-            part, start = V[start : start + len(rows)], start + len(rows)
+            stop = start + len(rows)
+            part, start = (V[start:stop], slots[start:stop]), stop
             try:
                 pending[i] = runs[i].send(part)
             except StopIteration as done:

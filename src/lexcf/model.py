@@ -324,17 +324,21 @@ def _split_batch(Xp, yp, P, F, n, min_leaf):
     the index of Xp's last row, which is +inf in every column and has
     label 0; n[b] counts its real rows, and F[b] lists its mtry sampled
     features. Each (node, feature) row is sorted and scored with the
-    elementwise Gini arithmetic of a search of that node alone: padded
+    elementwise Gini arithmetic of a search of that node alone (tied
+    values may sort in any order: a threshold falls only between
+    distinct values, where the counts on each side are the same): padded
     cells sort after every real value, and a threshold with fewer than
     min_leaf real rows on either side is invalid. Per row, argmin keeps
     the lowest threshold; across a node's features, the first in sampled
-    order. Returns, per node: whether it has a valid split, the split's
-    feature, threshold, left row count and left positive count (as
-    lists), and the node's rows sorted on the split feature (a 2-D
+    order. The threshold is the midpoint of the two values the split
+    falls between, or the lower value where the midpoint rounds up to the
+    upper one. Returns, per node: whether it has a valid split, the
+    split's feature, threshold, left row count and left positive count
+    (as lists), and the node's rows sorted on the split feature (a 2-D
     array)."""
     B, L = P.shape
     at = np.arange(B)
-    order = np.argsort(Xp[P[:, None, :], F[:, :, None]], axis=2, kind="stable")
+    order = np.argsort(Xp[P[:, None, :], F[:, :, None]], axis=2)
     S = P.take(order + (at * L)[:, None, None])  # [b, j]: node b's rows sorted on F[b, j]
     cs = Xp[S, F[:, :, None]]
     cum = np.cumsum(yp.take(S), axis=2)
@@ -356,10 +360,14 @@ def _split_batch(Xp, yp, P, F, n, min_leaf):
     j = best.argmin(axis=1)
     k = k[at, j]
     cs, cum = cs[at, j], cum[at, j]
-    threshold = 0.5 * (cs[at, k] + cs[at, k + 1])
-    # the rows a walk sends left: the midpoint of adjacent floats may
-    # round up to the upper one, so count them rather than take k + 1
-    n_left = np.count_nonzero(cs <= threshold[:, None], axis=1)
+    lower, upper = cs[at, k], cs[at, k + 1]
+    # the midpoint of adjacent floats may round up to the upper one, which
+    # sends the rows at the upper value left too: in a node whose largest
+    # value it is, every row, so the node never shrinks. The lower value
+    # sends left exactly the rows the split searched, k + 1 of them
+    threshold = 0.5 * (lower + upper)
+    threshold = np.where(threshold == upper, lower, threshold)
+    n_left = k + 1
     return (
         np.isfinite(best[at, j]).tolist(),
         F[at, j].tolist(),

@@ -380,9 +380,12 @@ class EvalContext:
     the cache. Evaluation is pure, so objectives are cached by each coded
     row's key (row_keys): cache maps a key to its row of store, a float
     array of four columns that doubles when it fills, one row per distinct
-    row evaluated. The cache may be shared by runs with the same point of
-    interest, model, and resilience setting. A point of interest with a
-    non-finite numeric value is a ConfigError.
+    row evaluated. batch_slots holds, after each evaluate_population call,
+    the store row (slot) of each row of its batch, as an int array: two
+    rows share a slot exactly when their keys are equal. The cache may be
+    shared by runs with the same point of interest, model, and resilience
+    setting. A point of interest with a non-finite numeric value is a
+    ConfigError.
     """
 
     def __init__(self, x_pt, model, train, stats, resilience=False):
@@ -403,6 +406,7 @@ class EvalContext:
         self.scan = TrainGowerScan(self.genome, [inst.values for inst in train])
         self.cache = {}
         self.store = np.empty((0, 4))
+        self.batch_slots = np.empty(0, dtype=np.int64)
 
     def gower_to_poi(self, F):
         """Gower sum of each row of F to the POI, p times its o2."""
@@ -428,7 +432,7 @@ def evaluate_population(X, ctx):
     sums are p times o2 and bound the pruned scan to the training set
     (TrainGowerScan), o3 as one comparison with the POI's row, and, under
     resilience, one predict_coded batch for the walks of every valid
-    candidate.
+    candidate. The batch's slots in ctx.store are left in ctx.batch_slots.
     """
     keys = row_keys(X)
     # each distinct uncached key in first-occurrence order, with a row of it
@@ -457,7 +461,8 @@ def evaluate_population(X, ctx):
         V[:, 2] = np.count_nonzero(F != ctx.genome.poi, axis=1)
         V[:, 3] = ctx.scan.min_mean_dist(F, to_poi)
         ctx.cache.update(zip(fresh, range(start, stop)))
-    return ctx.store[[ctx.cache[key] for key in keys]]
+    ctx.batch_slots = np.array([ctx.cache[key] for key in keys], dtype=np.int64)
+    return ctx.store[ctx.batch_slots]
 
 
 def objective_vectors(V):

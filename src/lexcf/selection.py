@@ -17,6 +17,16 @@ the caller indexes its own rows with the picks. lex_tournament_select
 alone returns the victors themselves, and also takes a list of
 Candidates.
 
+One crowding kernel serves every front: crowding_distance gives each row
+its distance within its front, given a front id per row, from one sort
+per objective of all rows at once. The crowded tournament calls it once
+for all fronts, NSGA-II survival on the front it cuts, and lexicographic
+survival on the whole pool as one front. Lexicographic survival peels
+theta-tied groups off the pool without re-running the winnow: each
+priority column is sorted once, a stage keeps a window of its column's
+order that starts at its best member, and the first three stages' kept
+sets are carried from one group to the next.
+
 A tournament call draws all its entrants at once. With n members and N
 rounds, two entrants per round are a = rng.integers(n, size=N) and
 b = (a + 1 + rng.integers(n - 1, size=N)) % n, two distinct members;
@@ -27,6 +37,7 @@ survivor at position int(u * t), in entrant order. The crowded
 tournament needs no tie draw.
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -255,26 +266,67 @@ def nondominated_sort(V):
     return list(_peel(_dominance_matrix(np.asarray(V, dtype=float))))
 
 
-def crowding_distance(V):
-    """Diversity score of each row of V, a front's objective array, as an
-    array; boundary rows are infinite, interior ones accumulate normalized
-    gaps between their sorted neighbors. Objectives constant across the
-    front contribute nothing."""
-    V = np.asarray(V, dtype=float)
-    n = len(V)
-    if n <= 2:
+def crowding_distance(V, front=None):
+    """Diversity score of each row of V within its front, as an array:
+    front holds a front id per row (non-negative integers; None makes
+    all rows one front). Within a front, boundary rows are infinite and
+    interior ones accumulate normalized gaps between their sorted
+    neighbors, objective by objective; an objective constant across the
+    front contributes nothing and makes no boundary, and a front of at
+    most 2 rows is all infinite.
+
+    Each objective's rows are ordered as a stable sort of each front
+    alone would order them, ties by index: one stable argsort of all
+    columns for a single front, and with fronts a second argsort of a
+    unique key per cell, its row's front id and its rank in the column."""
+    VT = np.asarray(V, dtype=float).T
+    n = VT.shape[-1]
+    order = np.argsort(VT, axis=1, kind="stable")
+    rows = np.arange(len(VT))[:, None]
+    ids = None
+    if front is not None:
+        front = np.asarray(front, dtype=np.int64)
+        rank = np.empty(order.shape, dtype=np.int64)
+        rank[rows, order] = np.arange(n)
+        order = np.argsort(front * n + rank, axis=1)
+        ids = front[order[0]]
+    return _crowding(VT[rows, order], order, ids)
+
+
+def _crowding(S, order, ids=None):
+    """crowding_distance from each objective's sorted values: S[j] holds
+    column j of V in the order order[j], which lists each front's rows as
+    one run; ids holds the front id at each position of those runs (None
+    for a single front). A front's least and greatest values are the ends
+    of its run, and gaps add in objective order, as one front's loop adds
+    them."""
+    m, n = S.shape
+    if ids is None and n <= 2:
         return np.full(n, np.inf)
+    if ids is None:
+        span = S[:, -1:] - S[:, :1]
+        edge, small = slice(None, None, n - 1), None
+    else:
+        count = np.bincount(ids)
+        start = (np.cumsum(count) - count)[ids]
+        stop = start + count[ids] - 1
+        at = np.arange(n)
+        span = S[:, stop] - S[:, start]
+        edge, small = (at == start) | (at == stop), stop - start < 2
+    gap = np.empty(S.shape)
+    gap[:, 1:-1] = S[:, 2:] - S[:, :-2]
+    gap[:, edge] = np.inf
+    constant = span == 0
+    span[constant] = 1.0
+    gap /= span
+    np.copyto(gap, 0.0, where=constant)
+    if small is not None:
+        gap[:, small] = np.inf
+    D = np.empty(S.shape)
+    D[np.arange(m)[:, None], order] = gap
     dist = np.zeros(n)
-    for j in range(V.shape[1]):
-        col = V[:, j]
-        lo, hi = float(col.min()), float(col.max())
-        if hi == lo:
-            continue
-        order = np.argsort(col, kind="stable")
-        dist[order[0]] = np.inf
-        dist[order[-1]] = np.inf
-        gaps = (col[order[2:]] - col[order[:-2]]) / (hi - lo)
-        dist[order[1:-1]] += gaps
+    for gaps in D:
+        dist += gaps
     return dist
 
 
@@ -292,9 +344,8 @@ def nsga2_select(V, target_size):
     for front in _peel(_dominance_matrix(V)):
         room = target_size - len(chosen)
         if len(front) > room:
-            cd = crowding_distance(V[front]).tolist()
-            ranked = sorted(range(len(front)), key=lambda t: (-cd[t], front[t]))
-            front = [front[t] for t in ranked[:room]]
+            ranked = np.lexsort((front, -crowding_distance(V[front])))
+            front = [front[t] for t in ranked[:room].tolist()]
         fronts.append(list(range(len(chosen), len(chosen) + len(front))))
         chosen.extend(front)
         if len(chosen) == target_size:
@@ -314,14 +365,42 @@ def crowded_tournament_select(V, n, rng, fronts=None):
         raise ConfigError("need at least two candidates for binary tournaments")
     if fronts is None:
         fronts = _peel(_dominance_matrix(V))
+    fronts = list(fronts)
     rank = np.zeros(size, dtype=np.int64)
-    crowd = np.zeros(size)
-    for r, front in enumerate(fronts):
-        rank[front] = r
-        crowd[front] = crowding_distance(V[front])
+    if len(fronts) > 1:
+        rank[[i for front in fronts for i in front]] = np.repeat(
+            np.arange(len(fronts)), [len(front) for front in fronts]
+        )
+    crowd = crowding_distance(V, rank if len(fronts) > 1 else None)
+    # each row's place in the order the tournament decides by
+    place = np.empty(size, dtype=np.int64)
+    place[np.lexsort((np.arange(size), -crowd, rank))] = np.arange(size)
     a, b = _pair_entrants(size, n, rng)
-    by_crowd = np.where(crowd[a] != crowd[b], np.where(crowd[a] > crowd[b], a, b), np.minimum(a, b))
-    return np.where(rank[a] != rank[b], np.where(rank[a] < rank[b], a, b), by_crowd)
+    return np.where(place[a] < place[b], a, b)
+
+
+class _WindowEnds(dict):
+    """The end of the window _winnow keeps from each position p of an
+    ascending list of values, computed on first use: the first position q
+    with fl(values[q] - values[p]) > theta, or len(values). bisect on
+    values[p] + theta guesses it; the guess is then moved, one distinct
+    value at a time, to where the rounded difference itself crosses
+    theta, either way."""
+
+    def __init__(self, values, theta):
+        super().__init__()
+        self.values, self.theta = values, theta
+
+    def __missing__(self, p):
+        values, theta = self.values, self.theta
+        best = values[p]
+        end = bisect_right(values, best + theta, p)
+        while values[end - 1] - best > theta:
+            end = bisect_left(values, values[end - 1], p)
+        while end < len(values) and values[end] - best <= theta:
+            end = bisect_right(values, values[end], end)
+        self[p] = end
+        return end
 
 
 def lex_survival_select(V, target_size, ordering, theta):
@@ -332,22 +411,87 @@ def lex_survival_select(V, target_size, ordering, theta):
     The deterministic tournament winner over the whole pool (a theta pass,
     an exact pass if more than one survives, then the smallest index) is
     kept first. Then theta-tied top groups are peeled off the remaining
-    members in turn, each by one theta pass of the same winnow over the
-    pool's objective array, and each group is ranked by descending
-    whole-pool crowding distance, index ascending on ties, until
-    target_size members are kept.
+    members in turn, each the set one theta pass of _winnow keeps, and
+    each group is ranked by descending whole-pool crowding distance,
+    index ascending on ties, until target_size members are kept.
+
+    One stable argsort of the four columns serves the crowding distance
+    and the peel. In each priority column's order, a stage keeps the
+    window from its best member up to _WindowEnds's end, so the peel
+    keeps the sets of its first three stages between groups, each as
+    positions in the next column's order. Stage 1 keeps the remaining
+    members in the window of the first remaining position in column 0's
+    order: removing a group only takes members out of it, and it grows
+    only when its best value leaves and the window slides on. Stage 2
+    keeps the members of stage 1 up to the window end of its first in
+    column 1's order, and stage 3 those of stage 2 up to the window end
+    of its first in column 2's order; each changes beyond the group's
+    removal only when that end moves or the stage before it changes, and
+    is then rebuilt. The group is the window at the head of stage 3.
     """
     V = np.asarray(V, dtype=float)
-    if target_size > len(V):
-        raise ConfigError("target size %d exceeds pool %d" % (target_size, len(V)))
-    cd = crowding_distance(V).tolist()
-    cols = _priority_columns(V, ordering)
-    best = lex_best_index(V, ordering, theta)
-    ranked = [best]
-    alive = np.ones(len(V), dtype=bool)
-    alive[best] = False
+    n = len(V)
+    if target_size > n:
+        raise ConfigError("target size %d exceeds pool %d" % (target_size, n))
+    VT = V.T
+    order = np.argsort(VT, axis=1, kind="stable")
+    rows = np.arange(len(VT))[:, None]
+    S = VT[rows, order]
+    # each row's place in the order of descending crowding, index ascending
+    crowded = np.empty(n, dtype=np.int64)
+    crowded[np.argsort(-_crowding(S, order), kind="stable")] = np.arange(n)
+    crowded = crowded.tolist()
+    priority = list(ordering)
+    order, S = order[priority], S[priority]
+    end0, end1, end2, end3 = (_WindowEnds(values, theta) for values in S.tolist())
+    by0, by1, by2, by3 = order.tolist()
+    at = np.empty((3, n), dtype=np.int64)  # each row's position in columns 1-3
+    at[rows[:3], order[1:]] = np.arange(n)
+    at1, at3 = at[0].tolist(), at[2].tolist()
+    # a position in column k's order mapped to its row's in column k + 1's
+    to2, to3 = at[1, order[1]].tolist(), at[2, order[2]].tolist()
+    alive = [True] * n
+    # stage k holds the members it keeps as their positions in column k's
+    # order, ascending; stages 1 and 2 hold dead ones too, which head1
+    # and head2 skip at their front and the rebuild of stage 3 drops.
+    # Stage 1 holds the members at by0's positions from first (the first
+    # alive) up to reach, stage 2 those of stage 1 below the window end
+    # stop1 of its first, stage 3 those of stage 2 below stop2 of its first
+    stage1, head1, first, reach = [], 0, 0, 0
+    stage2, head2, stage3, stop1, stop2 = [], 0, [], None, None
+    ranked = []
     while len(ranked) < target_size:
-        group = _winnow(cols, alive.nonzero()[0], theta)
-        alive[group] = False
-        ranked.extend(sorted(group.tolist(), key=lambda i: (-cd[i], i)))
+        while not alive[by0[first]]:
+            first += 1
+        grown = end0[first] > reach
+        if grown:
+            # no group has taken a member beyond reach yet
+            stage1 = sorted(stage1[head1:] + [at1[i] for i in by0[reach : end0[first]]])
+            head1, reach = 0, end0[first]
+        while not alive[by1[stage1[head1]]]:
+            head1 += 1
+        if grown or end1[stage1[head1]] != stop1:
+            stop1, stop2 = end1[stage1[head1]], None
+            window = stage1[head1 : bisect_left(stage1, stop1, head1)]
+            stage2, head2 = sorted([to2[q] for q in window]), 0
+        while not alive[by2[stage2[head2]]]:
+            head2 += 1
+        if end2[stage2[head2]] != stop2:
+            stop2 = end2[stage2[head2]]
+            window = stage2[head2 : bisect_left(stage2, stop2, head2)]
+            stage3 = sorted([to3[q] for q in window if alive[by2[q]]])
+        t = bisect_left(stage3, end3[stage3[0]])
+        group = [by3[q] for q in stage3[:t]]
+        if ranked:
+            del stage3[:t]
+        else:
+            if len(group) > 1 and theta > 0:
+                group = _winnow(VT[priority], np.array(group), 0.0).tolist()
+            group = [min(group)]
+            del stage3[bisect_left(stage3, at3[group[0]])]
+        for i in group:
+            alive[i] = False
+        if len(group) > 1:
+            group.sort(key=crowded.__getitem__)
+        ranked.extend(group)
     return ranked[:target_size]

@@ -18,7 +18,14 @@ from lexcf.data import (
 )
 from lexcf.errors import ConfigError, InvariantViolation
 from lexcf.model import LearnerConfig, train_model
-from lexcf.objectives import EvalContext, Genome, ObjectiveVector, evaluate
+from lexcf.objectives import (
+    EvalContext,
+    Genome,
+    ObjectiveVector,
+    evaluate,
+    evaluate_population,
+    row_keys,
+)
 from lexcf.ea import (
     EAConfig,
     LEX_DISTANCE_FIRST,
@@ -489,17 +496,40 @@ def test_check_candidate_contract():
     check_candidate((50.0, 2.5, "b", 0.5), poi, SCHEMA, STATS)
 
 
+def _slots(rows):
+    """Store slots as evaluate_population assigns them, in a fresh store:
+    equal row keys share a slot, numbered in first-occurrence order."""
+    slot_of = {}
+    return np.array([slot_of.setdefault(key, len(slot_of)) for key in row_keys(rows)])
+
+
 def test_dedup_pad_keeps_first_and_pads():
     a, b = [1.0, 0.0], [2.0, 0.0]
     rows = np.array([a, b, a, [0.0, 1.0], b, a])
     # three distinct rows, first occurrences in row order; padding refills
     # with the repeated rows in row order
-    assert _dedup_pad(rows, 3).tolist() == [0, 1, 3]
-    assert _dedup_pad(rows, 2).tolist() == [0, 1, 3]
-    assert _dedup_pad(rows, 5).tolist() == [0, 1, 3, 2, 4]
-    assert _dedup_pad(np.array([a, a, a]), 2).tolist() == [0, 1]
+    assert _dedup_pad(_slots(rows), 3).tolist() == [0, 1, 3]
+    assert _dedup_pad(_slots(rows), 2).tolist() == [0, 1, 3]
+    assert _dedup_pad(_slots(rows), 5).tolist() == [0, 1, 3, 2, 4]
+    assert _dedup_pad(_slots(np.array([a, a, a])), 2).tolist() == [0, 1]
     # -0.0 and 0.0 are one value, as in the value tuples
-    assert _dedup_pad(np.array([[0.0, 1.0], [-0.0, 1.0]]), 1).tolist() == [0]
+    assert _dedup_pad(_slots(np.array([[0.0, 1.0], [-0.0, 1.0]])), 1).tolist() == [0]
+    # slots need not come in first-occurrence order: a pool's survivors
+    # carry slots from earlier generations
+    assert _dedup_pad(np.array([7, 2, 7, 0, 2]), 4).tolist() == [0, 1, 3, 2]
+
+
+def test_batch_slots_match_row_keys(rng):
+    # rows share a store slot exactly when their keys are equal, over
+    # batches that revisit rows the store already holds
+    ctx = _context(rng)
+    X = _rows((10.0, 2.0, "b", 0.5), (20.0, 3.0, "a", 0.5), (10.0, 2.0, "b", 0.5))
+    evaluate_population(X, ctx)
+    assert ctx.batch_slots.tolist() == [0, 1, 0]
+    Y = np.concatenate((X[1:], _rows((30.0, 1.0, "c", 0.5)), X[:1]))
+    V = evaluate_population(Y, ctx)
+    assert ctx.batch_slots.tolist() == [1, 0, 2, 0]
+    assert np.array_equal(V, ctx.store[ctx.batch_slots])
 
 
 def test_run_ea_rejects_resilience_mismatch(rng):

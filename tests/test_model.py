@@ -199,7 +199,10 @@ def _best_split(X, y, idx, feats, min_leaf):
         score[~valid] = np.inf
         k = int(np.argmin(score))
         if best is None or score[k] < best[0]:
-            best = (score[k], int(f), 0.5 * (cs[k] + cs[k + 1]))
+            # a midpoint that rounds up to the upper value gives way to the
+            # lower one, which sends the same rows left
+            mid = 0.5 * (cs[k] + cs[k + 1])
+            best = (score[k], int(f), cs[k] if mid == cs[k + 1] else mid)
     return best
 
 
@@ -283,10 +286,10 @@ def _ties_dataset():
 
 def _midpoint_dataset():
     # training spans [0, 1], so the encoding is the identity; the midpoint
-    # of the adjacent floats a and b rounds up to b, so the rows at b go
-    # left of the split between a and b. In a node whose largest value is
-    # b that split sends every row left, again and again: max_depth ends
-    # the chain, for the reference grower too
+    # of the adjacent floats a and b rounds up to b. As a threshold it
+    # would send the rows at b left of the split between a and b, and in a
+    # node whose largest value is b every row, again and again; the split
+    # takes a instead, so training finishes without a depth limit
     a = 0.5 + 2.0**-53
     b = 0.5 + 2.0**-52
     assert 0.5 * (a + b) == b
@@ -337,7 +340,13 @@ ACCEPTANCE_FOREST = {"ntree": 60, "mtry": 3, "max_depth": 12}
             _midpoint_dataset,
             {"ntree": 8, "max_depth": 4},
             0,
-            lambda m: any(0.5 + 2.0**-52 in t.threshold for t in m.trees),
+            lambda m: any(0.5 + 2.0**-53 in t.threshold for t in m.trees),
+        ),
+        (
+            _midpoint_dataset,
+            {"ntree": 8, "max_depth": None},
+            0,
+            lambda m: any(0.5 + 2.0**-53 in t.threshold for t in m.trees),
         ),
     ],
     ids=[
@@ -351,6 +360,7 @@ ACCEPTANCE_FOREST = {"ntree": 60, "mtry": 3, "max_depth": 12}
         "ntree_1",
         "ties_constant_column",
         "midpoint_rounds_up",
+        "midpoint_unlimited_depth",
     ],
 )
 def test_random_forest_trains_like_reference(make_train, params, seed, covers):

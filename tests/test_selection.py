@@ -475,11 +475,88 @@ def _oracle_tournament(params, population, rng):
     return victors
 
 
+def _oracle_crowding(V):
+    """Crowding distance of one front, the rows of V, one objective at a
+    time: the per-front routine the all-fronts kernel replaced."""
+    V = np.asarray(V, dtype=float)
+    n = len(V)
+    if n <= 2:
+        return np.full(n, np.inf)
+    dist = np.zeros(n)
+    for j in range(V.shape[1]):
+        col = V[:, j]
+        lo, hi = float(col.min()), float(col.max())
+        if hi == lo:
+            continue
+        order = np.argsort(col, kind="stable")
+        dist[order[0]] = np.inf
+        dist[order[-1]] = np.inf
+        gaps = (col[order[2:]] - col[order[:-2]]) / (hi - lo)
+        dist[order[1:-1]] += gaps
+    return dist
+
+
+def _oracle_crowding_by_front(V, front):
+    """_oracle_crowding run on each front alone, its rows in index order."""
+    V, front = np.asarray(V, dtype=float), np.asarray(front)
+    dist = np.empty(len(V))
+    for f in np.unique(front):
+        rows = np.flatnonzero(front == f)
+        dist[rows] = _oracle_crowding(V[rows])
+    return dist
+
+
+def _oracle_nsga2(V, target_size):
+    """The survival fill with the straddling front cut by a list sort on
+    (descending crowding, index)."""
+    V = np.asarray(V, dtype=float)
+    chosen, fronts = [], []
+    for front in _oracle_sort([Cand((), tuple(v)) for v in V.tolist()]):
+        room = target_size - len(chosen)
+        if len(front) > room:
+            cd = _oracle_crowding(V[front]).tolist()
+            ranked = sorted(range(len(front)), key=lambda t: (-cd[t], front[t]))
+            front = [front[t] for t in ranked[:room]]
+        fronts.append(list(range(len(chosen), len(chosen) + len(front))))
+        chosen.extend(front)
+        if len(chosen) == target_size:
+            break
+    return chosen, fronts
+
+
+def _oracle_peel(V, target_size, ordering, theta):
+    """The lexicographic survival that re-runs every winnow stage, as masked
+    numpy passes, over all remaining members at each peel."""
+    V = np.asarray(V, dtype=float)
+    cols = V.T[list(ordering)]
+
+    def winnow(idx, th):
+        for col in cols:
+            c = col[idx]
+            idx = idx[c - c.min() <= th]
+            if idx.size == 1:
+                break
+        return idx
+
+    cd = _oracle_crowding(V).tolist()
+    survivors = winnow(np.arange(len(V)), theta)
+    if survivors.size > 1 and theta > 0:
+        survivors = winnow(survivors, 0.0)
+    ranked = [int(survivors[0])]
+    alive = np.ones(len(V), dtype=bool)
+    alive[ranked[0]] = False
+    while len(ranked) < target_size:
+        group = winnow(alive.nonzero()[0], theta)
+        alive[group] = False
+        ranked.extend(sorted(group.tolist(), key=lambda i: (-cd[i], i)))
+    return ranked[:target_size]
+
+
 def _oracle_crowded_tournament(population, rounds, rng):
     rank, crowd = {}, {}
     for r, front in enumerate(_oracle_sort(population)):
         front_V = np.array([population[i].objectives for i in front])
-        for i, cd in zip(front, crowding_distance(front_V).tolist()):
+        for i, cd in zip(front, _oracle_crowding(front_V).tolist()):
             rank[i], crowd[i] = r, cd
     victors = []
     for pair in _oracle_entrants(len(population), 2, rounds, rng):
@@ -490,7 +567,7 @@ def _oracle_crowded_tournament(population, rounds, rng):
 
 def _oracle_survival(pool, target_size, ordering, theta):
     vectors = [c.objectives for c in pool]
-    cd = crowding_distance(vectors).tolist()
+    cd = _oracle_crowding(vectors).tolist()
     best = min(_oracle_lex_survivors(range(len(pool)), vectors, ordering, theta))
     ranked = [best]
     remaining = [i for i in range(len(pool)) if i != best]
@@ -555,7 +632,7 @@ def test_array_kernels_match_sort_oracles(data):
 
     # the list of vectors, turned into the objective array, gives the same picks
     assert lex_survival_select(vecs, target, ordering, theta) == survivors
-    assert nsga2_select(vecs, target) == nsga2_select(V, target)
+    assert nsga2_select(vecs, target) == nsga2_select(V, target) == _oracle_nsga2(V, target)
 
     for k in (1, 2, 3):
         if k > n:
@@ -624,3 +701,103 @@ def test_nsga2_select_fronts_equal_sort_of_survivors(data):
     survivors, fronts = nsga2_select(pool, target)
     assert fronts == nondominated_sort([pool[i] for i in survivors])
     assert [i for front in fronts for i in front] == list(range(target))
+
+
+# Values for wide pools, a few drawn per column: pairs whose rounded
+# difference falls on either side of theta (0.01) although their exact
+# difference does not say so: -0.49 - -0.5 and 0.65 - 0.64 round just above
+# it, 0.0018615800645129489 - -0.008138419935487052 rounds down onto it
+# although -0.008138419935487052 + 0.01 rounds below 0.0018615800645129489;
+# signed zeros; and whole numbers, as sparsity holds.
+_WIDE_VALUES = (
+    (-0.5, -0.49, -0.008138419935487052, 0.0018615800645129489, -0.0, 0.0, 0.01, 0.3),
+    (-0.0, 0.0, 0.1, 0.105, 0.11, 0.12, 0.13, 0.64, 0.65),
+    (0.0, 1.0, 2.0, 3.0),
+    (-0.0, 0.0, 0.005, 0.01, 0.015, 0.2, 0.64, 0.65),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_selection_kernels_match_oracles_on_wide_pools(data):
+    # up to 200 rows over few distinct values per column, so each stage's
+    # best value is used up and its window slides during a survival, and
+    # theta-tied groups are large
+    n = data.draw(st.integers(1, 200))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    V = np.column_stack([
+        rng.choice(rng.choice(values, size=int(rng.integers(1, len(values) + 1)), replace=False),
+                   size=n)
+        for values in _WIDE_VALUES
+    ])
+    theta = data.draw(st.sampled_from([0.0, 0.01]))
+    ordering = data.draw(st.sampled_from([DISTANCE_BEFORE_SPARSITY, SPARSITY_BEFORE_DISTANCE]))
+    target = data.draw(st.integers(1, n))
+    want = _oracle_peel(V, target, ordering, theta)
+    assert lex_survival_select(V, target, ordering, theta) == want
+
+    def same_bits(a, b):
+        return a.tobytes() == b.tobytes()
+
+    # one front, fronts of the nondominated sort, and random fronts, many
+    # of one or two rows
+    assert same_bits(crowding_distance(V), _oracle_crowding(V))
+    fronts = nondominated_sort(V)
+    rank = np.empty(n, dtype=np.int64)
+    for r, front in enumerate(fronts):
+        rank[front] = r
+    for front in (rank, rng.integers(0, int(rng.integers(1, n + 1)), size=n)):
+        assert same_bits(crowding_distance(V, front), _oracle_crowding_by_front(V, front))
+    assert nsga2_select(V, target) == _oracle_nsga2(V, target)
+    if n >= 2:
+        pool = [Cand((i,), v) for i, v in enumerate(map(tuple, V.tolist()))]
+        seed = int(rng.integers(2**16))
+        picks = crowded_tournament_select(V, 30, np.random.default_rng(seed), fronts)
+        want = _oracle_crowded_tournament(pool, 30, np.random.default_rng(seed))
+        assert [pool[i] for i in picks] == want
+
+
+@pytest.mark.parametrize(
+    "low, high, tied",
+    [
+        (-0.5, -0.49, False),  # the difference rounds above theta; a + theta does not
+        (0.64, 0.65, False),
+        (-0.008138419935487052, 0.0018615800645129489, True),  # the other way round
+        (0.0, 0.01, True),  # exactly theta
+        (-0.0, 0.0, True),
+    ],
+)
+def test_lex_survival_ties_by_the_rounded_difference(low, high, tied):
+    # stage 1 keeps high next to low exactly when fl(high - low) <= theta,
+    # whatever low + theta rounds to; sparsity then prefers high
+    V = np.array([[low, 0.0, 2.0, 0.0], [high, 0.0, 1.0, 0.0], [0.9, 0.0, 0.0, 0.0]])
+    assert (high - low <= 0.01) == tied
+    got = lex_survival_select(V, 3, SPARSITY_BEFORE_DISTANCE, 0.01)
+    assert got == ([1, 0, 2] if tied else [0, 1, 2])
+    assert got == _oracle_peel(V, 3, SPARSITY_BEFORE_DISTANCE, 0.01)
+
+
+def test_lex_survival_rebuilds_a_stage_without_members_already_taken():
+    # row 1 is best on validity; rows 0, 2 and 3 then tie on validity and
+    # sparsity, and on distance rows 2 and 3 lie within theta of row 0.
+    # Row 3 leaves with row 0's group, on plausibility. The distance window
+    # then starts at row 2 and reaches further, so the stage after it is
+    # rebuilt, and row 3 must not come back into it
+    V = np.array([
+        [0.01, 0.105, 2.0, 0.005],
+        [-0.008138419935487052, 0.12, 2.0, 0.2],
+        [0.01, 0.11, 2.0, 0.64],
+        [0.01, 0.11, 2.0, 0.005],
+    ])
+    got = lex_survival_select(V, 4, SPARSITY_BEFORE_DISTANCE, 0.01)
+    assert got == [1, 0, 3, 2] == _oracle_peel(V, 4, SPARSITY_BEFORE_DISTANCE, 0.01)
+
+
+def test_crowding_distance_by_front_hand_example():
+    # fronts 0 and 2 interleaved in index order; front 1 has a single row
+    # and front 2 two rows, so both are all infinite
+    V = LADDER + [vec4(9, 9, 9, 9), vec4(5, 5, 1, 5), vec4(6, 6, 1, 6)]
+    front = [0, 0, 0, 0, 1, 2, 2]
+    cd = crowding_distance(V, front)
+    assert cd.tolist() == crowding_distance(LADDER).tolist() + [float("inf")] * 3
+    assert cd.tolist() == _oracle_crowding_by_front(V, front).tolist()
