@@ -11,9 +11,8 @@ array V; evaluate_population scores the coded rows themselves and
 returns their objectives as such an array, and models read the rows
 through Model.predict_coded. Selection reads V and returns indices, with
 which the loop indexes X and the survival pool. Rows and objectives stay
-arrays until the run returns: the lexicographic final pick is made among
-the coded rows, and the final population is decoded once into the
-result's Candidates, whose ObjectiveVectors are V's rows. A debug run
+arrays until the run returns: the final population is decoded once into
+the result's Candidates, whose ObjectiveVectors are V's rows. A debug run
 also decodes each generation for its genealogy, and checks its rows
 with violating_rows, passing the rows it flags to check_candidate. A run
 keeps no per-generation trace.
@@ -25,8 +24,9 @@ store. One loop (_lockstep) advances runs in lockstep: run_ea drives
 one run, and run_paired drives par, lex1 and lex2 together, scoring the
 three batches of each generation with one evaluate_population call and
 handing each run its rows of the objective array and of the slots.
-Equal rows share a slot, so survival finds a pool's repeated rows among
-the slots it carries next to X and V, without keying the rows. Each run
+Equal rows share a slot, the one rule for equal scored rows: survival,
+the lexicographic final round and the returned Pareto front keep each
+row's first occurrence by the slots carried next to X and V. Each run
 keeps its own generator and draw order, and a row's objectives do not
 depend on its batch (its forest votes, logistic score and Gower sums
 come out the same bits in any batch, and the context's cache holds pure
@@ -246,15 +246,20 @@ def check_candidate(values, x_pt, schema, stats):
             raise InvariantViolation("integer feature %r value %r" % (feat.name, value))
 
 
-def _dedup_pad(slots, size):
-    """Indices of the distinct rows of a pool, given each row's slot in the
-    evaluation store (equal rows share a slot): each slot's first
-    occurrence in row order, then the repeated rows in row order as
-    padding if the distinct rows no longer fill a population of size."""
+def _first_occurrences(slots):
+    """Mask of each store slot's first occurrence: the distinct rows of a
+    batch, given each row's slot (equal rows share a slot)."""
     first = np.zeros(len(slots), dtype=bool)
     first[np.unique(slots, return_index=True)[1]] = True
-    distinct, repeated = first.nonzero()[0], (~first).nonzero()[0]
-    return np.concatenate((distinct, repeated[: max(0, size - distinct.size)]))
+    return first
+
+
+def _dedup_pad(slots, size):
+    """Indices of the distinct rows of a pool (_first_occurrences), then the
+    repeated rows as padding if the distinct rows no longer fill a
+    population of size, each in row order (a stable sort of the mask)."""
+    first = _first_occurrences(slots)
+    return np.argsort(~first, kind="stable")[: max(size, np.count_nonzero(first))]
 
 
 def violating_rows(X, genome):
@@ -275,8 +280,8 @@ def _search(ctx, cfg):
     batch of coded rows, the initial population and then each
     generation's offspring, is sent their (rows x 4) objective array and
     their slots in ctx.store, and returns the EAResult after
-    cfg.max_generations generations. Survival drops repeated rows by
-    their slots, so the pool is never keyed again."""
+    cfg.max_generations generations. Survival and the returned solutions
+    drop repeated rows by their slots, so no row is keyed again."""
     if bool(cfg.resilience) != bool(ctx.resilience):
         raise ConfigError("config and evaluation context disagree on resilience")
     rng = np.random.default_rng(cfg.seed)
@@ -330,11 +335,12 @@ def _search(ctx, cfg):
 
     population = tuple(map(Candidate, genome.decode(X), objective_vectors(V), born.tolist()))
     if cfg.strategy == PARETO:
-        solutions = tuple(population[i] for i in fronts[0])
+        picks = np.array(fronts[0])[_first_occurrences(slots[fronts[0]])]
     else:
-        solutions = (population[final_select_lex(X, V, ordering, cfg.theta, rng)],)
+        distinct = np.flatnonzero(_first_occurrences(slots))
+        picks = [distinct[final_select_lex(V[distinct], ordering, cfg.theta, rng)]]
     return EAResult(
-        solutions=solutions,
+        solutions=tuple(population[i] for i in picks),
         generations_executed=cfg.max_generations,
         population=population,
         genealogy=tuple(genealogy) if genealogy is not None else None,

@@ -13,6 +13,7 @@ functions and resilience_scores are the reference it equals.
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
@@ -212,6 +213,7 @@ class Genome:
     """
 
     def __init__(self, x_pt, schema, stats):
+        self._names = [feat.name for feat in schema]
         self._codes = [
             {v: c for c, v in enumerate(st.categories)} if feat.kind == CATEGORICAL else None
             for feat, st in zip(schema, stats)
@@ -232,15 +234,28 @@ class Genome:
         self.act_categorical = np.flatnonzero(self.movable & ~self.numeric & (self.hi >= 0))
 
     def encode(self, rows):
-        """Value tuples as one (rows x features) float matrix."""
-        X = np.empty((len(rows), len(self.tables)))
+        """Value tuples as one (rows x features) float matrix. A tuple of the
+        wrong length, or a numeric feature's value that is not a finite real
+        number, is a ConfigError."""
+        p = len(self.tables)
+        for length in set(map(len, rows)) - {p}:
+            raise ConfigError("a value tuple holds %d values for %d features" % (length, p))
+        X = np.empty((len(rows), p))
         for i, (codes, column) in enumerate(zip(self._codes, zip(*rows))):
             if codes is not None:
                 known = len(codes)
                 column = [codes.setdefault(v, len(codes)) for v in column]
                 if len(codes) > known:
                     self.tables[i] = tuple(codes)
+            elif (values := np.asarray(column)).dtype.kind in "biuf":
+                column = values
+            else:
+                for v in filter(lambda v: not isinstance(v, Real), column):
+                    raise ConfigError("feature %r takes numbers, not %r" % (self._names[i], v))
             X[:, i] = column
+        # a categorical code is always finite
+        for r, i in np.argwhere(~np.isfinite(X))[:1]:
+            raise ConfigError("feature %r value %r is not finite" % (self._names[i], X.item(r, i)))
         return X
 
     def decode(self, X):
@@ -384,8 +399,7 @@ class EvalContext:
     the store row (slot) of each row of its batch, as an int array: two
     rows share a slot exactly when their keys are equal. The cache may be
     shared by runs with the same point of interest, model, and resilience
-    setting. A point of interest with a non-finite numeric value is a
-    ConfigError.
+    setting. A malformed point of interest is Genome.encode's ConfigError.
     """
 
     def __init__(self, x_pt, model, train, stats, resilience=False):
@@ -396,13 +410,6 @@ class EvalContext:
         self.schema = train.schema
         self.resilience = resilience
         self.genome = Genome(self.x_pt, self.schema, stats)
-        bad = np.flatnonzero(~np.isfinite(self.genome.poi))
-        if len(bad):
-            i = bad[0]
-            raise ConfigError(
-                "point of interest value %r of feature %r is not finite"
-                % (self.x_pt[i], self.schema[i].name)
-            )
         self.scan = TrainGowerScan(self.genome, [inst.values for inst in train])
         self.cache = {}
         self.store = np.empty((0, 4))

@@ -15,7 +15,8 @@ one), and returns indices into its rows: the dominance matrix, crowding
 distances and the lexicographic winnow are array operations over V, and
 the caller indexes its own rows with the picks. lex_tournament_select
 alone returns the victors themselves, and also takes a list of
-Candidates.
+Candidates. Selection never sees rows: the caller decides which rows
+are equal, and hands survival and the final round only distinct ones.
 
 One crowding kernel serves every front: crowding_distance gives each row
 its distance within its front, given a front id per row, from one sort
@@ -43,7 +44,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvariantViolation
-from .objectives import row_keys
 
 FIRST_BETTER = -1
 TIE = 0
@@ -185,29 +185,15 @@ def lex_tournament_select(params, population, rng=None, V=None):
     return [population[i] for i in picks]
 
 
-def first_occurrences(rows):
-    """Mask of each row's first occurrence in a matrix, in row order; rows
-    are equal when their objectives.row_keys are."""
-    keys = row_keys(rows)
-    # read backwards, each key's last entry is its first occurrence
-    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
-    mask = np.zeros(len(keys), dtype=bool)
-    mask[list(first.values())] = True
-    return mask
-
-
-def final_select_lex(rows, V, ordering, theta, rng):
-    """Pick the single returned solution: the index, among rows, of the
-    victor of one tournament round over the distinct rows (each row's first
-    occurrence), whose objectives are V's rows. Only a perfect tie draws:
-    one rng.integers over the tied rows, in row order."""
-    if not len(rows):
+def final_select_lex(V, ordering, theta, rng):
+    """Pick the single returned solution: the index of the victor of one
+    tournament round over every row of V. Only a perfect tie draws: one
+    rng.integers over the tied rows, in row order."""
+    if not len(V):
         raise InvariantViolation("cannot select from an empty population")
     cols = _priority_columns(np.asarray(V, dtype=float), ordering)
-    survivors = _lex_survivors(cols, first_occurrences(rows).nonzero()[0], theta)
-    if survivors.size == 1:
-        return int(survivors[0])
-    return int(survivors[int(rng.integers(survivors.size))])
+    survivors = _lex_survivors(cols, np.arange(len(V)), theta)
+    return int(survivors[rng.integers(survivors.size) if survivors.size > 1 else 0])
 
 
 def lex_best_index(V, ordering, theta):
@@ -431,8 +417,8 @@ def lex_survival_select(V, target_size, ordering, theta):
     """
     V = np.asarray(V, dtype=float)
     n = len(V)
-    if target_size > n:
-        raise ConfigError("target size %d exceeds pool %d" % (target_size, n))
+    if not 1 <= target_size <= n:
+        raise ConfigError("target size %d outside [1, %d]" % (target_size, n))
     VT = V.T
     order = np.argsort(VT, axis=1, kind="stable")
     rows = np.arange(len(VT))[:, None]

@@ -560,6 +560,28 @@ def test_run_ea_pareto_returns_front_zero(rng):
         assert not any(pareto_dominates(o.objectives, s.objectives) for o in result.population)
 
 
+def test_run_ea_pareto_returns_each_row_once_in_a_small_space():
+    # one actionable integer feature with values 0-2 leaves three distinct
+    # rows, so survival pads the population with repeats; the returned
+    # front holds each of its rows once, at its first occurrence
+    schema = (FeatureSchema("n", INTEGER), FeatureSchema("fixed", CONTINUOUS, actionable=False))
+    rng = np.random.default_rng(0)
+    rows = [(float(rng.integers(0, 3)), float(rng.uniform(0, 1))) for _ in range(60)]
+    train = make_dataset(schema, rows, [int(row[0] == 2) for row in rows])
+    model = train_model(train, LearnerConfig("logistic"))
+    stats = compute_feature_stats(train)
+    for seed in range(5):
+        ctx = EvalContext((0.0, 0.5), model, train, stats)
+        cfg = EAConfig(population_size=10, max_generations=5, strategy=PARETO, seed=seed)
+        result = run_ea(ctx, cfg)
+        front = nondominated_sort([c.objectives for c in result.population])[0]
+        firsts = {}
+        for i in front:
+            firsts.setdefault(result.population[i].values, result.population[i])
+        assert len(front) > len(firsts)
+        assert list(result.solutions) == list(firsts.values())
+
+
 def test_run_ea_finds_valid_solution(rng):
     ctx = _context(rng)
     cfg = EAConfig(seed=5)

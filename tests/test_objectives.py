@@ -44,6 +44,7 @@ from lexcf.objectives import (
     obj_validity_resilient,
     resilience_scores,
     resilience_step,
+    row_keys,
 )
 from lexcf import objectives
 from lexcf.objectives import _walk_reports
@@ -298,6 +299,48 @@ def test_eval_context_refuses_non_finite_poi(rng, value):
         with pytest.raises(ConfigError, match="not finite") as info:
             EvalContext(x_pt, model, train, MIXED_STATS)
         assert "\n" not in str(info.value)
+
+
+def test_eval_context_and_evaluate_refuse_malformed_value_tuples(rng):
+    train = _random_mixed_dataset(rng, 10)
+    model = ConstantModel(MIXED_SCHEMA, 0.8)
+    refused = [
+        ((1.0, 2.0), r"holds 2 values for 3 features"),
+        ((1.0, 2.0, "a", 4.0), r"holds 4 values for 3 features"),
+        (("abc", 2.0, "a"), r"feature 'x' takes numbers, not 'abc'"),
+        ((1.0, "2", "a"), r"feature 'n' takes numbers, not '2'"),
+        ((1.0, None, "a"), r"feature 'n' takes numbers, not None"),
+        ((1.0, -math.inf, "a"), r"feature 'n' value -inf is not finite"),
+    ]
+    for x_pt, message in refused:
+        with pytest.raises(ConfigError, match=message) as info:
+            EvalContext(x_pt, model, train, MIXED_STATS)
+        assert "\n" not in str(info.value)
+    ctx = EvalContext((1.0, 2.0, "a"), model, train, MIXED_STATS)
+    for candidate, message in refused:
+        with pytest.raises(ConfigError, match=message):
+            evaluate(candidate, ctx)
+    with pytest.raises(ConfigError, match=r"holds 1 values for 3 features"):
+        evaluate((1.0,), ctx)
+    # the refused value is named as given, among numbers in its column
+    with pytest.raises(ConfigError, match=r"feature 'x' takes numbers, not 'abc'"):
+        ctx.genome.encode([(1.0, 2.0, "a"), ("abc", 2.0, "a")])
+    # a numeric feature takes any real number, ints and numpy scalars too
+    assert evaluate((np.float64(1.0), 2, "a"), ctx) == evaluate((1.0, 2.0, "a"), ctx)
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_row_keys_match_float_oracle(data):
+    # small integer-valued rows with repeats, and signed zeros: keys are
+    # equal exactly when the rows are equal as floats (so -0.0 == 0.0)
+    n, p = data.draw(st.integers(0, 12)), data.draw(st.integers(1, 4))
+    cells = st.sampled_from([0.0, -0.0, 1.0, 2.0, -3.0])
+    rows = np.array(data.draw(st.lists(st.lists(cells, min_size=p, max_size=p), min_size=n,
+                                       max_size=n)), dtype=float).reshape(n, p)
+    equal = [[bool((rows[i] == rows[j]).all()) for j in range(n)] for i in range(n)]
+    keys = row_keys(rows)
+    assert [[keys[i] == keys[j] for j in range(n)] for i in range(n)] == equal
 
 
 def test_obj_validity_values():

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lexcf.ea import _first_occurrences
 from lexcf.errors import ConfigError, InvariantViolation
-from lexcf.objectives import row_keys
 from lexcf.selection import (
     DISTANCE_BEFORE_SPARSITY,
     FIRST_BETTER,
@@ -18,7 +18,6 @@ from lexcf.selection import (
     crowded_tournament_select,
     crowding_distance,
     final_select_lex,
-    first_occurrences,
     lex_best_index,
     lex_compare,
     lex_survival_select,
@@ -27,6 +26,7 @@ from lexcf.selection import (
     nsga2_select,
     pareto_dominates,
 )
+from lexcf.selection import _WindowEnds
 
 
 @dataclass(frozen=True)
@@ -169,52 +169,39 @@ def test_tournament_victor_count_and_membership():
     assert all(v in pop for v in victors)
 
 
-def test_final_select_dedups_by_values():
-    # five copies of one coded row and one distinct better one: the round
-    # runs over two distinct rows and picks the better deterministically
-    dup, best = [1.0, 2.0], [3.0, 4.0]
-    rows = np.array([dup, dup, dup, best, dup, dup])
-    V = [vec4(0.1, 0.1, 1, 0.1)] * 3 + [vec4(0.0, 0.0, 1, 0.1)] + [vec4(0.1, 0.1, 1, 0.1)] * 2
+def test_final_select_dedups_by_slots():
+    # five copies of one row and one distinct better one: the search hands
+    # the round each slot's first occurrence, two rows, and the round picks
+    # the better deterministically
+    slots = np.array([4, 4, 4, 9, 4, 4])
+    worse, best = vec4(0.1, 0.1, 1, 0.1), vec4(0.0, 0.0, 1, 0.1)
+    V = np.array([worse] * 3 + [best] + [worse] * 2)
+    distinct = np.flatnonzero(_first_occurrences(slots))
+    assert distinct.tolist() == [0, 3]
     rng = np.random.default_rng(0)
-    assert final_select_lex(rows, V, DISTANCE_BEFORE_SPARSITY, 0.01, rng) == 3
+    assert distinct[final_select_lex(V[distinct], DISTANCE_BEFORE_SPARSITY, 0.01, rng)] == 3
     # a deterministic pick draws nothing
     assert rng.random() == np.random.default_rng(0).random()
 
 
 def test_final_select_perfect_tie_samples_among_distinct():
-    # rows 0 and 2 are one row (-0.0 equals 0.0); a perfect tie draws among
-    # the first occurrences, rows 0 and 1, with one rng.integers
-    rows = np.array([[0.0, 1.0], [1.0, 1.0], [-0.0, 1.0]])
-    V = [vec4(0.0, 0.1, 1, 0.2)] * 3
+    # rows 0 and 2 share a slot; a perfect tie draws among the first
+    # occurrences, rows 0 and 1, with one rng.integers
+    slots = np.array([5, 2, 5])
+    V = np.array([vec4(0.0, 0.1, 1, 0.2)] * 3)
+    distinct = np.flatnonzero(_first_occurrences(slots))
     picks = set()
     for seed in range(20):
         rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-        pick = final_select_lex(rows, V, DISTANCE_BEFORE_SPARSITY, 0.01, rng)
+        pick = int(distinct[final_select_lex(V[distinct], DISTANCE_BEFORE_SPARSITY, 0.01, rng)])
         assert pick == int(twin.integers(2)) and rng.random() == twin.random()
         picks.add(pick)
     assert picks == {0, 1}
 
 
-@settings(max_examples=200)
-@given(data=st.data())
-def test_first_occurrences_and_row_keys_match_float_oracle(data):
-    # small integer-valued rows with repeats, and signed zeros
-    n, p = data.draw(st.integers(0, 12)), data.draw(st.integers(1, 4))
-    cells = st.sampled_from([0.0, -0.0, 1.0, 2.0, -3.0])
-    rows = np.array(data.draw(st.lists(st.lists(cells, min_size=p, max_size=p), min_size=n,
-                                       max_size=n)), dtype=float).reshape(n, p)
-    # brute force: a row is a first occurrence when no earlier row equals
-    # it as floats (so -0.0 == 0.0)
-    equal = [[bool((rows[i] == rows[j]).all()) for j in range(n)] for i in range(n)]
-    oracle = [not any(equal[i][:i]) for i in range(n)]
-    assert first_occurrences(rows).tolist() == oracle
-    keys = row_keys(rows)
-    assert [[keys[i] == keys[j] for j in range(n)] for i in range(n)] == equal
-
-
 def test_final_select_empty_population():
     with pytest.raises(InvariantViolation):
-        final_select_lex(np.empty((0, 2)), np.empty((0, 4)), DISTANCE_BEFORE_SPARSITY, 0.01,
+        final_select_lex(np.empty((0, 4)), DISTANCE_BEFORE_SPARSITY, 0.01,
                          np.random.default_rng(0))
 
 
@@ -410,8 +397,26 @@ def test_lex_survival_respects_ordering_argument():
 
 
 def test_lex_survival_target_exceeds_pool():
-    with pytest.raises(ConfigError):
-        lex_survival_select(LADDER, 9, DISTANCE_BEFORE_SPARSITY, 0.01)
+    # targets outside [1, pool size] are refused, as nsga2_select refuses them
+    for target in (9, 0):
+        with pytest.raises(ConfigError, match=r"target size %d outside \[1, \d+\]" % target):
+            lex_survival_select(LADDER, target, DISTANCE_BEFORE_SPARSITY, 0.01)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_window_ends_match_brute_force(data):
+    # ascending values with few distinct ones: theta-near pairs such as
+    # (-0.5, -0.49) at theta 0.01, -0.0 next to 0.0, and theta 0
+    near = st.sampled_from([-0.5, -0.49, -0.0, 0.0, 0.01, 0.06, 0.07, 0.0700001, 0.11, 0.12])
+    cells = st.one_of(near, st.floats(-1.0, 1.0))
+    distinct = data.draw(st.lists(cells, min_size=1, max_size=6))
+    values = sorted(data.draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=30)))
+    theta = data.draw(st.one_of(st.sampled_from([0.0, 0.01]), st.floats(0.0, 1.0)))
+    ends = _WindowEnds(values, theta)
+    for p in data.draw(st.permutations(range(len(values)))):
+        brute = next((q for q in range(len(values)) if values[q] - values[p] > theta), len(values))
+        assert ends[p] == brute
 
 
 def test_orderings_are_permutations():
@@ -645,15 +650,18 @@ def test_array_kernels_match_sort_oracles(data):
         picks = lex_tournament_select(params, ids, np.random.default_rng(seed), V=V)
         assert [pool[i] for i in picks] == victors
 
-    rows = np.array([c.values for c in pool], dtype=float)
     rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = final_select_lex(rows, V, ordering, theta, rng_new)
+    got = final_select_lex(V, ordering, theta, rng_new)
     assert got == _oracle_round(list(range(n)), vecs, ordering, theta, rng_old)
     assert rng_new.random() == rng_old.random()
-    # rows that repeat enter the round once, at their first occurrence
+    # rows that repeat enter the round once, at their first occurrence by
+    # slot; equal vectors share a slot, numbered out of row order
+    slots = np.array([sorted(set(vecs)).index(v) for v in vecs])
     distinct = [i for i in range(n) if vecs[i] not in vecs[:i]]
+    first = np.flatnonzero(_first_occurrences(slots))
+    assert first.tolist() == distinct
     rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = final_select_lex(V, V, ordering, theta, rng_new)
+    got = first[final_select_lex(V[first], ordering, theta, rng_new)]
     assert got == _oracle_round(distinct, vecs, ordering, theta, rng_old)
     assert rng_new.random() == rng_old.random()
 
