@@ -628,14 +628,23 @@ def _mask_tables(trees):
     return cuts, np.stack(lookups), np.concatenate(tables), positive
 
 
-def _mask_votes(chunk, cuts, lookup, table, positive):
-    """Positive votes per row of chunk from the _mask_tables tables."""
-    values = chunk.T.copy()  # searchsorted runs faster on contiguous values
+def _mask_positions(encoded, cuts):
+    """Each row's position on each split column of the _mask_tables cuts:
+    a (columns x rows) array."""
+    values = encoded.T.copy()  # searchsorted runs faster on contiguous values
+    at = np.empty((len(cuts), len(encoded)), dtype=np.int64)
+    for j, (column, thresholds, offset) in enumerate(cuts):
+        at[j] = offset + np.searchsorted(thresholds, values[column])
+    return at
+
+
+def _mask_votes(at, lookup, table, positive):
+    """Positive votes per row from the _mask_tables tables, given the
+    rows' positions (_mask_positions)."""
     # (blocks, rows, words): the leaves each row can still reach
-    reach = np.full((len(positive), len(chunk), positive.shape[1]), _ALL_LEAVES)
-    for column, thresholds, offset in cuts:
-        at = offset + np.searchsorted(thresholds, values[column])
-        reach &= table.take(lookup.take(at, axis=1), axis=0)
+    reach = np.full((len(positive), at.shape[1], positive.shape[1]), _ALL_LEAVES)
+    for column in at:
+        reach &= table.take(lookup.take(column, axis=1), axis=0)
     # the lowest bit left is the row's leaf
     return np.count_nonzero(reach & (~reach + np.uint64(1)) & positive[:, None], axis=(0, 2))
 
@@ -660,11 +669,12 @@ class RandomForestModel(_EncodedModel):
     _MASK_LEAVES leaves go into leaf-bitmask tables (_mask_tables), in
     blocks of up to 64 trees, and the deeper ones into one node table
     (_flatten_forest). Neither is saved, so the model format holds only
-    the trees. Prediction scores _CHUNK_ROWS rows at a time: the bitmask
-    tables cost one binary search per split column and one table lookup
-    and AND per column and block, and the node table routes every row
-    through its trees together, one vectorized step per tree level. Both
-    give each (row, tree) the leaf a walk down the tree reaches.
+    the trees. The bitmask tables cost one binary search per split column
+    over the whole batch. Prediction then scores _CHUNK_ROWS rows at a
+    time: one table lookup and AND per column and block for the bitmask
+    tables, and for the node table every row routed through its trees
+    together, one vectorized step per tree level. Both give each (row,
+    tree) the leaf a walk down the tree reaches.
     """
 
     learner_name = "random_forest"
@@ -687,12 +697,15 @@ class RandomForestModel(_EncodedModel):
 
     def predict_encoded(self, encoded):
         votes = np.zeros(encoded.shape[0], dtype=np.int64)
+        if self._masks is not None:
+            cuts, *tables = self._masks
+            at = _mask_positions(encoded, cuts)
         for start in range(0, encoded.shape[0], _CHUNK_ROWS):
-            chunk = encoded[start : start + _CHUNK_ROWS]
+            rows = slice(start, start + _CHUNK_ROWS)
             if self._masks is not None:
-                votes[start : start + _CHUNK_ROWS] += _mask_votes(chunk, *self._masks)
+                votes[rows] += _mask_votes(at[:, rows], *tables)
             if self._deep is not None:
-                votes[start : start + _CHUNK_ROWS] += _routed_votes(chunk, self._deep)
+                votes[rows] += _routed_votes(encoded[rows], self._deep)
         return votes / len(self.trees)
 
     def to_params(self):

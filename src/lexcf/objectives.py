@@ -268,69 +268,87 @@ class Genome:
 
 
 # cells per (candidates x reference rows) matrix in one chunk of the
-# kernel, which holds one such matrix per summed feature
+# kernel, which holds one such matrix per summed numeric feature and a
+# boolean one per categorical feature
 _CHUNK_CELLS = 1 << 13
 
+# the factor by which each block of the pruned scan outgrows the last
+_GROWTH = 3
 
-def _gower_sums(F, cols, spans, ref):
-    """Gower sums of each row of F, in genome codes, to each reference
-    row, a column of ref (features x rows): a (rows x reference rows)
-    matrix.
 
-    cols are the summed features in schema order, and spans their
-    normalizers. Per-feature distances are added in schema order with
-    gower_dist's arithmetic, so each cell equals the scalar oracle's sum
-    bit for bit. A categorical feature has span 1: its codes are whole
-    numbers, so min(|a - b|, 1) is exactly the mismatch indicator, and a
-    code no reference row holds mismatches every row.
+def _gower_sums(cand, ref, scan, clamp):
+    """Gower sums of each candidate to each reference row: a (candidates
+    x reference rows) matrix. cand and ref hold their rows in the scan's
+    two kind blocks (TrainGowerScan.split).
+
+    Per-feature distances are added in schema order with gower_dist's
+    arithmetic, so each cell equals the scalar oracle's sum bit for bit.
+    A categorical term is the mismatch ref != cand of whole-number codes,
+    which is exactly min(|a - b|, 1) at span 1; a code no reference row
+    holds mismatches every row. A numeric term is |a - b| / span, clamped
+    at 1 only where clamp flags its feature (TrainGowerScan.clamped).
     """
-    diff = np.subtract(ref[:, None, :], F[:, cols].T[:, :, None])
+    (cand_num, cand_cat), (ref_num, ref_cat) = cand, ref
+    # C order keeps each feature's (candidates x reference rows) matrix
+    # contiguous, whatever the layout of the candidates
+    diff = np.subtract(ref_num[:, None, :], cand_num[:, :, None], order="C")
     np.abs(diff, out=diff)
-    diff /= spans[:, None, None]
-    np.minimum(diff, 1.0, out=diff)
+    diff /= scan.spans[:, None, None]
+    mismatch = np.not_equal(ref_cat[:, None, :], cand_cat[:, :, None], order="C")
     total = np.zeros(diff.shape[1:])
-    for term in diff:
-        total += term
+    for numeric, k in scan.terms:
+        if not numeric:
+            total += mismatch[k]
+        elif clamp[k]:
+            total += np.minimum(diff[k], 1.0, out=diff[k])
+        else:
+            total += diff[k]
     return total
 
 
-def _min_gower_sums(scan, F, lo, hi):
-    """Each row of F's least Gower sum to reference rows lo..hi-1 of
-    scan, in chunks of at most _CHUNK_CELLS cells."""
-    out = np.empty(len(F))
-    ref = scan.ref[:, lo:hi]
+def _min_gower_sums(scan, cand, clamp, lo, hi):
+    """Each candidate's least Gower sum to reference rows lo..hi-1 of
+    scan, in chunks of at most _CHUNK_CELLS cells; cand holds the
+    candidates in the scan's kind blocks."""
+    out = np.empty(cand[0].shape[1])
+    ref = tuple(block[:, lo:hi] for block in scan.ref)
     step = max(1, _CHUNK_CELLS // (hi - lo))
-    for start in range(0, len(F), step):
+    for start in range(0, len(out), step):
         rows = slice(start, start + step)
-        _gower_sums(F[rows], scan.cols, scan.spans, ref).min(axis=1, out=out[rows])
+        chunk = tuple(block[:, rows] for block in cand)
+        _gower_sums(chunk, ref, scan, clamp).min(axis=1, out=out[rows])
     return out
 
 
 def _min_mean_gower(scan, F):
     """Mean Gower distance of each row of F, in the scan's genome codes,
     to its nearest reference row of scan: the exhaustive scan over every
-    reference row, which TrainGowerScan.min_mean_dist equals."""
-    return (_min_gower_sums(scan, F, 0, scan.n) / scan.p).tolist()
+    reference row, every numeric term clamped, which
+    TrainGowerScan.min_mean_dist equals."""
+    clamp = np.ones(len(scan.spans), dtype=bool)
+    return (_min_gower_sums(scan, scan.split(F), clamp, 0, scan.n) / scan.p).tolist()
 
 
 class TrainGowerScan:
     """Nearest-neighbor Gower scan over fixed reference rows (value
-    tuples), held as columns of genome's codes; min_mean_dist reads
+    tuples), held in genome's codes as two kind blocks, one of numeric
+    and one of categorical features (split); min_mean_dist reads
     candidates in the same codes. Numeric features with a degenerate
     training range add nothing and are left out. No reference rows is a
     ConfigError.
 
-    The scan prunes with genome.poi as a pivot (LAESA's metric search
-    with one pivot). Each summed term, min(|a - b| / span, 1) or a
-    category mismatch, is a metric, so their sum d is one, and
-    d(c, r) >= d(poi, r) - d(c, poi). The reference rows are sorted once
-    by d(poi, r), the pivot column. A candidate c takes an upper bound
-    U(c) from the m rows nearest the POI, and its nearest row r then has
-    d(poi, r) <= U(c) + d(c, poi): only the rows up to that bound, plus
-    the rounding margin below, can hold it. Every cell is still summed
-    in schema order by _gower_sums, and the minimum over a set that holds
-    the nearest row is the exhaustive minimum, so min_mean_dist equals
-    _min_mean_gower bit for bit.
+    The scan prunes with genome.poi as a pivot: LAESA's metric search
+    with one pivot, and its elimination loop. Each summed term,
+    min(|a - b| / span, 1) or a category mismatch, is a metric, so their
+    sum d is one, and d(c, r) >= d(poi, r) - d(c, poi). The reference
+    rows are sorted once by d(poi, r), the pivot column. Any computed sum
+    U(c) of a candidate c to a reference row bounds c's nearest row r:
+    d(poi, r) <= U(c) + d(c, poi), so only the rows up to that reach,
+    plus the rounding margin below, can hold r. min_mean_dist takes U(c)
+    as c's running minimum, so the reach shrinks as the scan goes on.
+    Every cell is still summed in schema order by _gower_sums, and the
+    minimum over a set that holds the nearest row is the exhaustive
+    minimum, so min_mean_dist equals _min_mean_gower bit for bit.
     """
 
     def __init__(self, genome, rows):
@@ -339,13 +357,21 @@ class TrainGowerScan:
         self.p = len(genome.tables)
         self.n = len(rows)
         R = genome.encode(rows)
-        self.cols = np.flatnonzero(genome.span != 0)
-        self.spans = genome.span[self.cols]
-        self.poi_ref = genome.poi[self.cols, None]
+        self.num = np.flatnonzero(genome.numeric & (genome.span != 0))
+        self.cat = np.flatnonzero(~genome.numeric)
+        self.spans = genome.span[self.num]
+        # the summed terms in schema order: (numeric?, row in its block)
+        kinds = {i: (True, k) for k, i in enumerate(self.num.tolist())}
+        kinds.update({i: (False, k) for k, i in enumerate(self.cat.tolist())})
+        self.terms = [kinds[i] for i in sorted(kinds)]
+        self.poi = self.split(genome.poi[None])
         pivot = self.to_poi(R)
         order = np.argsort(pivot, kind="stable")
         self.pivot = pivot[order]
-        self.ref = np.ascontiguousarray(R[order][:, self.cols].T)
+        self.ref = tuple(np.ascontiguousarray(block) for block in self.split(R[order]))
+        # each numeric feature's least and greatest reference value
+        self.ref_lo = self.ref[0].min(axis=1, initial=np.inf)
+        self.ref_hi = self.ref[0].max(axis=1, initial=-np.inf)
         self.m = min(self.n, max(8, math.isqrt(self.n - 1) + 1))
         # Rounding margin of the bound. A computed term is within 2u + u^2
         # (u the unit roundoff, eps / 2) of its exact value: the
@@ -357,33 +383,58 @@ class TrainGowerScan:
         # computed sums (3e) through two rounded additions of values below
         # 2q + 1 (under (2q + 1)eps), which a margin of 3(q^2 + 2q)eps
         # covers with room to spare.
-        q = len(self.cols)
+        q = len(self.terms)
         self.margin = 3 * (q * q + 2 * q) * np.finfo(float).eps
+
+    def split(self, F):
+        """The rows of F as the two kind blocks (numeric, categorical):
+        the summed features of each kind, a (features x rows) array."""
+        return F[:, self.num].T, F[:, self.cat].T
+
+    def clamped(self, cand, lo, hi):
+        """Flags the numeric features whose terms from the candidates (in
+        kind blocks) to reference values in [lo, hi] may exceed 1. When
+        both lie in one interval [L, H] with fl(H - L) <= span, rounding is
+        monotone, so fl(|a - b|) <= span and no term exceeds 1."""
+        values = cand[0]
+        low = np.minimum(lo, values.min(axis=1, initial=np.inf))
+        high = np.maximum(hi, values.max(axis=1, initial=-np.inf))
+        return ~(high - low <= self.spans)
 
     def to_poi(self, F):
         """Gower sum of each row of F to the POI, p times its o2."""
-        return _gower_sums(F, self.cols, self.spans, self.poi_ref)[:, 0]
+        cand = self.split(F)
+        poi = self.poi[0][:, 0]
+        return _gower_sums(cand, self.poi, self, self.clamped(cand, poi, poi))[:, 0]
 
     def min_mean_dist(self, F, to_poi=None):
         """Mean Gower distance of each row of F to its nearest reference
         row. to_poi, the rows' Gower sums to the POI, is computed when
         absent.
 
-        Rows m..n-1 are scanned for a candidate only up to its bound and
-        only when its upper bound is above 0; candidates are grouped by
-        the power of two of their prefix length, so each group scans one
-        prefix no longer than twice its shortest member's.
+        Rows 0..m-1 are scanned for every candidate. The rows after them
+        go in blocks, the first m rows long and each next _GROWTH times
+        the last; a block is scanned for the candidates whose reach,
+        recomputed from their running minimum, passes its start, up to
+        the furthest such reach. A candidate whose minimum is 0 is done.
         """
         if to_poi is None:
             to_poi = self.to_poi(F)
-        best = _min_gower_sums(self, F, 0, self.m)
-        reach = np.searchsorted(self.pivot, best + to_poi + self.margin, "right")
-        todo = np.flatnonzero((reach > self.m) & (best > 0))
-        group = np.frexp(reach[todo])[1]
-        for g in np.unique(group):
-            rows = todo[group == g]
-            far = _min_gower_sums(self, F[rows], self.m, reach[rows].max())
-            best[rows] = np.minimum(best[rows], far)
+        cand = self.split(F)
+        clamp = self.clamped(cand, self.ref_lo, self.ref_hi)
+        best = _min_gower_sums(self, cand, clamp, 0, self.m)
+        live = np.arange(len(F))
+        start, size = self.m, self.m
+        while start < self.n:
+            reach = np.searchsorted(self.pivot, best[live] + to_poi[live] + self.margin, "right")
+            keep = (reach > start) & (best[live] > 0)
+            if not keep.any():
+                break
+            live = live[keep]
+            stop = min(start + size, reach[keep].max())
+            far = _min_gower_sums(self, tuple(block[:, live] for block in cand), clamp, start, stop)
+            best[live] = np.minimum(best[live], far)
+            start, size = stop, size * _GROWTH
         best /= self.p
         return best.tolist()
 

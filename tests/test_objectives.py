@@ -208,25 +208,43 @@ def _scan_value(rng, kind, grid, wide):
 @given(
     seed=st.integers(0, 2**32 - 1),
     kinds=st.lists(st.sampled_from(sorted(_SCAN_KINDS)), min_size=1, max_size=5),
-    n=st.integers(1, 150),
+    n=st.integers(1, 600),
     duplicates=st.integers(0, 20),
     size=st.integers(1, 40),
     grid=st.booleans(),
     chunk_cells=st.sampled_from([None, 1, 50]),
+    outside=st.sampled_from([0.0, 0.05, 0.5]),
+    copies=st.integers(0, 10),
 )
-@example(seed=0, kinds=["flat", "flat"], n=40, duplicates=0, size=5, grid=True, chunk_cells=None)
-@example(seed=1, kinds=["num", "cat"], n=6, duplicates=2, size=9, grid=True, chunk_cells=1)
-def test_pruned_scan_equals_exhaustive_scan(seed, kinds, n, duplicates, size, grid, chunk_cells):
+@example(seed=0, kinds=["flat", "flat"], n=40, duplicates=0, size=5, grid=True, chunk_cells=None,
+         outside=0.0, copies=0)
+@example(seed=1, kinds=["num", "cat"], n=6, duplicates=2, size=9, grid=True, chunk_cells=1,
+         outside=0.0, copies=0)
+@example(seed=2, kinds=["num", "cat", "fixed", "cat", "num"], n=500, duplicates=0, size=40,
+         grid=False, chunk_cells=None, outside=0.05, copies=10)
+@example(seed=3, kinds=["cat", "cat", "cat"], n=300, duplicates=5, size=30, grid=False,
+         chunk_cells=50, outside=0.05, copies=5)
+@example(seed=4, kinds=["num", "fixed", "num"], n=600, duplicates=0, size=40, grid=False,
+         chunk_cells=None, outside=0.5, copies=5)
+def test_pruned_scan_equals_exhaustive_scan(
+    seed, kinds, n, duplicates, size, grid, chunk_cells, outside, copies
+):
     rng = np.random.default_rng(seed)
     schema = tuple(
         FeatureSchema("%s%d" % (k, j), *_SCAN_KINDS[k][:3]) for j, k in enumerate(kinds)
     )
     stats = make_stats([_SCAN_KINDS[k][3] for k in kinds])
-    rows = [tuple(_scan_value(rng, k, grid, False) for k in kinds) for _ in range(n)]
+    # an outside share of the reference cells leave the stats bounds, so a
+    # column's reference values can span more than its normalizer
+    rows = [
+        tuple(_scan_value(rng, k, grid, outside > 0 and rng.random() < outside) for k in kinds)
+        for _ in range(n)
+    ]
     rows += [rows[i] for i in rng.integers(0, n, duplicates)]
     x_pt = tuple(_scan_value(rng, k, grid, rng.random() < 0.3) for k in kinds)
-    # candidates move a few cells of the POI to a training row's or a new value
-    batch = []
+    # candidates move a few cells of the POI to a training row's or a new
+    # value; copies of whole training rows end their scan at a minimum of 0
+    batch = [rows[i] for i in rng.integers(0, len(rows), copies)] if copies else []
     for _ in range(size):
         row = rows[rng.integers(len(rows))]
         cand = []
@@ -246,6 +264,7 @@ def test_pruned_scan_equals_exhaustive_scan(seed, kinds, n, duplicates, size, gr
         assert scan.min_mean_dist(F, scan.to_poi(F)) == got
         assert got == objectives._min_mean_gower(scan, F)
     assert got == [_plausibility_oracle(cand, train, schema, stats) for cand in batch]
+    assert got[:copies] == [0.0] * copies
     # the pivot sums are p times o2
     assert (scan.to_poi(F) / len(schema)).tolist() == [
         obj_distance(cand, x_pt, schema, stats) for cand in batch
@@ -262,14 +281,14 @@ def test_pruned_scan_skips_rows_beyond_the_bound(rng, monkeypatch):
     cells = []
     kernel = objectives._gower_sums
 
-    def counting(F, cols, spans, ref):
-        cells.append(len(F) * ref.shape[1])
-        return kernel(F, cols, spans, ref)
+    def counting(cand, ref, scan, clamp):
+        cells.append(cand[0].shape[1] * ref[0].shape[1])
+        return kernel(cand, ref, scan, clamp)
 
     monkeypatch.setattr(objectives, "_gower_sums", counting)
     got = scan.min_mean_dist(F)
     # near the POI, a candidate's bound leaves out most training rows
-    assert sum(cells) < 0.25 * len(batch) * scan.n
+    assert sum(cells) < 0.1 * len(batch) * scan.n
     assert got == [_plausibility_oracle(cand, train, MIXED_SCHEMA, MIXED_STATS) for cand in batch]
 
 
