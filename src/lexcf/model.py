@@ -3,23 +3,26 @@
 Two built-in learners (logistic regression, random forest), each one row
 of the LEARNERS table, plus a fixed-weight linear model built in code for
 deterministic tests. All models expose batched probability prediction
-over raw value tuples, and predict_coded over rows in a search Genome's
-codes: a model without an encoder reads them decoded, an encoded model
-maps the codes through the same encoder kernel as the tuples.
+over raw value tuples, predict_coded over rows in a search Genome's
+codes, and predict_walks over resilience-walk rows, each a coded row with
+one numeric cell changed. A model without an encoder reads coded rows
+decoded; an encoded model maps the codes through the same encoder kernel
+as the tuples, and encodes a walk row's candidate once and its changed
+cell alone.
 
 The random forest grows its trees together, in waves: each wave pops a
 node needing a split from every unfinished tree, in the tree's own
 preorder, and one batched search over padded arrays splits them all,
 exactly as a search of each node alone would. It scores trees of at most
 64 leaves by leaf bitmasks and deeper trees by a level-by-level
-traversal; both reach the same leaf as a walk down the tree. Their
-tables are rebuilt whenever a forest is trained or loaded, so saved
+traversal; both reach the same leaf as a walk down the tree. Walk rows
+reuse their candidate's bitmasks on every column but the changed one.
+The tables are rebuilt whenever a forest is trained or loaded, so saved
 models hold only the trees.
 """
 
 import json
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -42,11 +45,21 @@ class LearnerConfig:
     seed: int = 0
 
 
+def _set_cells(X, row, column, values):
+    """Copies of the rows X[row], cell column[i] of copy i set to values[i]."""
+    out = X[row]
+    out[np.arange(len(out)), column] = values
+    return out
+
+
 class Model:
     """Interface consumed by the optimizer: probabilities for the positive class.
 
     predict_class is positive exactly when the probability reaches 0.5;
-    the target interval for counterfactuals is closed at 0.5.
+    the target interval for counterfactuals is closed at 0.5. A subclass
+    implements predict_proba_batch; predict_coded and predict_walks read
+    rows in a search Genome's codes and may be overridden to skip the
+    decoding, as long as every row scores the bits the tuple path gives.
     """
 
     learner_name = "abstract"
@@ -59,6 +72,13 @@ class Model:
         """Probabilities of the rows of X, a float matrix in genome's codes
         (objectives.Genome)."""
         return self.predict_proba_batch(genome.decode(X))
+
+    def predict_walks(self, F, genome, row, column, values):
+        """Probabilities of resilience-walk rows: walk row i is row row[i]
+        of F, a float matrix in genome's codes, with its numeric column
+        column[i] set to values[i]. This default builds the rows and calls
+        predict_coded."""
+        return self.predict_coded(_set_cells(F, row, column, values), genome)
 
     def predict_proba(self, values):
         return float(self.predict_proba_batch([values])[0])
@@ -86,7 +106,14 @@ class _Encoder:
         sizes = [1 if c[0] == "num" else len(c[1]) for c in columns]
         self.width = sum(sizes)
         # the encoded column of each feature (a categorical's first one)
-        self.column_of = list(accumulate(sizes, initial=0))[:-1]
+        self.column_of = np.cumsum(sizes, dtype=np.intp) - sizes
+        # per numeric feature its lower bound and its range, hi - lo where
+        # positive and 0 otherwise; NaN for a categorical
+        self._lo = np.array([c[1] if c[0] == "num" else np.nan for c in columns], float)
+        self._span = np.array(
+            [(c[2] - c[1] if c[2] > c[1] else 0.0) if c[0] == "num" else np.nan for c in columns],
+            float,
+        )
         # per categorical column: {category: code} and a table whose row for
         # a code is that category's one-hot block; the last row, which the
         # code -1 of an unknown token selects, is all zeros
@@ -117,9 +144,18 @@ class _Encoder:
         for j, (spec, col, column) in enumerate(zip(self.columns, self.column_of, columns)):
             if spec[0] == "cat":
                 out[:, col : col + len(spec[1])] = self._onehot[j][1].take(column, axis=0)
-            elif spec[2] > spec[1]:
-                out[:, col] = (np.asarray(column, dtype=float) - spec[1]) / (spec[2] - spec[1])
+            elif self._span[j] > 0:
+                out[:, col] = (np.asarray(column, dtype=float) - self._lo[j]) / self._span[j]
         return out
+
+    def numeric_cells(self, features, values):
+        """The encoded column of each numeric feature in features, and its
+        value in values scaled as _matrix scales it: (v - lo) / (hi - lo),
+        or 0 for a zero-range feature."""
+        span = self._span[features]
+        scaled = np.zeros(len(span))
+        np.divide(values - self._lo[features], span, out=scaled, where=span > 0)
+        return self.column_of[features], scaled
 
     def transform(self, rows):
         """The encoded matrix of value tuples."""
@@ -176,10 +212,25 @@ def _check_binary(train):
 
 
 class _EncodedModel(Model):
-    """A model that reads rows through its _Encoder, self.encoder."""
+    """A model that reads rows through its _Encoder, self.encoder, and
+    scores encoded rows with predict_encoded.
+
+    predict_walks encodes the candidates F once, scales each walk row's
+    changed cell alone (_Encoder.numeric_cells), and hands both to
+    predict_encoded_walks. Each encoded walk row equals its row's
+    encoding, cell for cell, so it scores the same bits."""
 
     def predict_coded(self, X, genome):
         return self.predict_encoded(self.encoder.transform_coded(X, genome))
+
+    def predict_walks(self, F, genome, row, column, values):
+        E = self.encoder.transform_coded(F, genome)
+        return self.predict_encoded_walks(E, row, *self.encoder.numeric_cells(column, values))
+
+    def predict_encoded_walks(self, E, row, column, values):
+        """Probabilities of the encoded rows E[row] with encoded column
+        column[i] of row i set to values[i]."""
+        return self.predict_encoded(_set_cells(E, row, column, values))
 
 
 class LogisticModel(_EncodedModel):
@@ -495,6 +546,10 @@ _CHUNK_ROWS = 256
 _MASK_LEAVES = 64
 _ALL_LEAVES = np.uint64(2**64 - 1)
 
+# (candidate, split column) masks the walk kernel (_mask_walk_votes)
+# holds at once: 1 MB of words per block of 64 trees
+_MASK_GROUP = 2048
+
 
 def _check_tree(k, tree, width):
     """Reject node arrays that cannot describe a CART tree. Children must
@@ -557,9 +612,21 @@ def _flatten_forest(trees):
     return feature, threshold, children.ravel(), value, roots, levels
 
 
-def _mask_tables(trees):
+class _Masks(NamedTuple):
+    """The leaf-bitmask tables of _mask_tables."""
+
+    cuts: list
+    lookup: np.ndarray
+    table: np.ndarray
+    positive: np.ndarray
+    cut_of: np.ndarray
+    keys: np.ndarray
+
+
+def _mask_tables(trees, width):
     """Leaf-bitmask tables (QuickScorer) for trees of at most _MASK_LEAVES
-    leaves: (cuts, lookup, table, positive).
+    leaves, over rows of the given encoded width: _Masks(cuts, lookup,
+    table, positive, cut_of, keys).
 
     A tree's leaves are numbered left to right, leaf i as bit i. A split's
     mask clears the bits of its left subtree's leaves, a contiguous run:
@@ -576,7 +643,13 @@ def _mask_tables(trees):
     row of table that holds, per tree of block b, the AND of the masks of
     the splits x goes right at on that column. positive[b] marks each
     tree's positive leaves. A block has at most 64 * 63 + width rows of
-    64 words, about 2.1 MB."""
+    64 words, about 2.1 MB.
+
+    cut_of maps an encoded column to its index j in cuts, or -1 where no
+    tree splits. keys holds every (j, threshold) pair as the complex
+    number j + threshold * 1j, in cuts' order, which numpy's lexicographic
+    complex order sorts; a value x on split column j then has position
+    searchsorted(keys, j + x * 1j) + j (_key_positions)."""
     feature, threshold, children, value, roots, levels = _flatten_forest(trees)
     left, right = children[0::2], children[1::2]
     # leaves under each node, then the number of its leftmost leaf
@@ -605,7 +678,7 @@ def _mask_tables(trees):
         position[on] = off + 1 + np.searchsorted(c, threshold[on])
     lookups, tables = [], []
     # the words past the last block's last tree stay all ones and vote 0
-    width = min(64, len(trees))
+    words = min(64, len(trees))
     base = 0
     for b in range(block[-1] + 1):
         nodes = splits[block[splits] == b]
@@ -613,7 +686,7 @@ def _mask_tables(trees):
         # a row per split, in position order, and before each column's
         # splits a row for the values below them all
         rows = np.arange(len(nodes)) + column_at[position[nodes]] + 1
-        table = np.full((len(nodes) + len(cuts), width), _ALL_LEAVES)
+        table = np.full((len(nodes) + len(cuts), words), _ALL_LEAVES)
         table[rows, word[nodes]] = mask[nodes]
         lookup = np.searchsorted(position[nodes], np.arange(len(column_at)), "right") + column_at
         for lo, hi in zip(lookup[offsets], [*lookup[offsets[1:]], len(table)]):
@@ -622,10 +695,13 @@ def _mask_tables(trees):
         tables.append(table)
         base += len(table)
     leaves = np.flatnonzero((size == 1) & (value == 1))
-    positive = np.zeros((len(lookups), width), dtype=np.uint64)
+    positive = np.zeros((len(lookups), words), dtype=np.uint64)
     np.bitwise_or.at(positive, (block[leaves], word[leaves]), bit[leaves])
+    cut_of = np.full(width, -1)
+    cut_of[columns] = np.arange(len(columns))
+    keys = np.concatenate([np.zeros(0, complex), *(j + c * 1j for j, c in enumerate(cuts))])
     cuts = list(zip(columns.tolist(), cuts, offsets.tolist()))
-    return cuts, np.stack(lookups), np.concatenate(tables), positive
+    return _Masks(cuts, np.stack(lookups), np.concatenate(tables), positive, cut_of, keys)
 
 
 def _mask_positions(encoded, cuts):
@@ -638,15 +714,91 @@ def _mask_positions(encoded, cuts):
     return at
 
 
+def _key_positions(keys, cut, values):
+    """The positions (_mask_tables) of values on split columns cut,
+    indices into cuts broadcast against values, from one search of keys.
+    It serves values of mixed columns, and on a few dozen rows it also
+    beats _mask_positions' search per column. The parts are set one by
+    one, as j + x * 1j has a NaN real part for an infinite x. numpy sorts
+    a NaN imaginary part after every complex number, so a NaN x is
+    searched as +inf: after every threshold of its column, as
+    _mask_positions places it."""
+    query = np.empty(np.shape(values), complex)
+    query.real = cut
+    query.imag = np.fmin(values, np.inf)
+    return np.searchsorted(keys, query) + cut
+
+
+def _leaf_votes(reach, positive):
+    """Positive votes per row of reach, a (blocks, rows, words) array of
+    the leaves each row can still reach: the lowest bit left is the row's
+    leaf."""
+    leaf = np.negative(reach)  # modulo 2**64, ~reach + 1
+    leaf &= reach
+    leaf &= positive[:, None]
+    return (leaf != 0).sum(axis=(0, 2))
+
+
 def _mask_votes(at, lookup, table, positive):
     """Positive votes per row from the _mask_tables tables, given the
     rows' positions (_mask_positions)."""
-    # (blocks, rows, words): the leaves each row can still reach
     reach = np.full((len(positive), at.shape[1], positive.shape[1]), _ALL_LEAVES)
     for column in at:
         reach &= table.take(lookup.take(column, axis=1), axis=0)
-    # the lowest bit left is the row's leaf
-    return np.count_nonzero(reach & (~reach + np.uint64(1)) & positive[:, None], axis=(0, 2))
+    return _leaf_votes(reach, positive)
+
+
+def _mask_walk_votes(E, row, column, values, masks):
+    """Positive votes per walk row from the _mask_tables tables, masks:
+    walk row i is E[row[i]] with encoded column column[i] set to
+    values[i].
+
+    A walk row's position equals its candidate's on every split column
+    but its walked one. So per candidate and split column j, the AND of
+    the candidate's masks on every other split column, made from prefix
+    and suffix ANDs over the columns, ANDed with the one table row of the
+    walked value's position on j, is the walk row's reach. A walk along a
+    column no tree splits on reaches what its candidate reaches. The
+    candidates go in groups whose (candidate, column) masks number at
+    most _MASK_GROUP, and the walk rows of a group in chunks of
+    _CHUNK_ROWS."""
+    lookup, table, positive = masks.lookup, masks.table, masks.positive
+    blocks, words = positive.shape
+    columns = np.flatnonzero(masks.cut_of >= 0)
+    cut = masks.cut_of[column]
+    split = cut >= 0
+    pos = _key_positions(masks.keys, cut, values)
+    votes = np.empty(len(row), dtype=np.int64)
+    step = max(1, _MASK_GROUP // max(1, len(columns)))
+    for first in range(0, len(E), step):
+        group = E[first : first + step]
+        mine = (first <= row) & (row < first + len(group))
+        at = _key_positions(masks.keys, np.arange(len(columns))[:, None], group.T[columns])
+        # (blocks, columns, candidates, words): each candidate's mask per
+        # split column, then in others the AND of its masks on all the
+        # other split columns
+        own = table.take(lookup.take(at, axis=1), axis=0)
+        others = np.empty_like(own)
+        ahead = np.full((blocks, len(group), words), _ALL_LEAVES)
+        for j in range(len(columns)):
+            others[:, j] = ahead
+            ahead &= own[:, j]
+        behind = np.full_like(ahead, _ALL_LEAVES)
+        for j in reversed(range(len(columns))):
+            others[:, j] &= behind
+            behind &= own[:, j]
+        idle = np.flatnonzero(mine & ~split)
+        if len(idle):
+            # ahead holds each candidate's own reach
+            votes[idle] = _leaf_votes(ahead, positive)[row[idle] - first]
+        others = others.reshape(blocks, -1, words)
+        walks = np.flatnonzero(mine & split)
+        for start in range(0, len(walks), _CHUNK_ROWS):
+            chunk = walks[start : start + _CHUNK_ROWS]
+            reach = others.take(cut[chunk] * len(group) + row[chunk] - first, axis=1)
+            reach &= table.take(lookup.take(pos[chunk], axis=1), axis=0)
+            votes[chunk] = _leaf_votes(reach, positive)
+    return votes
 
 
 def _routed_votes(chunk, flat):
@@ -675,6 +827,12 @@ class RandomForestModel(_EncodedModel):
     tables, and for the node table every row routed through its trees
     together, one vectorized step per tree level. Both give each (row,
     tree) the leaf a walk down the tree reaches.
+
+    Resilience-walk rows (predict_walks) differ from their candidate in
+    one cell. The bitmask tables score each from its candidate's masks on
+    the other split columns, ANDed once per (candidate, column), and one
+    search and table row on its own column (_mask_walk_votes); the node
+    table routes the walk rows themselves.
     """
 
     learner_name = "random_forest"
@@ -689,7 +847,7 @@ class RandomForestModel(_EncodedModel):
             _check_tree(k, tree, encoder.width)
         shallow = [t for t in trees if np.count_nonzero(t.feature < 0) <= _MASK_LEAVES]
         deep = [t for t in trees if np.count_nonzero(t.feature < 0) > _MASK_LEAVES]
-        self._masks = _mask_tables(shallow) if shallow else None
+        self._masks = _mask_tables(shallow, encoder.width) if shallow else None
         self._deep = _flatten_forest(deep) if deep else None
 
     def predict_proba_batch(self, rows):
@@ -697,15 +855,29 @@ class RandomForestModel(_EncodedModel):
 
     def predict_encoded(self, encoded):
         votes = np.zeros(encoded.shape[0], dtype=np.int64)
-        if self._masks is not None:
-            cuts, *tables = self._masks
-            at = _mask_positions(encoded, cuts)
+        masks = self._masks
+        if masks is not None:
+            at = _mask_positions(encoded, masks.cuts)
         for start in range(0, encoded.shape[0], _CHUNK_ROWS):
             rows = slice(start, start + _CHUNK_ROWS)
-            if self._masks is not None:
-                votes[rows] += _mask_votes(at[:, rows], *tables)
+            if masks is not None:
+                votes[rows] += _mask_votes(at[:, rows], masks.lookup, masks.table, masks.positive)
             if self._deep is not None:
                 votes[rows] += _routed_votes(encoded[rows], self._deep)
+        return votes / len(self.trees)
+
+    def predict_encoded_walks(self, E, row, column, values):
+        """The bitmask trees score the walk rows from their candidates'
+        masks (_mask_walk_votes); the deep trees route the walk rows
+        themselves, _CHUNK_ROWS at a time."""
+        votes = np.zeros(len(row), dtype=np.int64)
+        if self._masks is not None:
+            votes += _mask_walk_votes(E, row, column, values, self._masks)
+        if self._deep is not None:
+            X = _set_cells(E, row, column, values)
+            for start in range(0, len(X), _CHUNK_ROWS):
+                rows = slice(start, start + _CHUNK_ROWS)
+                votes[rows] += _routed_votes(X[rows], self._deep)
         return votes / len(self.trees)
 
     def to_params(self):

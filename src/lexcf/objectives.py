@@ -7,7 +7,8 @@ Gower distance to the nearest training instance.
 
 evaluate_population scores candidates as rows in a Genome's codes, the
 form they keep from variation on; the model reads them through
-Model.predict_coded, resilience walks included. The scalar obj_*
+Model.predict_coded, and resilience-walk rows through Model.predict_walks,
+as each walk's candidate with one numeric cell changed. The scalar obj_*
 functions and resilience_scores are the reference it equals.
 """
 
@@ -131,9 +132,11 @@ def _walk_reports(F, genome, model):
     by, with resilience_step's steps clamped at that bound; a feature at
     or beyond a bound gets an empty walk. A walk row is its candidate's
     row with the walked column set. All walk rows, row-major and then
-    feature-minor, are classified in one predict_coded batch, and each
-    walk scores the share of its steps before its first negative one, or
-    1 when it has no steps.
+    feature-minor, are classified in one Model.predict_walks batch, given
+    as F and each walk row's candidate, column and value, so a model can
+    reuse what it computes per candidate; no row is built here. Each walk
+    scores the share of its steps before its first negative one, or 1
+    when it has no steps.
 
     Returns the walks as arrays (candidate, feature, step, steps, kept,
     score) and each candidate's mean score, summed as ResilienceReport's.
@@ -164,9 +167,7 @@ def _walk_reports(F, genome, model):
     v = np.where(step[walk] > 0, np.minimum(v, hi[walk]), np.maximum(v, lo[walk]))
     kept = n.copy()
     if len(walk):
-        rows = F[key_of[walk]]
-        rows[np.arange(len(walk)), feature[walk]] = v
-        negative = ~(model.predict_coded(rows, genome) >= 0.5)
+        negative = ~(model.predict_walks(F, genome, key_of[walk], feature[walk], v) >= 0.5)
         # each walk keeps the steps before its first negative one
         first = np.where(negative, s - 1, n[walk])
         kept[n > 0] = np.minimum.reduceat(first, firsts[n > 0])
@@ -286,7 +287,8 @@ def _gower_sums(cand, ref, scan, clamp):
     A categorical term is the mismatch ref != cand of whole-number codes,
     which is exactly min(|a - b|, 1) at span 1; a code no reference row
     holds mismatches every row. A numeric term is |a - b| / span, clamped
-    at 1 only where clamp flags its feature (TrainGowerScan.clamped).
+    at 1 only for the features clamp lists, rows of the numeric block
+    (TrainGowerScan.clamped); in one call when it lists them all.
     """
     (cand_num, cand_cat), (ref_num, ref_cat) = cand, ref
     # C order keeps each feature's (candidates x reference rows) matrix
@@ -294,15 +296,15 @@ def _gower_sums(cand, ref, scan, clamp):
     diff = np.subtract(ref_num[:, None, :], cand_num[:, :, None], order="C")
     np.abs(diff, out=diff)
     diff /= scan.spans[:, None, None]
+    if len(clamp) == len(diff):
+        np.minimum(diff, 1.0, out=diff)
+    else:
+        for k in clamp:
+            np.minimum(diff[k], 1.0, out=diff[k])
     mismatch = np.not_equal(ref_cat[:, None, :], cand_cat[:, :, None], order="C")
     total = np.zeros(diff.shape[1:])
     for numeric, k in scan.terms:
-        if not numeric:
-            total += mismatch[k]
-        elif clamp[k]:
-            total += np.minimum(diff[k], 1.0, out=diff[k])
-        else:
-            total += diff[k]
+        total += diff[k] if numeric else mismatch[k]
     return total
 
 
@@ -325,8 +327,7 @@ def _min_mean_gower(scan, F):
     to its nearest reference row of scan: the exhaustive scan over every
     reference row, every numeric term clamped, which
     TrainGowerScan.min_mean_dist equals."""
-    clamp = np.ones(len(scan.spans), dtype=bool)
-    return (_min_gower_sums(scan, scan.split(F), clamp, 0, scan.n) / scan.p).tolist()
+    return (_min_gower_sums(scan, scan.split(F), scan.clamp_all, 0, scan.n) / scan.p).tolist()
 
 
 class TrainGowerScan:
@@ -364,6 +365,9 @@ class TrainGowerScan:
         kinds = {i: (True, k) for k, i in enumerate(self.num.tolist())}
         kinds.update({i: (False, k) for k, i in enumerate(self.cat.tolist())})
         self.terms = [kinds[i] for i in sorted(kinds)]
+        # every numeric feature clamped: exact for any rows, as min(x, 1)
+        # leaves a term of at most 1 as it is
+        self.clamp_all = np.arange(len(self.spans))
         self.poi = self.split(genome.poi[None])
         pivot = self.to_poi(R)
         order = np.argsort(pivot, kind="stable")
@@ -392,20 +396,21 @@ class TrainGowerScan:
         return F[:, self.num].T, F[:, self.cat].T
 
     def clamped(self, cand, lo, hi):
-        """Flags the numeric features whose terms from the candidates (in
-        kind blocks) to reference values in [lo, hi] may exceed 1. When
-        both lie in one interval [L, H] with fl(H - L) <= span, rounding is
-        monotone, so fl(|a - b|) <= span and no term exceeds 1."""
+        """The numeric features (rows of the numeric block) whose terms
+        from the candidates (in kind blocks) to reference values in [lo,
+        hi] may exceed 1. When both lie in one interval [L, H] with fl(H -
+        L) <= span, rounding is monotone, so fl(|a - b|) <= span and no
+        term exceeds 1."""
         values = cand[0]
         low = np.minimum(lo, values.min(axis=1, initial=np.inf))
         high = np.maximum(hi, values.max(axis=1, initial=-np.inf))
-        return ~(high - low <= self.spans)
+        return np.flatnonzero(~(high - low <= self.spans))
 
     def to_poi(self, F):
-        """Gower sum of each row of F to the POI, p times its o2."""
-        cand = self.split(F)
-        poi = self.poi[0][:, 0]
-        return _gower_sums(cand, self.poi, self, self.clamped(cand, poi, poi))[:, 0]
+        """Gower sum of each row of F to the POI, p times its o2. Every
+        numeric term is clamped: on a one-row reference, checking which
+        terms need it costs more than the clamps it saves."""
+        return _gower_sums(self.split(F), self.poi, self, self.clamp_all)[:, 0]
 
     def min_mean_dist(self, F, to_poi=None):
         """Mean Gower distance of each row of F to its nearest reference
@@ -489,7 +494,7 @@ def evaluate_population(X, ctx):
     expression over its probabilities, one Gower pass to the POI, whose
     sums are p times o2 and bound the pruned scan to the training set
     (TrainGowerScan), o3 as one comparison with the POI's row, and, under
-    resilience, one predict_coded batch for the walks of every valid
+    resilience, one predict_walks batch for the walks of every valid
     candidate. The batch's slots in ctx.store are left in ctx.batch_slots.
     """
     keys = row_keys(X)

@@ -26,6 +26,7 @@ from lexcf.model import (
     LEARNERS,
     FixedLinearModel,
     LearnerConfig,
+    Model,
     RandomForestModel,
     _Tree,
     kfold_indices,
@@ -464,14 +465,18 @@ CODED_SCHEMA = (
 )
 
 
-def test_predict_coded_equals_the_tuple_path():
+def _coded_dataset():
     rng = np.random.default_rng(11)
     rows, labels = [], []
     for _ in range(150):
         k, n, x = str(rng.choice(["a", "b", "c"])), float(rng.integers(0, 11)), rng.uniform(-1, 1)
         rows.append((k, n, float(x), 3.0))  # z has a zero training range
         labels.append(int(n / 10 + x + (k == "c") > 0.9))
-    train = make_dataset(CODED_SCHEMA, rows, labels)
+    return make_dataset(CODED_SCHEMA, rows, labels)
+
+
+def test_predict_coded_equals_the_tuple_path():
+    train = _coded_dataset()
     genome = Genome(("d", 4.0, 0.1, 3.0), CODED_SCHEMA, compute_feature_stats(train))
     assert genome.tables[0] == ("a", "b", "c", "d")
     queries = _query_rows(CODED_SCHEMA, train, 300, seed=3) + [("zzz", 4.0, 0.1, 3.0)]
@@ -669,6 +674,143 @@ def test_flat_forest_matches_oracle_after_save_load(tmp_path):
     _assert_matches_per_tree_oracle(loaded, ds, seed=4)
     rows = _query_rows(model.schema, ds, 2000, seed=4)
     assert np.array_equal(loaded.predict_proba_batch(rows), model.predict_proba_batch(rows))
+
+
+# walk batches: empty, one row, more rows than one forest chunk
+WALK_BATCH_SIZES = (0, 1, _CHUNK_ROWS + 44, 1000)
+
+
+def _walks(rng, genome, candidates, n, cells=None):
+    """n walk rows over the candidates, as predict_walks takes them: each
+    a candidate (in any order), a numeric feature and a value, drawn
+    inside and beyond the training range, or per feature from cells."""
+    row = rng.integers(0, candidates, n)
+    column = rng.choice(np.flatnonzero(genome.numeric), n)
+    if cells is None:
+        values = rng.uniform(-2.0, 12.0, n)
+        values[::3] = np.round(values[::3])
+    else:
+        values = np.array([rng.choice(cells[j]) for j in column])
+    return row, column, values
+
+
+def _assert_walks_match_rows(model, F, genome, row, column, values):
+    """predict_walks equals the base path, which builds the rows and calls
+    predict_coded, and for a forest the per-tree oracle, bit for bit."""
+    got = model.predict_walks(F, genome, row, column, values)
+    assert got.shape == (len(row),)
+    assert np.array_equal(got, Model.predict_walks(model, F, genome, row, column, values))
+    if isinstance(model, RandomForestModel):
+        X = F[row]
+        X[np.arange(len(row)), column] = values
+        assert np.array_equal(got, _per_tree_proba(model, model.encoder.transform_coded(X, genome)))
+
+
+@pytest.mark.parametrize("size", WALK_BATCH_SIZES)
+def test_predict_walks_equals_the_row_path(size):
+    # the categorical feature comes first, so encoded columns are not
+    # schema indices, and z has a zero training range, so it encodes to 0
+    # and no tree splits on it
+    train = _coded_dataset()
+    genome = Genome(("d", 4.0, 0.1, 3.0), CODED_SCHEMA, compute_feature_stats(train))
+    F = genome.encode(_query_rows(CODED_SCHEMA, train, 160, seed=4)[100:])
+    models = (
+        train_logistic(train, LearnerConfig("logistic", {"epochs": 50})),
+        train_random_forest(train, LearnerConfig("random_forest", {"ntree": 10}, seed=2)),
+        FixedLinearModel(CODED_SCHEMA, {"n": 0.3, "x": 1.2, "z": 0.5}, -1.0),
+    )
+    assert models[1]._masks.cut_of[models[1].encoder.column_of[3]] == -1
+    walks = _walks(np.random.default_rng(size), genome, len(F), size)
+    assert size < _CHUNK_ROWS or set(walks[1].tolist()) == {1, 2, 3}
+    for model in models:
+        _assert_walks_match_rows(model, F, genome, *walks)
+
+
+@pytest.mark.parametrize(
+    "rows, columns, params",
+    [
+        (160, {"n_continuous": 4}, {"ntree": 25}),
+        (160, MIXED_COLUMNS, {"ntree": 15}),
+        (160, {"n_continuous": 4}, {"ntree": 12, "max_depth": 1}),
+        (600, MIXED_COLUMNS, {}),
+    ],
+    ids=["continuous", "categorical_onehot", "max_depth_1", "shallow_and_deep"],
+)
+def test_forest_walks_match_per_tree_oracle(rows, columns, params):
+    ds = generate_synthetic(rows, seed=6, **columns)
+    model = train_random_forest(ds, LearnerConfig("random_forest", params, seed=3))
+    # only the default forest on 600 rows runs both kernels
+    assert model._masks is not None and (model._deep is not None) == (rows == 600)
+    genome = Genome(ds.instances[0].values, ds.schema, compute_feature_stats(ds))
+    F = genome.encode(_query_rows(ds.schema, ds, 200, seed=5)[150:])
+    rng = np.random.default_rng(rows)
+    for size in WALK_BATCH_SIZES:
+        _assert_walks_match_rows(model, F, genome, *_walks(rng, genome, len(F), size))
+
+
+def test_forest_walks_match_oracle_with_single_leaf_trees():
+    rng = np.random.default_rng(4)
+    rows = [list(rng.uniform(0.0, 10.0, size=3)) for _ in range(20)]
+    ds = make_dataset(numeric_schema(3), rows, [1] + [0] * 19)
+    model = train_random_forest(ds, LearnerConfig("random_forest", {"ntree": 10}, seed=0))
+    assert any(len(tree.feature) == 1 for tree in model.trees)
+    # a forest of leaves alone has no split column: every walk keeps its
+    # candidate's votes
+    leaves = RandomForestModel(
+        model.schema, model.encoder, [_Tree([-1], [0.0], [-1], [-1], [v]) for v in (1, 0, 1)]
+    )
+    genome = Genome(rows[0], ds.schema, compute_feature_stats(ds))
+    F = genome.encode(_query_rows(ds.schema, ds, 60, seed=2)[20:])
+    for size in WALK_BATCH_SIZES:
+        walks = _walks(rng, genome, len(F), size)
+        _assert_walks_match_rows(model, F, genome, *walks)
+        _assert_walks_match_rows(leaves, F, genome, *walks)
+
+
+def test_forest_walks_match_oracle_on_threshold_ties():
+    # training data spans exactly [0, 1], so the encoder is the identity,
+    # and candidates and walk values sit exactly on split thresholds
+    rng = np.random.default_rng(8)
+    rows = rng.uniform(0.0, 1.0, size=(120, 3))
+    rows[0], rows[1] = 0.0, 1.0
+    labels = (rows.sum(axis=1) > 1.5).astype(int)
+    ds = make_dataset(numeric_schema(3), rows.tolist(), labels)
+    model = train_random_forest(ds, LearnerConfig("random_forest", {"ntree": 10}, seed=2))
+    thresholds = [
+        np.concatenate([t.threshold[t.feature == j] for t in model.trees]) for j in range(3)
+    ]
+    genome = Genome(rows[2], ds.schema, compute_feature_stats(ds))
+    F = np.column_stack([rng.choice(thresholds[j], 40) for j in range(3)])
+    for size in WALK_BATCH_SIZES:
+        _assert_walks_match_rows(model, F, genome, *_walks(rng, genome, len(F), size, thresholds))
+
+
+@pytest.mark.parametrize("group", [None, 6])
+def test_encoded_forest_walks_match_oracle(monkeypatch, group):
+    # trees split columns 0-3 of 5: walks along column 4 keep their
+    # candidate's votes. Candidate cells and walk values lie on the split
+    # grid, next to it, far outside it, or are NaN or infinite; 150
+    # trees fill three bitmask blocks, and a small group size splits the
+    # candidates into groups of one
+    if group is not None:
+        monkeypatch.setattr(model_module, "_MASK_GROUP", group)
+    rng = np.random.default_rng(23)
+    trees = [_random_tree(rng, int(rng.integers(1, 65)), 4) for _ in range(148)]
+    trees += [_random_tree(rng, 65, 4), _random_tree(rng, 80, 4)]
+    model = RandomForestModel(numeric_schema(5), _Encoder([("num", 0.0, 1.0)] * 5), trees)
+    assert model._masks.positive.shape == (3, 64) and model._deep is not None
+    grid = np.arange(21) / 20
+    near = [np.nextafter(grid, np.inf), np.nextafter(grid, -np.inf)]
+    cells = np.concatenate([grid, *near, [np.nan, np.inf, -np.inf, 5.0]])
+    E = rng.choice(cells, size=(30, 5))
+    for size in WALK_BATCH_SIZES:
+        row, column = rng.integers(0, len(E), size), rng.integers(0, 5, size)
+        values = rng.choice(cells, size)
+        X = E[row]
+        X[np.arange(size), column] = values
+        got = model.predict_encoded_walks(E, row, column, values)
+        assert np.array_equal(got, model.predict_encoded(X)), size
+        assert np.array_equal(got, _per_tree_proba(model, X)), size
 
 
 def test_random_forest_mtry_bounds():

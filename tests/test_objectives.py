@@ -226,6 +226,9 @@ def _scan_value(rng, kind, grid, wide):
          chunk_cells=50, outside=0.05, copies=5)
 @example(seed=4, kinds=["num", "fixed", "num"], n=600, duplicates=0, size=40, grid=False,
          chunk_cells=None, outside=0.5, copies=5)
+# the scan clamps one of its two numeric features, and the clamp decides
+@example(seed=267, kinds=["num", "cat", "num"], n=40, duplicates=0, size=20, grid=False,
+         chunk_cells=None, outside=0.05, copies=0)
 def test_pruned_scan_equals_exhaustive_scan(
     seed, kinds, n, duplicates, size, grid, chunk_cells, outside, copies
 ):
@@ -632,6 +635,29 @@ def test_walk_reports_on_encoded_models_match_stepwise_oracle():
     # last-bit difference in its score to flip its class
     probs = logistic.predict_proba_batch(recorder.seen)
     assert np.abs(probs - 0.5).min() > 1e-9
+
+
+def test_walk_reports_encode_only_the_candidates():
+    # an encoded model encodes the candidates once and scales each walk
+    # row's changed cell alone; no walk row goes through transform_coded
+    train, stats, keys = _encoded_fixture()
+    forest = train_random_forest(train, LearnerConfig("random_forest", {"ntree": 15}, seed=3))
+    weights = [0.4, -0.3, 0.9, 2.1, 1.7, 5.0]
+    logistic = LogisticModel(ENCODED_SCHEMA, _Encoder.fit(train), weights, -1.6)
+    genome = Genome(ENCODED_POI, ENCODED_SCHEMA, stats)
+    F = genome.encode(keys)
+    transform_coded = _Encoder.transform_coded
+    seen = []
+
+    def counting(encoder, X, genome):
+        seen.append(len(X))
+        return transform_coded(encoder, X, genome)
+
+    with mock.patch.object(_Encoder, "transform_coded", counting):
+        for model in (forest, logistic):
+            (*_, steps, _, _), _ = _walk_reports(F, genome, model)
+            assert steps.sum() > len(F)
+    assert seen == [len(F), len(F)]
 
 
 def test_resilient_validity_sums_walk_scores_in_walk_order():
