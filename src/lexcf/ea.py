@@ -50,8 +50,10 @@ size and A the number of actionable features:
   3. mutate draws rng.random((n, A)), the mutation mask, then
      rng.standard_normal((n, numeric)) for the actionable numeric
      features, rng.integers(categories, size=(n, categorical)) for the
-     actionable categorical ones with a training category, and
-     rng.random((n, A)), the reset mask.
+     actionable categorical ones with a training category, made only
+     when there is one, and rng.random((n, A)), the reset mask. Skipping
+     the categorical draw leaves the stream as it was: a draw of size 0
+     consumes no state.
 - A lexicographic run's final pick draws one rng.integers(ties), only on
   a perfect tie.
 
@@ -153,10 +155,9 @@ def init_population(genome, cfg, rng):
     lands on the point of interest's value; a categorical draw is uniform
     over the training categories other than the point of interest's. So no
     row equals the point of interest."""
-    g, n = genome, cfg.population_size
+    g, t, n = genome, genome.variation, cfg.population_size
     num, cat = g.act_numeric, g.act_categorical
-    lo, hi, poi, code = g.lo[num], g.hi[num], g.poi[num], g.poi[cat]
-    count = g.hi[cat].astype(np.int64) + 1
+    lo, hi, count, poi, code = t.lo, t.hi, t.counts, t.poi[t.num], t.poi[t.cat]
     known = code < count
     choices = count - known
     moves = (lo < hi) | (poi != lo)
@@ -169,9 +170,8 @@ def init_population(genome, cfg, rng):
     drawn[:, mutable] = ranks < sizes[:, None]
     new = np.tile(g.poi, (n, 1))
     values = rng.uniform(lo, hi, size=(n, num.size))
-    whole = g.whole[num]
     # + 0.0 turns a rounded -0.0 into 0.0, as mutate does
-    values[:, whole] = np.round(values[:, whole]) + 0.0
+    values[:, t.whole] = np.round(values[:, t.whole]) + 0.0
     new[:, num] = np.where(values == poi, np.where(poi == lo, hi, lo), values)
     picks = rng.integers(np.maximum(choices, 1), size=(n, cat.size))
     new[:, cat] = picks + (known & (picks >= code))
@@ -183,14 +183,15 @@ def crossover(parents, genome, cfg, rng):
     so on: a pair crosses with probability crossover_prob, and a crossed
     pair swaps each actionable gene with probability 1/2. An odd last row
     passes through. Returns the children as a new matrix."""
-    pairs = len(parents) // 2
+    pairs, act = len(parents) // 2, genome.actionable
     crossed = rng.random(pairs) < cfg.crossover_prob
-    swap = (rng.random((pairs, genome.actionable.size)) < 0.5) & crossed[:, None]
-    act = genome.actionable
-    first, second = parents[0 : 2 * pairs : 2, act], parents[1 : 2 * pairs : 2, act]
+    swap = (rng.random((pairs, act.size)) < 0.5) & crossed[:, None]
+    genes = parents[: 2 * pairs, act]
+    swapped = genes.copy()
+    np.copyto(swapped[0::2], genes[1::2], where=swap)
+    np.copyto(swapped[1::2], genes[0::2], where=swap)
     children = parents.copy()
-    children[0 : 2 * pairs : 2, act] = np.where(swap, second, first)
-    children[1 : 2 * pairs : 2, act] = np.where(swap, first, second)
+    children[: 2 * pairs, act] = swapped
     return children
 
 
@@ -201,24 +202,37 @@ def mutate(rows, genome, cfg, rng):
     uniform resample of the training categories for categoricals. A reset
     pass then pulls each changed actionable gene back to the point of
     interest with probability reset_prob, keeping sparsity reachable.
-    Returns a new matrix."""
-    g, m = genome, len(rows)
-    num, cat = g.act_numeric, g.act_categorical
-    hit, reset = np.zeros((2, m, g.poi.size), dtype=bool)
-    hit[:, g.actionable] = rng.random((m, g.actionable.size)) < cfg.mutation_prob
-    steps = rng.standard_normal((m, num.size))
-    picks = rng.integers(g.hi[cat].astype(np.int64) + 1, size=(m, cat.size))
-    reset[:, g.actionable] = rng.random((m, g.actionable.size)) < cfg.reset_prob
-    out = rows.copy()
-    old = out[:, num]
-    new = old + steps * (0.1 * g.span[num])
-    whole = g.whole[num]
-    new[:, whole] = np.round(new[:, whole])
+    Returns a new matrix.
+
+    The actionable genes are gathered once, from the genome's variation
+    table, and varied in place. Without an actionable categorical feature
+    the categorical draw is skipped: a draw of size 0 consumes no state."""
+    t, m, act = genome.variation, len(rows), genome.actionable
+    hit = rng.random((m, act.size)) < cfg.mutation_prob
+    steps = rng.standard_normal((m, t.num.size))
+    if t.cat.size:
+        picks = rng.integers(t.counts, size=(m, t.cat.size))
+    reset = rng.random((m, act.size)) < cfg.reset_prob
+    genes = rows[:, act]
+    # each gene's mutated value; a categorical feature without a training
+    # category keeps its own
+    moved = genes.copy()
+    steps *= t.scale
+    steps += genes[:, t.num]
+    if t.whole.size:
+        steps[:, t.whole] = np.round(steps[:, t.whole])
+    np.maximum(steps, t.lo, out=steps)
+    np.minimum(steps, t.hi, out=steps)
     # + 0.0 turns a rounded -0.0 into 0.0, as Python's round gives
-    new = np.minimum(np.maximum(new, g.lo[num]), g.hi[num]) + 0.0
-    out[:, num] = np.where(hit[:, num], new, old)
-    out[:, cat] = np.where(hit[:, cat], picks, out[:, cat])
-    return np.where(reset & (out != g.poi), g.poi, out)
+    steps += 0.0
+    moved[:, t.num] = steps
+    if t.cat.size:
+        moved[:, t.cat] = picks
+    np.copyto(genes, moved, where=hit)
+    np.copyto(genes, t.poi, where=reset & (genes != t.poi))
+    out = rows.copy()
+    out[:, act] = genes
+    return out
 
 
 def check_candidate(values, x_pt, schema, stats):
@@ -248,9 +262,14 @@ def check_candidate(values, x_pt, schema, stats):
 
 def _first_occurrences(slots):
     """Mask of each store slot's first occurrence: the distinct rows of a
-    batch, given each row's slot (equal rows share a slot)."""
+    batch, given each row's slot (equal rows share a slot). One stable
+    argsort groups equal slots in row order, and each group's head is
+    its first occurrence."""
+    order = np.argsort(slots, kind="stable")
     first = np.zeros(len(slots), dtype=bool)
-    first[np.unique(slots, return_index=True)[1]] = True
+    first[order[:1]] = True
+    ordered = slots[order]
+    first[order[1:]] = ordered[1:] != ordered[:-1]
     return first
 
 

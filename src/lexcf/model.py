@@ -114,6 +114,11 @@ class _Encoder:
             [(c[2] - c[1] if c[2] > c[1] else 0.0) if c[0] == "num" else np.nan for c in columns],
             float,
         )
+        # the numeric features with a positive range, which _matrix scales,
+        # with their encoded columns, lower bounds and ranges
+        self._scaled = np.flatnonzero(self._span > 0)
+        self._scaled_at = self.column_of[self._scaled]
+        self._scaled_lo, self._scaled_span = self._lo[self._scaled], self._span[self._scaled]
         # per categorical column: {category: code} and a table whose row for
         # a code is that category's one-hot block; the last row, which the
         # code -1 of an unknown token selects, is all zeros
@@ -136,16 +141,17 @@ class _Encoder:
         ]
         return cls(columns)
 
-    def _matrix(self, n, columns):
-        """The encoded matrix of n rows given per feature: a numeric
-        feature's values, a categorical feature's category indices, where
-        -1 (an unknown token) selects the all-zero block."""
-        out = np.zeros((n, self.width))
-        for j, (spec, col, column) in enumerate(zip(self.columns, self.column_of, columns)):
-            if spec[0] == "cat":
-                out[:, col : col + len(spec[1])] = self._onehot[j][1].take(column, axis=0)
-            elif self._span[j] > 0:
-                out[:, col] = (np.asarray(column, dtype=float) - self._lo[j]) / self._span[j]
+    def _matrix(self, values, codes):
+        """The encoded matrix of rows given as values, the (rows x scaled)
+        values of the numeric features with a positive range, scaled in one
+        array operation, and codes, each categorical feature's category
+        indices in _onehot's order, where -1 (an unknown token) selects the
+        all-zero block."""
+        out = np.zeros((len(values), self.width))
+        out[:, self._scaled_at] = (values - self._scaled_lo) / self._scaled_span
+        for (j, (_, table)), column in zip(self._onehot.items(), codes):
+            col = self.column_of[j]
+            out[:, col : col + table.shape[1]] = table.take(column, axis=0)
         return out
 
     def numeric_cells(self, features, values):
@@ -159,21 +165,21 @@ class _Encoder:
 
     def transform(self, rows):
         """The encoded matrix of value tuples."""
-        columns = [[row[j] for row in rows] for j in range(len(self.columns))]
-        for j, (codes, _) in self._onehot.items():
-            columns[j] = [codes.get(v, -1) for v in columns[j]]
-        return self._matrix(len(rows), columns)
+        columns = list(zip(*rows)) or [()] * len(self.columns)
+        values = np.array([columns[j] for j in self._scaled.tolist()], dtype=float)
+        codes = [[table.get(v, -1) for v in columns[j]] for j, (table, _) in self._onehot.items()]
+        return self._matrix(values.reshape(len(self._scaled), len(rows)).T, codes)
 
     def transform_coded(self, X, genome):
         """transform(genome.decode(X)) without decoding: a numeric column of
         X holds the values themselves, and a categorical code selects the
         block of its value in genome.tables. The map is built per call, as
         genome.encode may append codes."""
-        columns = list(X.T)
-        for j, (codes, _) in self._onehot.items():
-            index = np.array([codes.get(v, -1) for v in genome.tables[j]], dtype=np.intp)
-            columns[j] = index[columns[j].astype(np.intp)]
-        return self._matrix(len(X), columns)
+        codes = []
+        for j, (table, _) in self._onehot.items():
+            index = np.array([table.get(v, -1) for v in genome.tables[j]], dtype=np.intp)
+            codes.append(index[X[:, j].astype(np.intp)])
+        return self._matrix(X[:, self._scaled], codes)
 
     def to_spec(self):
         return [list(c) for c in self.columns]

@@ -197,6 +197,24 @@ def resilience_scores(x_cf, x_pt, model, schema, stats):
     return ResilienceReport(tuple(map(FeatureResilience, *(c.tolist() for c in walks[1:]))))
 
 
+class Variation(NamedTuple):
+    """The variation table of a Genome, over its actionable features: num
+    and cat, the positions within actionable of act_numeric and
+    act_categorical; scale (0.1 * span), lo and hi of the act_numeric
+    features, and whole, the positions within num of the integer ones;
+    counts, the training categories of each act_categorical feature; and
+    poi, the point of interest's actionable genes."""
+
+    num: np.ndarray
+    cat: np.ndarray
+    scale: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    whole: np.ndarray
+    counts: np.ndarray
+    poi: np.ndarray
+
+
 class Genome:
     """How candidates are held as float rows: a numeric feature as its
     value, a categorical feature as an integer code into its code table.
@@ -210,7 +228,8 @@ class Genome:
     (integer) and span (the Gower normalizer: the training range, or 1
     for a categorical). Mutation moves the actionable act_numeric and
     act_categorical features, the latter only with a training category,
-    and draws only training-category codes.
+    and draws only training-category codes; it reads them through
+    variation, a Variation built once.
     """
 
     def __init__(self, x_pt, schema, stats):
@@ -233,6 +252,17 @@ class Genome:
         self.actionable = np.flatnonzero(self.movable)
         self.act_numeric = np.flatnonzero(self.movable & self.numeric)
         self.act_categorical = np.flatnonzero(self.movable & ~self.numeric & (self.hi >= 0))
+        num = self.act_numeric
+        self.variation = Variation(
+            num=np.searchsorted(self.actionable, num),
+            cat=np.searchsorted(self.actionable, self.act_categorical),
+            scale=0.1 * self.span[num],
+            lo=self.lo[num],
+            hi=self.hi[num],
+            whole=np.flatnonzero(self.whole[num]),
+            counts=self.hi[self.act_categorical].astype(np.int64) + 1,
+            poi=self.poi[self.actionable],
+        )
 
     def encode(self, rows):
         """Value tuples as one (rows x features) float matrix. A tuple of the

@@ -36,6 +36,13 @@ in that order. A lexicographic tournament then draws u = rng.random(N),
 and a round that ends in a perfect tie among t entrants picks the
 survivor at position int(u * t), in entrant order. The crowded
 tournament needs no tie draw.
+
+Two-entrant lexicographic rounds are decided all at once, each by one
+score argmax. An objective scores the thresholds (theta and 0) by which
+its two values differ: 2 when they differ by more than theta, 1 when by
+theta or less, 0 when they are equal. The first highest score in
+priority order is the objective lex_compare decides by, and a round
+whose best score is 0 is a perfect tie.
 """
 
 from bisect import bisect_left, bisect_right
@@ -132,21 +139,6 @@ def _lex_survivors(cols, idx, theta):
     return idx
 
 
-def _pair_outcomes(A, B, theta):
-    """lex_compare of column j of A with column j of B, for every j at once;
-    A and B hold objectives in priority order (4 x rounds)."""
-    diff = np.abs(A - B)
-    outcome = np.zeros(A.shape[1], dtype=np.int64)
-    rounds = np.arange(A.shape[1])
-    for th in (theta, 0.0) if theta > 0 else (0.0,):
-        apart = diff > th
-        j = apart.argmax(axis=0)
-        open_ = (outcome == TIE) & apart.any(axis=0)
-        first = A[j, rounds] < B[j, rounds]
-        outcome[open_] = np.where(first, FIRST_BETTER, SECOND_BETTER)[open_]
-    return outcome
-
-
 def lex_tournament_select(params, population, rng=None, V=None):
     """Run params.n tournament rounds of size params.k over the population
     and return the victors; victors across rounds may repeat. The
@@ -157,8 +149,8 @@ def lex_tournament_select(params, population, rng=None, V=None):
     objectives in priority order and then an exact pass; on a perfect tie
     it picks a survivor by the round's tie draw (see the module docstring
     for the draws). Two-entrant rounds are decided for all rounds at once,
-    by lex_compare's rule as array comparisons; larger rounds winnow the
-    population's objective array round by round.
+    by lex_compare's rule as one score argmax (see the module docstring);
+    larger rounds winnow the population's objective array round by round.
     """
     n, k, rounds, theta = len(population), params.k, params.n, params.theta
     if k > n:
@@ -171,9 +163,13 @@ def lex_tournament_select(params, population, rng=None, V=None):
     if k == 2:
         a, b = _pair_entrants(n, rounds, rng)
         u = rng.random(rounds)
-        outcome = _pair_outcomes(cols[:, a], cols[:, b], theta)
-        decided = np.where(outcome == FIRST_BETTER, a, b)
-        picks = np.where(outcome == TIE, np.where(u < 0.5, a, b), decided)
+        A, B = cols[:, a], cols[:, b]
+        # the score argmax of the module docstring
+        diff = np.abs(A - B)
+        score = np.add(diff > theta, diff > 0, dtype=np.uint8)
+        j, r = score.argmax(axis=0), np.arange(rounds)
+        first = np.where(score[j, r] == 0, u < 0.5, A[j, r] < B[j, r])
+        picks = np.where(first, a, b)
     else:
         entrants = np.argsort(rng.random((rounds, n)), axis=1)[:, :k]
         picks = []

@@ -372,17 +372,18 @@ def test_variation_draws_follow_documented_order():
 
 
 @st.composite
-def _mixed_problem(draw):
+def _mixed_problem(draw, kinds=(CONTINUOUS, INTEGER, CATEGORICAL)):
     """A schema with every degenerate case variation must survive, its
-    stats, a point of interest and an odd or even population size."""
+    stats, a point of interest and an odd or even population size; its
+    features take the given kinds."""
     schema, stats, poi = [], [], []
-    kinds = draw(st.lists(st.sampled_from([CONTINUOUS, INTEGER, CATEGORICAL]), min_size=1,
-                          max_size=6))
+    kinds = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=6))
     for j, kind in enumerate(kinds):
         actionable = draw(st.booleans())
         if kind == CATEGORICAL:
-            # one-category training sets, and POI categories training never saw
-            seen = draw(st.sampled_from([("a",), ("a", "b"), ("b", "c", "a")]))
+            # training sets of no category or one, and POI categories training
+            # never saw
+            seen = draw(st.sampled_from([(), ("a",), ("a", "b"), ("b", "c", "a")]))
             schema.append(FeatureSchema("f%d" % j, kind, actionable, ("a", "b", "c", "z")))
             stats.append(FeatureStats(categories=seen))
             poi.append(draw(st.sampled_from(["a", "b", "z"])))
@@ -435,6 +436,87 @@ def test_offspring_pass_check_candidate(problem, probs, seed):
         assert rows.shape == (size, len(schema))
         for values in genome.decode(rows):
             check_candidate(values, poi, schema, stats)
+
+
+# The variation kernels as they were before they read the genome's
+# variation table: mutate and crossover must return the same bits and
+# leave the generator in the same state.
+
+
+def _oracle_crossover(parents, genome, cfg, rng):
+    pairs = len(parents) // 2
+    crossed = rng.random(pairs) < cfg.crossover_prob
+    swap = (rng.random((pairs, genome.actionable.size)) < 0.5) & crossed[:, None]
+    act = genome.actionable
+    first, second = parents[0 : 2 * pairs : 2, act], parents[1 : 2 * pairs : 2, act]
+    children = parents.copy()
+    children[0 : 2 * pairs : 2, act] = np.where(swap, second, first)
+    children[1 : 2 * pairs : 2, act] = np.where(swap, first, second)
+    return children
+
+
+def _oracle_mutate(rows, genome, cfg, rng):
+    g, m = genome, len(rows)
+    num, cat = g.act_numeric, g.act_categorical
+    hit, reset = np.zeros((2, m, g.poi.size), dtype=bool)
+    hit[:, g.actionable] = rng.random((m, g.actionable.size)) < cfg.mutation_prob
+    steps = rng.standard_normal((m, num.size))
+    # made even without a categorical feature: a draw of size 0
+    picks = rng.integers(g.hi[cat].astype(np.int64) + 1, size=(m, cat.size))
+    reset[:, g.actionable] = rng.random((m, g.actionable.size)) < cfg.reset_prob
+    out = rows.copy()
+    old = out[:, num]
+    new = old + steps * (0.1 * g.span[num])
+    whole = g.whole[num]
+    new[:, whole] = np.round(new[:, whole])
+    new = np.minimum(np.maximum(new, g.lo[num]), g.hi[num]) + 0.0
+    out[:, num] = np.where(hit[:, num], new, old)
+    out[:, cat] = np.where(hit[:, cat], picks, out[:, cat])
+    return np.where(reset & (out != g.poi), g.poi, out)
+
+
+def test_empty_draw_consumes_no_state():
+    # why mutate may skip the categorical draw of an all-numeric genome
+    rng = np.random.default_rng(5)
+    assert rng.integers(np.array([], dtype=np.int64), size=(100, 0)).shape == (100, 0)
+    assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    problem=st.one_of(_mixed_problem(), _mixed_problem(kinds=(CONTINUOUS, INTEGER))),
+    probs=st.tuples(*[st.sampled_from([0.0, 0.3, 1.0])] * 3),
+    seed=st.integers(0, 2**16),
+)
+def test_variation_kernels_match_oracles(problem, probs, seed):
+    schema, stats, poi, size = problem
+    cfg = EAConfig(population_size=size, crossover_prob=probs[0], mutation_prob=probs[1],
+                   reset_prob=probs[2])
+    genome = Genome(poi, schema, stats)
+    # rows whose cells sit on the bounds, on the POI's value, on either
+    # zero, or on any code of a categorical's table or the next one, which
+    # encode gives the next value it has not seen
+    draw = np.random.default_rng(seed)
+    rows = np.tile(genome.poi, (size, 1))
+    for j, table in enumerate(genome.tables):
+        if table is None:
+            cells = [genome.poi[j], genome.lo[j], genome.hi[j], -0.0, 0.0, genome.lo[j] + 0.5]
+        else:
+            cells = range(len(table) + 1)
+        rows[:, j] = draw.choice(np.array(cells, dtype=float), size=size)
+    rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        got = crossover(rows, genome, cfg, rng_new)
+        want = _oracle_crossover(rows, genome, cfg, rng_old)
+        assert got.tobytes() == want.tobytes()
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state
+        got = mutate(got, genome, cfg, rng_new)
+        want = _oracle_mutate(want, genome, cfg, rng_old)
+        # equal bytes: equal values and equal signs of zero
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state
+        rows = got
 
 
 def _raises(values, poi, schema, stats):

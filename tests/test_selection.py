@@ -765,6 +765,65 @@ def test_selection_kernels_match_oracles_on_wide_pools(data):
         assert [pool[i] for i in picks] == want
 
 
+def _oracle_pair_outcomes(A, B, theta):
+    """The two-pass pair kernel the score argmax replaced: lex_compare of
+    column j of A with column j of B, for every j at once; A and B hold
+    objectives in priority order (4 x rounds)."""
+    diff = np.abs(A - B)
+    outcome = np.zeros(A.shape[1], dtype=np.int64)
+    rounds = np.arange(A.shape[1])
+    for th in (theta, 0.0) if theta > 0 else (0.0,):
+        apart = diff > th
+        j = apart.argmax(axis=0)
+        open_ = (outcome == TIE) & apart.any(axis=0)
+        first = A[j, rounds] < B[j, rounds]
+        outcome[open_] = np.where(first, FIRST_BETTER, SECOND_BETTER)[open_]
+    return outcome
+
+
+def _oracle_pair_picks(V, rounds, ordering, theta, rng):
+    cols = np.asarray(V, dtype=float).T[list(ordering)]
+    a, b = np.array(_oracle_entrants(len(cols[0]), 2, rounds, rng)).T
+    u = rng.random(rounds)
+    outcome = _oracle_pair_outcomes(cols[:, a], cols[:, b], theta)
+    decided = np.where(outcome == FIRST_BETTER, a, b)
+    return np.where(outcome == TIE, np.where(u < 0.5, a, b), decided)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_pair_rounds_match_two_pass_oracle(data):
+    # tie-heavy pools: few distinct values per column, pairs whose rounded
+    # difference straddles theta, signed zeros, and pools of one repeated
+    # row; theta 0 too
+    n = data.draw(st.integers(2, 60))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    distinct = data.draw(st.integers(1, 3))
+    V = np.column_stack([
+        rng.choice(rng.choice(values, size=distinct, replace=False), size=n)
+        for values in _WIDE_VALUES
+    ])
+    if data.draw(st.booleans()):
+        V[:] = V[0]
+    theta = data.draw(st.sampled_from([0.0, 0.01, 0.1]))
+    ordering = data.draw(st.sampled_from([DISTANCE_BEFORE_SPARSITY, SPARSITY_BEFORE_DISTANCE]))
+    seed = data.draw(st.integers(0, 2**16))
+    params = LexParams(n=40, k=2, theta=theta, ordering=ordering)
+    rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+    picks = lex_tournament_select(params, np.arange(n), rng_new, V=V)
+    assert picks.tolist() == _oracle_pair_picks(V, 40, ordering, theta, rng_old).tolist()
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+
+@settings(max_examples=300, deadline=None)
+@given(slots=st.lists(st.integers(0, 6), max_size=30))
+def test_first_occurrences_match_unique(slots):
+    slots = np.array(slots, dtype=np.int64)
+    want = np.zeros(len(slots), dtype=bool)
+    want[np.unique(slots, return_index=True)[1]] = True
+    assert _first_occurrences(slots).tolist() == want.tolist()
+
+
 @pytest.mark.parametrize(
     "low, high, tied",
     [
