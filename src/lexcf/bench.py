@@ -9,6 +9,7 @@ import csv
 import hashlib
 import json
 import os
+import platform
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -27,7 +28,7 @@ from .data import (
     read_yaml_mapping,
     split_dataset,
 )
-from .ea import STRATEGIES, STRATEGY_ORDERINGS, EAConfig, run_paired
+from .ea import STRATEGIES, STRATEGY_ORDERINGS, EAConfig, run_paired, split_runs
 from .errors import ConfigError, DataError, InvariantViolation
 from .model import LearnerConfig, learner_key, learner_params, train_model, tune_random_search
 from .objectives import EvalContext
@@ -414,6 +415,9 @@ def emit_report(report, out_dir):
 
 
 def write_meta(report, out_dir):
+    """Write meta.json: the report's seeds, variants and model, and the
+    Python and numpy versions and whether run_paired ran lex2 in a forked
+    child (split_runs), none of which goes into records.ndjson."""
     os.makedirs(out_dir, exist_ok=True)
     meta = {
         "dataset": report.dataset_id,
@@ -426,6 +430,9 @@ def write_meta(report, out_dir):
         "pairs": report.aggregates["pairs"],
         "skipped": report.aggregates["skipped"],
         "model": report.model_info,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "split_runs": split_runs(),
     }
     path = os.path.join(out_dir, "meta.json")
     with open(path, "w", encoding="utf-8") as handle:

@@ -20,17 +20,20 @@ keeps no per-generation trace.
 A run is a generator (_search) that yields each batch of rows it needs
 scored, the initial population and then each generation's offspring,
 and is sent their objective array and their slots in the context's
-store. One loop (_lockstep) advances runs in lockstep: run_ea drives
-one run, and run_paired drives par, lex1 and lex2 together, scoring the
-three batches of each generation with one evaluate_population call and
+store. One loop (_lockstep) advances runs in lockstep, scoring the
+batches of each generation with one evaluate_population call and
 handing each run its rows of the objective array and of the slots.
+run_ea drives one run. run_paired forks a child process that runs lex2
+alone, while the parent drives par and lex1 in lockstep; on a host with
+fewer than two usable CPUs it drives all three in-process instead.
 Equal rows share a slot, the one rule for equal scored rows: survival,
 the lexicographic final round and the returned Pareto front keep each
 row's first occurrence by the slots carried next to X and V. Each run
 keeps its own generator and draw order, and a row's objectives do not
 depend on its batch (its forest votes, logistic score and Gower sums
 come out the same bits in any batch, and the context's cache holds pure
-values), so a lockstep run returns exactly what it returns alone.
+values), so a lockstep or forked run returns exactly what it returns
+alone.
 
 Random draws, all from the run's one generator, with n the population
 size and A the number of actionable features:
@@ -61,6 +64,11 @@ Every draw is made whether or not its outcome is used, so the count per
 generation depends only on the configuration and the schema.
 """
 
+import os
+import pickle
+import signal
+import traceback
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -294,6 +302,11 @@ def violating_rows(X, genome):
     return ((X != g.poi) & ~inside).any(axis=1)
 
 
+def _check_resilience(ctx, cfg):
+    if bool(cfg.resilience) != bool(ctx.resilience):
+        raise ConfigError("config and evaluation context disagree on resilience")
+
+
 def _search(ctx, cfg):
     """One run as a generator of its evaluation batches: it yields each
     batch of coded rows, the initial population and then each
@@ -301,8 +314,7 @@ def _search(ctx, cfg):
     their slots in ctx.store, and returns the EAResult after
     cfg.max_generations generations. Survival and the returned solutions
     drop repeated rows by their slots, so no row is keyed again."""
-    if bool(cfg.resilience) != bool(ctx.resilience):
-        raise ConfigError("config and evaluation context disagree on resilience")
+    _check_resilience(ctx, cfg)
     rng = np.random.default_rng(cfg.seed)
     n = cfg.population_size
     ordering = STRATEGY_ORDERINGS.get(cfg.strategy)
@@ -399,16 +411,114 @@ def _child_seed(seed, index):
     return int(np.random.SeedSequence([int(seed), index]).generate_state(1)[0])
 
 
+def _usable_cpus():
+    """How many CPUs this process may run on; 1 where the platform cannot
+    say."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def split_runs():
+    """Whether run_paired runs lex2 in a forked child on this host: only
+    where at least two CPUs are usable, so that both processes have one."""
+    return _usable_cpus() >= 2
+
+
+def _fork():
+    """os.fork. Python 3.12 warns that forking a multi-threaded process may
+    deadlock the child, and OpenBLAS starts idle worker threads when numpy
+    loads. The child calls no BLAS routine (search scoring uses einsum and
+    ufuncs; only train_logistic uses @), so it never waits on a lock those
+    threads hold, and exactly that warning is filtered."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore",
+            message=r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may lead "
+            r"to deadlocks in the child\.",
+            category=DeprecationWarning,
+        )
+        return os.fork()
+
+
+class _ChildTraceback(Exception):
+    """The text of the traceback of an error that run_paired's child
+    raised: the cause of the error run_paired raises for it."""
+
+
+def _pickled_error(exc, trace):
+    """The child's reply for an error: exc and its traceback's text,
+    pickled. An error that does not come back from pickling goes as a
+    RuntimeError that names its type and message."""
+    try:
+        reply = pickle.dumps((None, exc, trace), pickle.HIGHEST_PROTOCOL)
+        pickle.loads(reply)
+        return reply
+    except Exception:
+        lost = RuntimeError("%s: %s" % (type(exc).__name__, exc))
+        return pickle.dumps((None, lost, trace), pickle.HIGHEST_PROTOCOL)
+
+
+def _run_in_child(ctx, cfg, reader, writer):
+    """The body of run_paired's child: run cfg alone on ctx, write the
+    pickled (EAResult, None, None), or (None, error, traceback text) if the
+    run raised, to the pipe, and leave with os._exit, so that no atexit
+    handler runs and no inherited stdio buffer is flushed. Never
+    returns."""
+    status = 1
+    try:
+        reader.close()
+        try:
+            reply = pickle.dumps((_lockstep(ctx, [cfg])[0], None, None), pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
+            reply = _pickled_error(exc, traceback.format_exc())
+        writer.write(reply)
+        writer.close()
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def run_paired(ctx, base_cfg):
     """Run all three strategies on one point of interest, each with its own
-    child seed and generator. The runs advance in lockstep: each
-    generation their three batches of rows, and at the start their
-    initial populations, are scored by one evaluate_population call. A
-    row's objectives do not depend on its batch, so each run returns what
-    it would return alone. Every run executes base_cfg.max_generations
-    generations, so all three spend the same computational budget."""
+    child seed and generator. Every run executes base_cfg.max_generations
+    generations, so all three spend the same computational budget.
+
+    Where split_runs holds, a forked child runs lex2 alone on its copy of
+    ctx, while this process runs par and lex1 in lockstep: each generation
+    their two batches of rows, and at the start their initial
+    populations, are scored by one evaluate_population call. The child
+    sends its EAResult back through a pipe, and is always reaped, and
+    killed first if this process raised; an error the child's run raised
+    is raised here with its type and message, caused by a _ChildTraceback
+    that holds the child's traceback. Elsewhere all three runs go
+    in lockstep in this process. A row's objectives do not depend on its
+    batch or on the context's cache, so each run returns what it would
+    return alone, on either path."""
     cfgs = [
         replace(base_cfg, strategy=strategy, seed=_child_seed(base_cfg.seed, i))
         for i, strategy in enumerate(STRATEGIES)
     ]
-    return tuple(_lockstep(ctx, cfgs))
+    if not split_runs():
+        return tuple(_lockstep(ctx, cfgs))
+    _check_resilience(ctx, base_cfg)
+    read_fd, write_fd = os.pipe()
+    with open(read_fd, "rb") as reader, open(write_fd, "wb") as writer:
+        pid = _fork()
+        if pid == 0:
+            _run_in_child(ctx, cfgs[2], reader, writer)
+        writer.close()
+        try:
+            par, lex1 = _lockstep(ctx, cfgs[:2])
+            reply = reader.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            os.waitpid(pid, 0)
+    if not reply:
+        raise ChildProcessError("the lex2 run's process ended without a result")
+    lex2, error, trace = pickle.loads(reply)
+    if error is not None:
+        raise error from _ChildTraceback(trace)
+    return par, lex1, lex2

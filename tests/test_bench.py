@@ -2,11 +2,13 @@ import csv
 import hashlib
 import json
 import os
+import platform
 from functools import partial
 
 import numpy as np
 import pytest
 
+import lexcf.ea
 from lexcf import bench
 from lexcf.bench import (
     BASE,
@@ -17,6 +19,7 @@ from lexcf.bench import (
     aggregate_records,
     emit_report,
     load_experiment_config,
+    read_meta,
     read_records,
     run_experiment,
     sample_points_of_interest,
@@ -440,6 +443,23 @@ def test_write_meta_contents(small_report, tmp_path):
     assert meta["empty"] is False
     assert set(meta["skipped"]) == set(VARIANTS)
     assert meta["model"]["learner"] == "random_forest"
+
+
+def test_write_meta_records_versions_and_split(small_report, tmp_path, monkeypatch):
+    # the environment goes into meta.json, never into the records
+    report, _ = small_report
+    for cpus in (1, 2):
+        monkeypatch.setattr(lexcf.ea, "_usable_cpus", lambda: cpus)
+        with open(write_meta(report, str(tmp_path)), encoding="utf-8") as handle:
+            meta = json.load(handle)
+        assert meta["python"] == platform.python_version()
+        assert meta["numpy"] == np.__version__
+        assert meta["split_runs"] is (cpus == 2)
+    # a meta.json written before these keys existed still reads
+    for key in ("python", "numpy", "split_runs"):
+        del meta[key]
+    (tmp_path / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    assert read_meta(str(tmp_path / "meta.json")) == meta
 
 
 DATASET_YAML = """

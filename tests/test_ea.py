@@ -1,3 +1,7 @@
+import os
+import re
+import signal
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -40,8 +44,13 @@ from lexcf.ea import (
     run_paired,
     violating_rows,
 )
-from lexcf.ea import _child_seed, _dedup_pad
-from lexcf.selection import nondominated_sort, pareto_dominates
+from lexcf.ea import _child_seed, _dedup_pad, _lockstep
+from lexcf.selection import (
+    DISTANCE_BEFORE_SPARSITY,
+    SPARSITY_BEFORE_DISTANCE,
+    nondominated_sort,
+    pareto_dominates,
+)
 
 from conftest import CountingModel, ThresholdModel, make_dataset, make_stats, numeric_schema
 
@@ -770,7 +779,10 @@ def trained():
 @pytest.mark.parametrize("learner", ["logistic", "forest"])
 def test_run_paired_equals_three_runs_alone(trained, monkeypatch, learner, resilience, size):
     # the lockstep runs share one context and one evaluation batch per
-    # generation; each returns what it returns alone on a fresh context
+    # generation; each returns what it returns alone on a fresh context.
+    # One usable CPU keeps all three runs in this process, which the call
+    # counts below describe
+    monkeypatch.setattr(lexcf.ea, "_usable_cpus", lambda: 1)
     train, stats, models, pois = trained
     calls = []
     evaluate_population = lexcf.ea.evaluate_population
@@ -807,6 +819,228 @@ def test_run_paired_rejects_resilience_mismatch_before_any_model_call(rng, monke
     with pytest.raises(ConfigError, match="resilience"):
         run_paired(ctx, EAConfig(resilience=True))
     assert calls == [] and ctx.model.calls == 0
+
+
+def _paired_configs(cfg):
+    """The three configs run_paired builds from cfg."""
+    return [replace(cfg, strategy=s, seed=_child_seed(cfg.seed, i)) for i, s in enumerate(STRATEGIES)]
+
+
+def _assert_no_child():
+    # every child this process forked has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Two usable CPUs, so run_paired forks on any host, and the pids of
+    the children it forks. A test that has not finished within two
+    minutes raises TimeoutError, so a lost child cannot hang the suite."""
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork on this platform")
+    monkeypatch.setattr(lexcf.ea, "_usable_cpus", lambda: 2)
+    pids, fork = [], os.fork
+
+    def recorded():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    def timed_out(signum, frame):
+        raise TimeoutError("run_paired did not return within 120 s")
+
+    monkeypatch.setattr(os, "fork", recorded)
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(120)
+    yield pids
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("size", [2, 3, 5, 20])
+@pytest.mark.parametrize("resilience", [False, True])
+@pytest.mark.parametrize("learner", ["logistic", "forest"])
+def test_forked_run_paired_equals_in_process_lockstep(trained, forks, learner, resilience, size):
+    # lex2 runs in a forked child and comes back through a pipe; all three
+    # results equal the one-process lockstep's, genealogy included
+    train, stats, models, pois = trained
+    cfg = EAConfig(population_size=size, max_generations=5, k=min(3, size),
+                   resilience=resilience, seed=size, debug=True)
+    for poi in pois:
+        def fresh():
+            return EvalContext(poi, models[learner], train, stats, resilience=resilience)
+
+        forked = run_paired(fresh(), cfg)
+        assert len(forks) == 1 and forks.pop() > 0
+        _assert_no_child()
+        together = _lockstep(fresh(), _paired_configs(cfg))
+        assert forked == tuple(together)
+        assert all(len(result.genealogy) == size * 6 for result in forked)
+
+
+def test_run_paired_stays_in_process_on_one_cpu(trained, monkeypatch):
+    monkeypatch.setattr(lexcf.ea, "_usable_cpus", lambda: 1)
+    assert not lexcf.ea.split_runs()
+
+    def refused():
+        raise AssertionError("run_paired forked on one usable CPU")
+
+    monkeypatch.setattr(os, "fork", refused)
+    train, stats, models, pois = trained
+    cfg = EAConfig(population_size=6, max_generations=4, seed=2)
+    result = run_paired(EvalContext(pois[0], models["forest"], train, stats), cfg)
+    assert result == tuple(_lockstep(EvalContext(pois[0], models["forest"], train, stats),
+                                     _paired_configs(cfg)))
+
+
+def test_usable_cpus_reads_the_affinity_mask(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert lexcf.ea._usable_cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert lexcf.ea._usable_cpus() == 1 and not lexcf.ea.split_runs()
+
+
+def test_fork_filters_only_the_multithreaded_fork_warning(monkeypatch):
+    # Python 3.12's os.fork warns in the parent when the process has other
+    # threads; _fork filters that warning and no other
+    def warning_fork(message):
+        def fork():
+            warnings.warn(message, DeprecationWarning, stacklevel=1)
+            return 4242
+        return fork
+
+    threaded = ("This process (pid=%d) is multi-threaded, use of fork() may lead to "
+                "deadlocks in the child." % os.getpid())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        monkeypatch.setattr(os, "fork", warning_fork(threaded))
+        assert lexcf.ea._fork() == 4242
+        monkeypatch.setattr(os, "fork", warning_fork("some other deprecation"))
+        with pytest.raises(DeprecationWarning, match="some other deprecation"):
+            lexcf.ea._fork()
+
+
+class OrderingError(Exception):
+    pass
+
+
+def _failing_survival(monkeypatch, ordering):
+    """Make lexicographic survival raise OrderingError under ordering."""
+    survive = lexcf.ea.lex_survival_select
+
+    def failing(V, n, order, theta):
+        if order == ordering:
+            raise OrderingError("survival refused %s" % (order,))
+        return survive(V, n, order, theta)
+
+    monkeypatch.setattr(lexcf.ea, "lex_survival_select", failing)
+
+
+def test_run_paired_raises_the_childs_error(trained, forks, monkeypatch):
+    # only lex2's run, in the child, fails: this process re-raises its
+    # error with its type and message, and has reaped the child
+    _failing_survival(monkeypatch, SPARSITY_BEFORE_DISTANCE)
+    train, stats, models, pois = trained
+    ctx = EvalContext(pois[0], models["logistic"], train, stats)
+    with pytest.raises(OrderingError, match=r"^survival refused %s$" % re.escape(
+            str(SPARSITY_BEFORE_DISTANCE))) as raised:
+        run_paired(ctx, EAConfig(population_size=6, max_generations=3, seed=1))
+    # the child's traceback comes along as the cause
+    cause = raised.value.__cause__
+    assert type(cause) is lexcf.ea._ChildTraceback and "in failing" in str(cause)
+    assert len(forks) == 1
+    _assert_no_child()
+
+
+class UnpicklableError(Exception):
+    # pickles, but cannot be rebuilt from its args
+    def __init__(self, a, b):
+        super().__init__("%s and %s" % (a, b))
+
+
+def test_run_paired_names_a_child_error_that_does_not_unpickle(trained, forks, monkeypatch):
+    survive = lexcf.ea.lex_survival_select
+
+    def failing(V, n, order, theta):
+        if order == SPARSITY_BEFORE_DISTANCE:
+            raise UnpicklableError("one", "two")
+        return survive(V, n, order, theta)
+
+    monkeypatch.setattr(lexcf.ea, "lex_survival_select", failing)
+    train, stats, models, pois = trained
+    ctx = EvalContext(pois[0], models["logistic"], train, stats)
+    with pytest.raises(RuntimeError, match=r"^UnpicklableError: one and two$"):
+        run_paired(ctx, EAConfig(population_size=6, max_generations=3, seed=1))
+    _assert_no_child()
+
+
+def test_run_paired_reports_a_child_that_ends_without_a_result(trained, forks, monkeypatch):
+    survive = lexcf.ea.lex_survival_select
+
+    def leaving(V, n, order, theta):
+        if order == SPARSITY_BEFORE_DISTANCE:
+            os._exit(3)
+        return survive(V, n, order, theta)
+
+    monkeypatch.setattr(lexcf.ea, "lex_survival_select", leaving)
+    train, stats, models, pois = trained
+    ctx = EvalContext(pois[0], models["logistic"], train, stats)
+    with pytest.raises(ChildProcessError, match="without a result"):
+        run_paired(ctx, EAConfig(population_size=6, max_generations=3, seed=1))
+    _assert_no_child()
+
+
+def test_run_paired_kills_and_reaps_the_child_when_it_raises(trained, forks, monkeypatch):
+    # lex1's run, in this process, fails: the child is killed, then
+    # reaped, before the error leaves run_paired
+    _failing_survival(monkeypatch, DISTANCE_BEFORE_SPARSITY)
+    events, kill, waitpid = [], os.kill, os.waitpid
+
+    def killed(pid, sig):
+        events.append(("kill", pid, sig))
+        kill(pid, sig)
+
+    def reaped(pid, options):
+        got = waitpid(pid, options)
+        events.append(("wait", pid, got[0]))
+        return got
+
+    monkeypatch.setattr(os, "kill", killed)
+    monkeypatch.setattr(os, "waitpid", reaped)
+    train, stats, models, pois = trained
+    ctx = EvalContext(pois[0], models["logistic"], train, stats)
+    with pytest.raises(OrderingError, match="survival refused"):
+        run_paired(ctx, EAConfig(population_size=6, max_generations=3, seed=1))
+    pid, = forks
+    assert events == [("kill", pid, signal.SIGKILL), ("wait", pid, pid)]
+    monkeypatch.undo()
+    _assert_no_child()
+
+
+def test_run_paired_reaps_the_child_after_a_normal_return(trained, forks):
+    train, stats, models, pois = trained
+    ctx = EvalContext(pois[1], models["forest"], train, stats, resilience=True)
+    par, lex1, lex2 = run_paired(ctx, EAConfig(population_size=4, max_generations=2, resilience=True))
+    assert len(forks) == 1 and lex2.generations_executed == 2
+    _assert_no_child()
+
+
+def test_run_paired_closes_the_pipe_when_fork_fails(trained, monkeypatch):
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc/self/fd to count open descriptors")
+    monkeypatch.setattr(lexcf.ea, "_usable_cpus", lambda: 2)
+
+    def refused():
+        raise BlockingIOError("fork refused")
+
+    monkeypatch.setattr(os, "fork", refused)
+    train, stats, models, pois = trained
+    ctx = EvalContext(pois[0], models["logistic"], train, stats)
+    before = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(BlockingIOError, match="fork refused"):
+        run_paired(ctx, EAConfig(population_size=4, max_generations=2))
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 def test_strategy_constants():
