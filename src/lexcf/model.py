@@ -15,8 +15,10 @@ node needing a split from every unfinished tree, in the tree's own
 preorder, and one batched search over padded arrays splits them all,
 exactly as a search of each node alone would. It scores trees of at most
 64 leaves by leaf bitmasks and deeper trees by a level-by-level
-traversal; both reach the same leaf as a walk down the tree. Walk rows
-reuse their candidate's bitmasks on every column but the changed one.
+traversal; both reach the same leaf as a walk down the tree. Base and
+walk rows find their bitmasks through one search and one table gather
+per group of rows; walk rows reuse their candidate's bitmasks on every
+column but the changed one.
 The tables are rebuilt whenever a forest is trained or loaded, so saved
 models hold only the trees.
 """
@@ -542,9 +544,9 @@ def _grow_forest(X, y, rngs, mtry, max_depth, min_leaf):
     return [t.tree() for t in trees]
 
 
-# Rows scored together. Large resilience-walk batches go in chunks of this
-# many rows, so a chunk's (rows, trees) arrays of leaf masks or node
-# positions stay in cache and peak memory stays bounded.
+# Rows the node-table traversal routes together, and walk rows the
+# bitmask kernel scores together: a chunk's (rows, trees) arrays of leaf
+# masks or node positions stay in cache and peak memory stays bounded.
 _CHUNK_ROWS = 256
 
 # A tree with at most this many leaves is scored by leaf bitmasks: one
@@ -552,8 +554,8 @@ _CHUNK_ROWS = 256
 _MASK_LEAVES = 64
 _ALL_LEAVES = np.uint64(2**64 - 1)
 
-# (candidate, split column) masks the walk kernel (_mask_walk_votes)
-# holds at once: 1 MB of words per block of 64 trees
+# (row, split column) masks the bitmask kernels (_mask_groups) hold at
+# once: 1 MB of words per block of 64 trees
 _MASK_GROUP = 2048
 
 
@@ -621,7 +623,6 @@ def _flatten_forest(trees):
 class _Masks(NamedTuple):
     """The leaf-bitmask tables of _mask_tables."""
 
-    cuts: list
     lookup: np.ndarray
     table: np.ndarray
     positive: np.ndarray
@@ -631,8 +632,8 @@ class _Masks(NamedTuple):
 
 def _mask_tables(trees, width):
     """Leaf-bitmask tables (QuickScorer) for trees of at most _MASK_LEAVES
-    leaves, over rows of the given encoded width: _Masks(cuts, lookup,
-    table, positive, cut_of, keys).
+    leaves, over rows of the given encoded width: _Masks(lookup, table,
+    positive, cut_of, keys).
 
     A tree's leaves are numbered left to right, leaf i as bit i. A split's
     mask clears the bits of its left subtree's leaves, a contiguous run:
@@ -640,22 +641,20 @@ def _mask_tables(trees, width):
     bit left in the AND of the masks of every split a row goes right at
     is its leaf.
 
-    cuts lists each split column, its sorted distinct thresholds and its
-    offset. A value x goes right at the splits with threshold < x, the
-    first searchsorted(thresholds, x, "left") of them; a NaN sorts after
-    every threshold and goes right, as in a walk down the tree. That
-    count plus the offset is x's position. The trees go in blocks of at
-    most 64, one uint64 word per tree; lookup[b] maps a position to the
-    row of table that holds, per tree of block b, the AND of the masks of
-    the splits x goes right at on that column. positive[b] marks each
-    tree's positive leaves. A block has at most 64 * 63 + width rows of
-    64 words, about 2.1 MB.
-
-    cut_of maps an encoded column to its index j in cuts, or -1 where no
-    tree splits. keys holds every (j, threshold) pair as the complex
-    number j + threshold * 1j, in cuts' order, which numpy's lexicographic
-    complex order sorts; a value x on split column j then has position
-    searchsorted(keys, j + x * 1j) + j (_key_positions)."""
+    The split columns are numbered j = 0, 1, ... in encoded order; cut_of
+    maps an encoded column to its j, or -1 where no tree splits. keys
+    holds each split column's sorted distinct thresholds as the complex
+    numbers j + threshold * 1j, which numpy's lexicographic complex order
+    sorts column by column. A value x on split column j goes right at the
+    splits with threshold < x; a NaN goes right at all of them, as in a
+    walk down the tree. Column j owns a run of positions, one more than
+    its thresholds, and x's position, searchsorted(keys, j + x * 1j) + j
+    (_key_positions), is the run's start plus the number of thresholds
+    below x. The trees go in blocks of at most 64, one uint64 word per
+    tree; lookup[b] maps a position to the row of table that holds, per
+    tree of block b, the AND of the masks of the splits x goes right at
+    on that column. positive[b] marks each tree's positive leaves. A
+    block has at most 64 * 63 + width rows of 64 words, about 2.1 MB."""
     feature, threshold, children, value, roots, levels = _flatten_forest(trees)
     left, right = children[0::2], children[1::2]
     # leaves under each node, then the number of its leftmost leaf
@@ -674,14 +673,13 @@ def _mask_tables(trees, width):
     splits = np.flatnonzero(size > 1)
     columns, column_of = np.unique(feature[splits], return_inverse=True)
     cuts = [np.unique(threshold[splits[column_of == j]]) for j in range(len(columns))]
+    keys = np.concatenate([np.zeros(0, complex), *(j + c * 1j for j, c in enumerate(cuts))])
     runs = np.array([len(c) + 1 for c in cuts], dtype=np.int64)
     offsets = np.cumsum(runs) - runs
     column_at = np.repeat(np.arange(len(cuts)), runs)
     # each split's position: that of the values just above its threshold
     position = np.zeros(len(size), dtype=np.int64)
-    for j, (c, off) in enumerate(zip(cuts, offsets)):
-        on = splits[column_of == j]
-        position[on] = off + 1 + np.searchsorted(c, threshold[on])
+    position[splits] = _key_positions(keys, column_of, threshold[splits]) + 1
     lookups, tables = [], []
     # the words past the last block's last tree stay all ones and vote 0
     words = min(64, len(trees))
@@ -705,30 +703,16 @@ def _mask_tables(trees, width):
     np.bitwise_or.at(positive, (block[leaves], word[leaves]), bit[leaves])
     cut_of = np.full(width, -1)
     cut_of[columns] = np.arange(len(columns))
-    keys = np.concatenate([np.zeros(0, complex), *(j + c * 1j for j, c in enumerate(cuts))])
-    cuts = list(zip(columns.tolist(), cuts, offsets.tolist()))
-    return _Masks(cuts, np.stack(lookups), np.concatenate(tables), positive, cut_of, keys)
-
-
-def _mask_positions(encoded, cuts):
-    """Each row's position on each split column of the _mask_tables cuts:
-    a (columns x rows) array."""
-    values = encoded.T.copy()  # searchsorted runs faster on contiguous values
-    at = np.empty((len(cuts), len(encoded)), dtype=np.int64)
-    for j, (column, thresholds, offset) in enumerate(cuts):
-        at[j] = offset + np.searchsorted(thresholds, values[column])
-    return at
+    return _Masks(np.stack(lookups), np.concatenate(tables), positive, cut_of, keys)
 
 
 def _key_positions(keys, cut, values):
-    """The positions (_mask_tables) of values on split columns cut,
-    indices into cuts broadcast against values, from one search of keys.
-    It serves values of mixed columns, and on a few dozen rows it also
-    beats _mask_positions' search per column. The parts are set one by
-    one, as j + x * 1j has a NaN real part for an infinite x. numpy sorts
-    a NaN imaginary part after every complex number, so a NaN x is
-    searched as +inf: after every threshold of its column, as
-    _mask_positions places it."""
+    """The positions (_mask_tables) of values on split columns cut, cut
+    broadcast against values, from one search of keys. The parts are set
+    one by one, as j + x * 1j has a NaN real part for an infinite x. numpy
+    sorts a NaN imaginary part after every complex number, so a NaN x is
+    searched as +inf: after every threshold of its column, where a walk
+    down the tree sends it."""
     query = np.empty(np.shape(values), complex)
     query.real = cut
     query.imag = np.fmin(values, np.inf)
@@ -745,13 +729,31 @@ def _leaf_votes(reach, positive):
     return (leaf != 0).sum(axis=(0, 2))
 
 
-def _mask_votes(at, lookup, table, positive):
-    """Positive votes per row from the _mask_tables tables, given the
-    rows' positions (_mask_positions)."""
-    reach = np.full((len(positive), at.shape[1], positive.shape[1]), _ALL_LEAVES)
-    for column in at:
-        reach &= table.take(lookup.take(column, axis=1), axis=0)
-    return _leaf_votes(reach, positive)
+def _mask_groups(E, masks):
+    """The rows of E in groups of at least one row whose (row, split
+    column) masks number at most _MASK_GROUP. Yields per group its first
+    row and its rows' table rows from the _mask_tables tables, masks: a
+    (blocks, split columns, rows, words) array, the AND of the masks of
+    the splits each row goes right at on each split column."""
+    columns = np.flatnonzero(masks.cut_of >= 0)
+    cut = np.arange(len(columns))[:, None]
+    step = max(1, _MASK_GROUP // max(1, len(columns)))
+    for first in range(0, len(E), step):
+        at = _key_positions(masks.keys, cut, E[first : first + step].T[columns])
+        yield first, masks.table.take(masks.lookup.take(at, axis=1), axis=0)
+
+
+def _mask_votes(E, masks):
+    """Positive votes per row of E from the _mask_tables tables, masks: a
+    row's reach is the AND of its table rows on every split column."""
+    votes = np.empty(len(E), dtype=np.int64)
+    for first, own in _mask_groups(E, masks):
+        blocks, columns, rows, words = own.shape
+        reach = np.full((blocks, rows, words), _ALL_LEAVES)
+        for j in range(columns):
+            reach &= own[:, j]
+        votes[first : first + rows] = _leaf_votes(reach, masks.positive)
+    return votes
 
 
 def _mask_walk_votes(E, row, column, values, masks):
@@ -761,63 +763,60 @@ def _mask_walk_votes(E, row, column, values, masks):
 
     A walk row's position equals its candidate's on every split column
     but its walked one. So per candidate and split column j, the AND of
-    the candidate's masks on every other split column, made from prefix
-    and suffix ANDs over the columns, ANDed with the one table row of the
-    walked value's position on j, is the walk row's reach. A walk along a
-    column no tree splits on reaches what its candidate reaches. The
-    candidates go in groups whose (candidate, column) masks number at
-    most _MASK_GROUP, and the walk rows of a group in chunks of
-    _CHUNK_ROWS."""
-    lookup, table, positive = masks.lookup, masks.table, masks.positive
-    blocks, words = positive.shape
-    columns = np.flatnonzero(masks.cut_of >= 0)
+    the candidate's table rows on every other split column, made from
+    prefix and suffix ANDs over the columns, ANDed with the one table row
+    of the walked value's position on j, is the walk row's reach. A walk
+    along a column no tree splits on reaches what its candidate reaches.
+    The candidates go in the groups of _mask_groups, and the walk rows of
+    a group in chunks of _CHUNK_ROWS."""
     cut = masks.cut_of[column]
     split = cut >= 0
     pos = _key_positions(masks.keys, cut, values)
     votes = np.empty(len(row), dtype=np.int64)
-    step = max(1, _MASK_GROUP // max(1, len(columns)))
-    for first in range(0, len(E), step):
-        group = E[first : first + step]
-        mine = (first <= row) & (row < first + len(group))
-        at = _key_positions(masks.keys, np.arange(len(columns))[:, None], group.T[columns])
-        # (blocks, columns, candidates, words): each candidate's mask per
-        # split column, then in others the AND of its masks on all the
-        # other split columns
-        own = table.take(lookup.take(at, axis=1), axis=0)
+    for first, own in _mask_groups(E, masks):
+        blocks, columns, n, words = own.shape
+        mine = (first <= row) & (row < first + n)
+        # in others, per split column each candidate's AND of its table
+        # rows on all the other split columns
         others = np.empty_like(own)
-        ahead = np.full((blocks, len(group), words), _ALL_LEAVES)
-        for j in range(len(columns)):
+        ahead = np.full((blocks, n, words), _ALL_LEAVES)
+        for j in range(columns):
             others[:, j] = ahead
             ahead &= own[:, j]
         behind = np.full_like(ahead, _ALL_LEAVES)
-        for j in reversed(range(len(columns))):
+        for j in reversed(range(columns)):
             others[:, j] &= behind
             behind &= own[:, j]
         idle = np.flatnonzero(mine & ~split)
         if len(idle):
             # ahead holds each candidate's own reach
-            votes[idle] = _leaf_votes(ahead, positive)[row[idle] - first]
+            votes[idle] = _leaf_votes(ahead, masks.positive)[row[idle] - first]
         others = others.reshape(blocks, -1, words)
         walks = np.flatnonzero(mine & split)
         for start in range(0, len(walks), _CHUNK_ROWS):
             chunk = walks[start : start + _CHUNK_ROWS]
-            reach = others.take(cut[chunk] * len(group) + row[chunk] - first, axis=1)
-            reach &= table.take(lookup.take(pos[chunk], axis=1), axis=0)
-            votes[chunk] = _leaf_votes(reach, positive)
+            reach = others.take(cut[chunk] * n + row[chunk] - first, axis=1)
+            reach &= masks.table.take(masks.lookup.take(pos[chunk], axis=1), axis=0)
+            votes[chunk] = _leaf_votes(reach, masks.positive)
     return votes
 
 
-def _routed_votes(chunk, flat):
-    """Positive votes per row of chunk from a _flatten_forest table, every
-    row routed through every tree one level at a time."""
+def _routed_votes(X, flat):
+    """Positive votes per row of X from a _flatten_forest table, every
+    row of a chunk of _CHUNK_ROWS routed through every tree one level at
+    a time."""
     feature, threshold, children, value, roots, levels = flat
-    cells = chunk.ravel()
-    row_start = (np.arange(len(chunk)) * chunk.shape[1])[:, None]
-    pos = np.broadcast_to(roots, (len(chunk), len(roots)))
-    for _ in levels:
-        go_right = ~(cells[row_start + feature[pos]] <= threshold[pos])
-        pos = children[2 * pos + go_right]
-    return value[pos].sum(axis=1)
+    votes = np.empty(len(X), dtype=np.int64)
+    for start in range(0, len(X), _CHUNK_ROWS):
+        chunk = X[start : start + _CHUNK_ROWS]
+        cells = chunk.ravel()
+        row_start = (np.arange(len(chunk)) * chunk.shape[1])[:, None]
+        pos = np.broadcast_to(roots, (len(chunk), len(roots)))
+        for _ in levels:
+            go_right = ~(cells[row_start + feature[pos]] <= threshold[pos])
+            pos = children[2 * pos + go_right]
+        votes[start : start + len(chunk)] = value[pos].sum(axis=1)
+    return votes
 
 
 class RandomForestModel(_EncodedModel):
@@ -827,18 +826,19 @@ class RandomForestModel(_EncodedModel):
     _MASK_LEAVES leaves go into leaf-bitmask tables (_mask_tables), in
     blocks of up to 64 trees, and the deeper ones into one node table
     (_flatten_forest). Neither is saved, so the model format holds only
-    the trees. The bitmask tables cost one binary search per split column
-    over the whole batch. Prediction then scores _CHUNK_ROWS rows at a
-    time: one table lookup and AND per column and block for the bitmask
-    tables, and for the node table every row routed through its trees
-    together, one vectorized step per tree level. Both give each (row,
-    tree) the leaf a walk down the tree reaches.
+    the trees. For the bitmask tables, one binary search of complex keys
+    finds a group of rows' positions on every split column at once
+    (_key_positions), and each row's reach is the AND of one table row
+    per split column and block (_mask_votes). The node table routes
+    _CHUNK_ROWS rows at a time through its trees together, one
+    vectorized step per tree level. Both give each (row, tree) the leaf a
+    walk down the tree reaches.
 
     Resilience-walk rows (predict_walks) differ from their candidate in
-    one cell. The bitmask tables score each from its candidate's masks on
-    the other split columns, ANDed once per (candidate, column), and one
-    search and table row on its own column (_mask_walk_votes); the node
-    table routes the walk rows themselves.
+    one cell. The bitmask tables score each from the same table rows of
+    its candidate on the other split columns, ANDed once per (candidate,
+    column), and one search and table row on its own column
+    (_mask_walk_votes); the node table routes the walk rows themselves.
     """
 
     learner_name = "random_forest"
@@ -860,30 +860,22 @@ class RandomForestModel(_EncodedModel):
         return self.predict_encoded(self.encoder.transform(rows))
 
     def predict_encoded(self, encoded):
-        votes = np.zeros(encoded.shape[0], dtype=np.int64)
-        masks = self._masks
-        if masks is not None:
-            at = _mask_positions(encoded, masks.cuts)
-        for start in range(0, encoded.shape[0], _CHUNK_ROWS):
-            rows = slice(start, start + _CHUNK_ROWS)
-            if masks is not None:
-                votes[rows] += _mask_votes(at[:, rows], masks.lookup, masks.table, masks.positive)
-            if self._deep is not None:
-                votes[rows] += _routed_votes(encoded[rows], self._deep)
+        votes = np.zeros(len(encoded), dtype=np.int64)
+        if self._masks is not None:
+            votes += _mask_votes(encoded, self._masks)
+        if self._deep is not None:
+            votes += _routed_votes(encoded, self._deep)
         return votes / len(self.trees)
 
     def predict_encoded_walks(self, E, row, column, values):
         """The bitmask trees score the walk rows from their candidates'
         masks (_mask_walk_votes); the deep trees route the walk rows
-        themselves, _CHUNK_ROWS at a time."""
+        themselves."""
         votes = np.zeros(len(row), dtype=np.int64)
         if self._masks is not None:
             votes += _mask_walk_votes(E, row, column, values, self._masks)
         if self._deep is not None:
-            X = _set_cells(E, row, column, values)
-            for start in range(0, len(X), _CHUNK_ROWS):
-                rows = slice(start, start + _CHUNK_ROWS)
-                votes[rows] += _routed_votes(X[rows], self._deep)
+            votes += _routed_votes(_set_cells(E, row, column, values), self._deep)
         return votes / len(self.trees)
 
     def to_params(self):

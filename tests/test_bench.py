@@ -4,6 +4,7 @@ import json
 import os
 import platform
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -402,7 +403,7 @@ def test_emit_report_formats_agree(small_report, tmp_path):
     for cpath, mpath in zip(paths[::2], paths[1::2]):
         with open(cpath, newline="", encoding="utf-8") as handle:
             csv_rows = [row for row in csv.reader(handle)]
-        md_lines = open(mpath, encoding="utf-8").read().strip().splitlines()
+        md_lines = Path(mpath).read_text(encoding="utf-8").strip().splitlines()
         md_rows = [
             [cell.strip() for cell in line.strip("|").split("|")]
             for line in md_lines
@@ -429,7 +430,7 @@ def test_emit_report_empty_run(tmp_path):
             rows = list(csv.reader(handle))
         assert len(rows) == 1  # header only
     meta_path = write_meta(empty, str(tmp_path))
-    meta = json.loads(open(meta_path, encoding="utf-8").read())
+    meta = json.loads(Path(meta_path).read_text(encoding="utf-8"))
     assert meta["empty"] is True
     assert meta["poi_count"] == 0
 
@@ -437,7 +438,7 @@ def test_emit_report_empty_run(tmp_path):
 def test_write_meta_contents(small_report, tmp_path):
     report, _ = small_report
     path = write_meta(report, str(tmp_path))
-    meta = json.loads(open(path, encoding="utf-8").read())
+    meta = json.loads(Path(path).read_text(encoding="utf-8"))
     assert meta["dataset"] == "synth4"
     assert meta["poi_count"] == 3
     assert meta["empty"] is False

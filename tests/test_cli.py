@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -78,7 +79,7 @@ def workspace(tmp_path_factory):
 
 
 def test_train_writes_model(workspace, capsys):
-    payload = json.loads(open(workspace["model"], encoding="utf-8").read())
+    payload = json.loads(Path(workspace["model"]).read_text(encoding="utf-8"))
     assert payload["format"] == "lexcf-model"
     assert payload["learner"] == "random_forest"  # the rf alias expands
 
@@ -696,7 +697,7 @@ def small_model_files(workspace):
             i for i, inst in enumerate(test.instances)
             if model.predict_class(inst.values) == NEGATIVE
         )
-        files[learner] = (json.loads(open(path, encoding="utf-8").read()), poi)
+        files[learner] = (json.loads(Path(path).read_text(encoding="utf-8")), poi)
     return files
 
 
@@ -784,7 +785,7 @@ FOREST_CORRUPTIONS = {
 
 @pytest.mark.parametrize("corruption", sorted(FOREST_CORRUPTIONS))
 def test_corrupt_forest_file_exits_with_one_line(workspace, tmp_path, capsys, corruption):
-    payload = json.loads(open(workspace["model"], encoding="utf-8").read())
+    payload = json.loads(Path(workspace["model"]).read_text(encoding="utf-8"))
     width = load_model(workspace["model"]).encoder.width
     FOREST_CORRUPTIONS[corruption](payload["params"]["trees"][0], width)
     path = tmp_path / "bad.json"
@@ -805,7 +806,7 @@ def test_logistic_file_with_wrong_weight_count_exits_with_one_line(workspace, tm
     good = str(tmp_path / "logistic.json")
     rc = main(["train", "--data", workspace["data"], "--learner", "logistic", "--out", good])
     assert rc == 0
-    payload = json.loads(open(good, encoding="utf-8").read())
+    payload = json.loads(Path(good).read_text(encoding="utf-8"))
     payload["params"]["weights"].pop()
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -843,7 +844,7 @@ def test_model_file_with_wrong_encoder_exits_with_one_line(
         good = str(tmp_path / "logistic.json")
         rc = main(["train", "--data", workspace["data"], "--learner", learner, "--out", good])
         assert rc == 0
-    payload = json.loads(open(good, encoding="utf-8").read())
+    payload = json.loads(Path(good).read_text(encoding="utf-8"))
     ENCODER_CORRUPTIONS[corruption](payload["params"]["encoder"])
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload), encoding="utf-8")

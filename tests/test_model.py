@@ -20,6 +20,7 @@ from lexcf.data import (
 from lexcf.errors import ConfigError, ModelFormatError, TrainingError
 from lexcf.model import (
     _CHUNK_ROWS,
+    _MASK_GROUP,
     _MASK_LEAVES,
     _SPLIT_CELLS,
     _Encoder,
@@ -29,6 +30,7 @@ from lexcf.model import (
     Model,
     RandomForestModel,
     _Tree,
+    _key_positions,
     kfold_indices,
     learner_params,
     load_model,
@@ -523,9 +525,20 @@ def _query_rows(schema, train, n, seed):
 FLAT_BATCH_SIZES = (0, 1, 20, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2000)
 
 
+def _batch_sizes(model):
+    """FLAT_BATCH_SIZES and, for a forest with bitmask trees, one row
+    fewer than, as many as and one more than a group of the bitmask
+    kernel holds."""
+    if getattr(model, "_masks", None) is None:
+        return FLAT_BATCH_SIZES
+    group = _MASK_GROUP // max(1, np.count_nonzero(model._masks.cut_of >= 0))
+    return FLAT_BATCH_SIZES + (group - 1, group, group + 1)
+
+
 def _assert_matches_per_tree_oracle(model, train, seed):
-    rows = _query_rows(model.schema, train, max(FLAT_BATCH_SIZES), seed)
-    for size in FLAT_BATCH_SIZES:
+    sizes = _batch_sizes(model)
+    rows = _query_rows(model.schema, train, max(sizes), seed)
+    for size in sizes:
         batch = rows[:size]
         got = model.predict_proba_batch(batch)
         assert got.shape == (size,)
@@ -541,10 +554,11 @@ def test_encoded_scores_do_not_depend_on_the_batch(learner, params):
     # assumes
     ds = generate_synthetic(300, seed=4, n_continuous=9, n_integer=3, n_categorical=3)
     model = train_model(ds, LearnerConfig(learner, params, seed=2))
-    rows = _query_rows(model.schema, ds, max(FLAT_BATCH_SIZES), seed=5)
+    sizes = _batch_sizes(model)
+    rows = _query_rows(model.schema, ds, max(sizes), seed=5)
     X = model.encoder.transform(rows)
     alone = np.array([model.predict_encoded(row[None])[0] for row in X])
-    for size in FLAT_BATCH_SIZES:
+    for size in sizes:
         assert np.array_equal(model.predict_encoded(X[:size]), alone[:size]), size
 
 
@@ -629,7 +643,8 @@ def _assert_encoded_matches_oracle(trees, width, seed):
     grid (exact ties), next to it, far outside it, NaN and infinite."""
     model = RandomForestModel(numeric_schema(width), _Encoder([("num", 0.0, 1.0)] * width), trees)
     rng = np.random.default_rng(seed)
-    n = max(FLAT_BATCH_SIZES)
+    sizes = _batch_sizes(model)
+    n = max(sizes)
     cells = np.concatenate(
         [
             np.arange(21) / 20,
@@ -640,7 +655,7 @@ def _assert_encoded_matches_oracle(trees, width, seed):
     )
     X = rng.choice(cells, size=(n, width))
     assert np.isnan(X).any() and np.isinf(X).any()
-    for size in FLAT_BATCH_SIZES:
+    for size in sizes:
         got = model.predict_encoded(X[:size])
         assert got.shape == (size,)
         assert np.array_equal(got, _per_tree_proba(model, X[:size])), size
@@ -653,7 +668,7 @@ def test_forest_kernels_meet_at_64_leaves():
     model = _assert_encoded_matches_oracle(trees, 5, seed=1)
     # the 64-leaf and the single-leaf tree are scored by bitmasks, the
     # 65-leaf tree by the level traversal
-    assert model._masks[3].shape == (1, 2)
+    assert model._masks.positive.shape == (1, 2)
     assert len(model._deep[4]) == 1
 
 
@@ -661,8 +676,56 @@ def test_forest_bitmasks_span_several_blocks():
     rng = np.random.default_rng(22)
     trees = [_random_tree(rng, int(rng.integers(1, 65)), 4) for _ in range(150)]
     model = _assert_encoded_matches_oracle(trees, 4, seed=2)
-    assert model._masks[3].shape == (3, 64)
+    assert model._masks.positive.shape == (3, 64)
     assert model._deep is None
+
+
+def _mask_positions(encoded, cuts):
+    """Each row's position on each split column by one searchsorted per
+    column, as the bitmask kernel searched before its one search of
+    complex keys: a (columns x rows) array. cuts lists (column, sorted
+    distinct thresholds, offset of the column's run of positions)."""
+    values = encoded.T.copy()
+    at = np.empty((len(cuts), len(encoded)), dtype=np.int64)
+    for j, (column, thresholds, offset) in enumerate(cuts):
+        at[j] = offset + np.searchsorted(thresholds, values[column])
+    return at
+
+
+def _cuts(trees):
+    """The cuts of _mask_positions for trees: each split column with its
+    sorted distinct thresholds, whose run holds one more position than
+    it has thresholds."""
+    feature = np.concatenate([t.feature for t in trees])
+    threshold = np.concatenate([t.threshold for t in trees])
+    cuts, offset = [], 0
+    for column in np.unique(feature[feature >= 0]).tolist():
+        thresholds = np.unique(threshold[feature == column])
+        cuts.append((column, thresholds, offset))
+        offset += len(thresholds) + 1
+    return cuts
+
+
+def test_key_positions_match_a_search_per_column():
+    # values equal to, just above and just below every threshold, signed
+    # zeros, infinities and NaN: the one search of complex keys places
+    # each value as a binary search among its own column's thresholds does
+    rng = np.random.default_rng(24)
+    trees = [_random_tree(rng, int(rng.integers(1, 65)), 4) for _ in range(70)]
+    model = RandomForestModel(numeric_schema(5), _Encoder([("num", 0.0, 1.0)] * 5), trees)
+    cuts = _cuts(trees)
+    grid = np.arange(21) / 20
+    assert [column for column, _, _ in cuts] == [0, 1, 2, 3]
+    assert all(np.array_equal(thresholds, grid) for _, thresholds, _ in cuts)
+    near = [np.nextafter(grid, np.inf), np.nextafter(grid, -np.inf)]
+    values = np.concatenate([grid, *near, [0.0, -0.0, np.inf, -np.inf, np.nan, -5.0, 5.0]])
+    keys = model._masks.keys
+    for j, (_, thresholds, offset) in enumerate(cuts):
+        want = offset + np.searchsorted(thresholds, values, "left")
+        assert np.array_equal(_key_positions(keys, j, values), want), j
+    X = rng.choice(values, size=(300, 5))
+    at = _key_positions(keys, np.arange(len(cuts))[:, None], X.T[:4])
+    assert np.array_equal(at, _mask_positions(X, cuts))
 
 
 def test_flat_forest_matches_oracle_after_save_load(tmp_path):
